@@ -12,6 +12,10 @@ VaultController::VaultController(unsigned vaultId, const MemConfig &cfg,
                                  StatGroup *parent)
     : vaultId_(vaultId), cfg_(cfg), mapper_(mapper),
       banks_(cfg.geom.banksPerVault),
+      hitGate_(cfg.geom.banksPerVault, kIdleForever),
+      hitKey_(cfg.geom.banksPerVault, 0),
+      progGate_(cfg.geom.banksPerVault, kIdleForever),
+      progKey_(cfg.geom.banksPerVault, 0),
       trans_(cfg.transQueueDepth),
       nextRefreshAt_(cfg.timing.tREFI),
       statGroup_("vault" + std::to_string(vaultId), parent),
@@ -28,6 +32,9 @@ VaultController::VaultController(unsigned vaultId, const MemConfig &cfg,
              Counter(&statGroup_, "req_latency_total",
                      "sum of transaction latencies (cycles)")}
 {
+    vip_assert(cfg.geom.banksPerVault <= (1u << kBankBits),
+               "scheduler keys hold at most ", 1u << kBankBits,
+               " banks per vault");
     // Stacked descending so the next slot handed out is the lowest
     // index, matching the original linear free-slot search.
     freeSlots_.reserve(cfg.transQueueDepth);
@@ -60,27 +67,34 @@ VaultController::splitIntoColumns(std::size_t trans_index)
     const MemRequest &req = *t.req;
     const unsigned col_bytes = cfg_.geom.colBytes;
 
-    Addr addr = req.addr;
     std::uint64_t remaining = req.bytes;
-    while (remaining > 0) {
-        DramCoord c = mapper_.decode(addr);
+    for (DramCoord c = mapper_.decode(req.addr); remaining > 0;
+         c = mapper_.nextColumn(c)) {
         vip_assert(c.vault == vaultId_, "request for vault ", c.vault,
                    " enqueued at vault ", vaultId_);
         const unsigned within = col_bytes - c.offset;
         const std::uint64_t chunk = std::min<std::uint64_t>(remaining,
                                                             within);
         Bank &bank = banks_[c.bank];
-        if (!bank.active) {
-            bank.active = true;
+        if (bank.queued == 0)
             activeBanks_.push_back(c.bank);
+        const std::uint64_t seq = nextSeq_++;
+        vip_assert(seq < (~0ull >> kBankBits), "arrival stamps exhausted");
+        if (bank.rowOpen) {
+            if (bank.openRow == c.row) {
+                if (bank.hitQueued++ == 0) {
+                    bank.hitPos = bank.cols.end();
+                    bank.hitSeq = seq;
+                }
+            } else if (bank.queued == bank.hitQueued) {
+                bank.missSeq = seq;  // every live access ahead hits
+            }
         }
-        bank.cols.push_back({nextSeq_++, c.row, c.col, req.isWrite,
-                             trans_index, req.issuedAt});
-        if (bank.rowOpen && bank.openRow == c.row)
-            ++bank.hitQueued;
+        bank.cols.push({seq, c.row, trans_index, req.isWrite, true});
+        ++bank.queued;
+        updateBank(c.bank);
         ++totalColumns_;
         ++t.pendingColumns;
-        addr += chunk;
         remaining -= chunk;
     }
 }
@@ -88,9 +102,9 @@ VaultController::splitIntoColumns(std::size_t trans_index)
 void
 VaultController::retireCompletions(Cycles now)
 {
-    while (!completions_.empty() && completions_.top().at <= now) {
-        const auto ev = completions_.top();
-        completions_.pop();
+    while (!completions_.empty() && completions_.front().at <= now) {
+        const CompletionEvent ev = completions_.front();
+        completions_.pop_front();
         finishColumn(ev.transIndex, ev.at);
     }
 }
@@ -127,11 +141,13 @@ VaultController::finishColumn(std::size_t trans_index, Cycles now)
 void
 VaultController::beginRefresh(Cycles now)
 {
-    for (auto &bank : banks_) {
+    for (unsigned bi = 0; bi < banks_.size(); ++bi) {
+        Bank &bank = banks_[bi];
         bank.rowOpen = false;
         bank.hitQueued = 0;
         bank.actAllowedAt = std::max(bank.actAllowedAt,
                                      now + cfg_.timing.tRFC);
+        updateBank(bi);
     }
     refreshUntil_ = now + cfg_.timing.tRFC;
     nextRefreshAt_ += cfg_.timing.tREFI;
@@ -176,7 +192,6 @@ VaultController::catchUpRefreshes(Cycles until)
 void
 VaultController::deactivateBank(unsigned bank_idx)
 {
-    banks_[bank_idx].active = false;
     auto it = std::find(activeBanks_.begin(), activeBanks_.end(),
                         bank_idx);
     vip_assert(it != activeBanks_.end(), "bank missing from active list");
@@ -185,11 +200,10 @@ VaultController::deactivateBank(unsigned bank_idx)
 }
 
 void
-VaultController::issueColumn(unsigned bank_idx, Cycles now,
-                             std::deque<ColumnAccess>::iterator it)
+VaultController::issueColumn(unsigned bank_idx, Cycles now)
 {
     Bank &bank = banks_[bank_idx];
-    const ColumnAccess ca = *it;
+    const ColumnAccess ca = bank.cols.at(bank.hitPos);
     const DramTiming &t = cfg_.timing;
 
     // Data occupies the shared TSVs for tBurst beats (the vault-wide
@@ -204,14 +218,22 @@ VaultController::issueColumn(unsigned bank_idx, Cycles now,
         bank.preAllowedAt = std::max(bank.preAllowedAt,
                                      done_at + t.tWR);
     }
-    completions_.push({done_at, ca.transIndex});
+    completions_.push_back({done_at, ca.transIndex});
 
-    bank.cols.erase(it);
+    bank.cols.erase(bank.hitPos);
     --totalColumns_;
-    if (bank.cols.empty())
+    if (--bank.queued == 0)
         deactivateBank(bank_idx);
-    vip_assert(bank.hitQueued > 0, "issued hit was not counted");
-    --bank.hitQueued;
+    if (--bank.hitQueued > 0) {
+        // Only tombstones and non-hits lie between this hit and the
+        // next one; the erase may have dropped the leading tombstones.
+        std::uint64_t pos = std::max(bank.hitPos + 1, bank.cols.head());
+        while (!bank.cols.at(pos).live ||
+               bank.cols.at(pos).row != bank.openRow)
+            ++pos;
+        bank.hitPos = pos;
+        bank.hitSeq = bank.cols.at(pos).seq;
+    }
 
     if (cfg_.pagePolicy == PagePolicy::Closed && bank.hitQueued == 0) {
         // Auto-precharge: no other queued access needs this row.
@@ -221,40 +243,66 @@ VaultController::issueColumn(unsigned bank_idx, Cycles now,
                                                 : done_at) +
                             t.tRP;
     }
+    updateBank(bank_idx);
 }
 
-bool
+void
 VaultController::issueOldestHit(Cycles now)
 {
     // FR-FCFS first pass. Within one bank every open-row access shares
     // the same timing gates, so the bank's oldest hit is its only
     // candidate; across banks the globally oldest eligible candidate
     // is exactly the access a front-to-back scan of one combined
-    // arrival-ordered queue would have issued.
-    unsigned best_bank = 0;
-    std::deque<ColumnAccess>::iterator best_it;
-    std::uint64_t best_seq = ~0ull;
+    // arrival-ordered queue would have issued. The vault-wide tBurst
+    // gate is folded into hitAt_, which the caller has checked.
+    const std::uint64_t best = oldestEligible(hitGate_, hitKey_, now);
+    vip_assert(best != ~0ull, "hit gate open with no eligible hit");
+    issueColumn(static_cast<unsigned>(best & kBankMask), now);
+}
+
+std::uint64_t
+VaultController::oldestEligible(const std::vector<Cycles> &gate,
+                               const std::vector<std::uint64_t> &key,
+                               Cycles now) const
+{
+    // Branch-free: which banks qualify changes from cycle to cycle, so
+    // a branch mispredicts. A bank whose gate is still closed offers
+    // ~0, which never wins.
+    std::uint64_t best = ~0ull;
     for (const unsigned bi : activeBanks_) {
-        Bank &bank = banks_[bi];
-        if (!bank.rowOpen || bank.hitQueued == 0)
+        best = std::min(best, key[bi] | -static_cast<std::uint64_t>(
+                                            gate[bi] > now));
+    }
+    return best;
+}
+
+void
+VaultController::openRow(Bank &bank, Cycles now)
+{
+    const DramTiming &t = cfg_.timing;
+    const ColumnAccess &oldest = bank.cols.at(bank.cols.head());
+    bank.rowOpen = true;
+    bank.openRow = oldest.row;
+    bank.colAllowedAt = now + t.tRCD;
+    bank.preAllowedAt = now + t.tRAS;
+    // The activating access is the bank's oldest, so it is the oldest
+    // hit; one pass counts the hits and finds the oldest non-hit.
+    bank.hitPos = bank.cols.head();
+    bank.hitSeq = oldest.seq;
+    bank.hitQueued = 0;
+    bool miss_found = false;
+    for (std::uint64_t pos = bank.cols.head(); pos != bank.cols.end();
+         ++pos) {
+        const ColumnAccess &c = bank.cols.at(pos);
+        if (!c.live)
             continue;
-        if (now < bank.colAllowedAt || now < bank.colCmdAllowedAt ||
-            now < colIssueAllowedAt_) {
-            continue;
-        }
-        auto it = bank.cols.begin();
-        while (it->row != bank.openRow)
-            ++it;
-        if (it->seq < best_seq) {
-            best_seq = it->seq;
-            best_bank = bi;
-            best_it = it;
+        if (c.row == bank.openRow) {
+            ++bank.hitQueued;
+        } else if (!miss_found) {
+            miss_found = true;
+            bank.missSeq = c.seq;
         }
     }
-    if (best_seq == ~0ull)
-        return false;
-    issueColumn(best_bank, now, best_it);
-    return true;
 }
 
 void
@@ -266,53 +314,69 @@ VaultController::progressOldest(Cycles now)
     // access (activate). Same-class accesses within a bank share the
     // timing gate, so taking the globally oldest eligible candidate
     // reproduces the arrival-ordered scan exactly.
-    const DramTiming &t = cfg_.timing;
-    Bank *best = nullptr;
-    std::uint64_t best_seq = ~0ull;
-    bool best_is_activate = false;
-    for (const unsigned bi : activeBanks_) {
-        Bank &bank = banks_[bi];
-        if (bank.rowOpen) {
-            if (bank.cols.size() == bank.hitQueued)
-                continue;  // everything queued hits the open row
-            if (now < bank.preAllowedAt)
-                continue;
-            auto it = bank.cols.begin();
-            while (it->row == bank.openRow)
-                ++it;
-            if (it->seq < best_seq) {
-                best_seq = it->seq;
-                best = &bank;
-                best_is_activate = false;
-            }
-        } else {
-            if (now < bank.actAllowedAt)
-                continue;
-            if (bank.cols.front().seq < best_seq) {
-                best_seq = bank.cols.front().seq;
-                best = &bank;
-                best_is_activate = true;
-            }
-        }
-    }
-    if (best == nullptr)
-        return;
+    const std::uint64_t best = oldestEligible(progGate_, progKey_, now);
+    vip_assert(best != ~0ull, "progress gate open with no candidate");
 
-    if (best_is_activate) {
-        best->rowOpen = true;
-        best->openRow = best->cols.front().row;
-        best->colAllowedAt = now + t.tRCD;
-        best->preAllowedAt = now + t.tRAS;
-        best->hitQueued = static_cast<unsigned>(std::count_if(
-            best->cols.begin(), best->cols.end(),
-            [&](const ColumnAccess &c) { return c.row == best->openRow; }));
+    const auto best_bank = static_cast<unsigned>(best & kBankMask);
+    Bank &bank = banks_[best_bank];
+    if (!bank.rowOpen) {
+        openRow(bank, now);
         stats_.rowMisses += 1;
     } else {
-        best->rowOpen = false;
-        best->hitQueued = 0;
-        best->actAllowedAt = std::max(best->actAllowedAt, now + t.tRP);
+        bank.rowOpen = false;
+        bank.hitQueued = 0;
+        bank.actAllowedAt = std::max(bank.actAllowedAt,
+                                     now + cfg_.timing.tRP);
         stats_.rowConflicts += 1;
     }
+    updateBank(best_bank);
+}
+
+void
+VaultController::updateBank(unsigned bank_idx)
+{
+    const Bank &bank = banks_[bank_idx];
+    Cycles hit = kIdleForever;
+    Cycles prog = kIdleForever;
+    std::uint64_t prog_seq = 0;
+    if (bank.rowOpen) {
+        if (bank.hitQueued > 0) {
+            // Row hit: gated by tRCD and this bank's tCCD.
+            hit = std::max(bank.colAllowedAt, bank.colCmdAllowedAt);
+        }
+        if (bank.queued > bank.hitQueued) {
+            // Conflict: the wrong row closes once tRAS/tWR allow.
+            prog = bank.preAllowedAt;
+            prog_seq = bank.missSeq;
+        }
+    } else if (bank.queued > 0) {
+        // Precharged: activates once tRP/tRFC allow.
+        prog = bank.actAllowedAt;
+        prog_seq = bank.cols.at(bank.cols.head()).seq;
+    }
+    hitGate_[bank_idx] = hit;
+    hitKey_[bank_idx] = bank.hitSeq << kBankBits | bank_idx;
+    progGate_[bank_idx] = prog;
+    progKey_[bank_idx] = prog_seq << kBankBits | bank_idx;
+    gatesDirty_ = true;
+}
+
+void
+VaultController::refreshGates() const
+{
+    if (!gatesDirty_)
+        return;
+    // min over banks of max(floor, gate) == max(floor, min of gates),
+    // so the vault-wide tBurst gate folds in once, after the walk.
+    Cycles hit = kIdleForever;
+    Cycles prog = kIdleForever;
+    for (const unsigned bi : activeBanks_) {
+        hit = std::min(hit, hitGate_[bi]);
+        prog = std::min(prog, progGate_[bi]);
+    }
+    hitAt_ = std::max(hit, colIssueAllowedAt_);
+    progAt_ = prog;
+    gatesDirty_ = false;
 }
 
 void
@@ -329,55 +393,34 @@ VaultController::tick(Cycles now)
     if (totalColumns_ == 0)
         return;
 
+    refreshGates();
     // First pass (FR-FCFS): issue the oldest row-hit column access.
-    if (issueOldestHit(now))
+    if (now >= hitAt_) {
+        issueOldestHit(now);
         return;
+    }
     // Second pass: make row-state progress for the oldest access.
-    progressOldest(now);
+    if (now >= progAt_)
+        progressOldest(now);
 }
 
 Cycles
 VaultController::nextEventAt(Cycles now) const
 {
-    Cycles next = kIdleForever;
-    if (!completions_.empty())
-        next = std::max(completions_.top().at, now);
-
     // Refresh fires unconditionally at its deadline (and changes bank
     // state and the refresh counter), so it is always a hard event.
-    next = std::min(next, std::max(nextRefreshAt_, now));
+    Cycles next = std::max(nextRefreshAt_, now);
+    if (!completions_.empty())
+        next = std::min(next, std::max(completions_.front().at, now));
 
     if (totalColumns_ == 0 || next <= now)
         return next;
 
-    // No command issues while the refresh window is open. Each bank
-    // contributes at most one candidate per access class it has
-    // queued; the per-access minimum collapses to this because
-    // same-class accesses within a bank share every timing gate.
-    const Cycles floor = std::max(now, refreshUntil_);
-    for (const unsigned bi : activeBanks_) {
-        const Bank &bank = banks_[bi];
-        if (bank.rowOpen) {
-            if (bank.hitQueued > 0) {
-                // Row hit: gated by tRCD, this bank's tCCD, and the
-                // vault-wide data-bus (tBurst) constraint.
-                next = std::min(next,
-                                std::max({floor, bank.colAllowedAt,
-                                          bank.colCmdAllowedAt,
-                                          colIssueAllowedAt_}));
-            }
-            if (bank.cols.size() > bank.hitQueued) {
-                // Conflict: the wrong row closes once tRAS/tWR allow.
-                next = std::min(next, std::max(floor, bank.preAllowedAt));
-            }
-        } else {
-            // Precharged: activates once tRP/tRFC allow.
-            next = std::min(next, std::max(floor, bank.actAllowedAt));
-        }
-        if (next <= now)
-            break;
-    }
-    return next;
+    // No command issues while the refresh window is open; otherwise
+    // the earliest queued access to clear its gates acts first.
+    refreshGates();
+    return std::min(next, std::max({now, refreshUntil_,
+                                    std::min(hitAt_, progAt_)}));
 }
 
 unsigned

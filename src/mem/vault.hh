@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "mem/addrmap.hh"
@@ -26,7 +25,7 @@ namespace vip {
 
 class FaultInjector;
 
-class VaultController : public Clocked
+class VaultController final : public Clocked
 {
   public:
     VaultController(unsigned vaultId, const MemConfig &cfg,
@@ -57,7 +56,7 @@ class VaultController : public Clocked
     Cycles
     nextCompletionAt() const
     {
-        return completions_.empty() ? kIdleForever : completions_.top().at;
+        return completions_.empty() ? kIdleForever : completions_.front().at;
     }
 
     /**
@@ -135,10 +134,46 @@ class VaultController : public Clocked
     {
         std::uint64_t seq;       ///< global arrival order (FCFS age)
         std::uint64_t row;
-        unsigned col;
-        bool isWrite;
         std::size_t transIndex;  ///< owning transaction slot
-        Cycles arrivedAt;
+        bool isWrite;
+        bool live;               ///< false once issued (a tombstone)
+    };
+
+    /**
+     * One bank's queued accesses, oldest first, addressed by absolute
+     * position: positions never shift, so the scheduler can hold on to
+     * one. Issuing an access other than the oldest leaves a tombstone
+     * that is dropped once it reaches the front; the front is always
+     * live.
+     */
+    class ColumnQueue
+    {
+      public:
+        std::uint64_t head() const { return head_; }  ///< oldest live
+        std::uint64_t end() const { return head_ + slots_.size(); }
+
+        ColumnAccess &at(std::uint64_t pos) { return slots_[pos - head_]; }
+        const ColumnAccess &
+        at(std::uint64_t pos) const
+        {
+            return slots_[pos - head_];
+        }
+
+        void push(const ColumnAccess &c) { slots_.push_back(c); }
+
+        void
+        erase(std::uint64_t pos)
+        {
+            at(pos).live = false;
+            while (!slots_.empty() && !slots_.front().live) {
+                slots_.pop_front();
+                ++head_;
+            }
+        }
+
+      private:
+        std::deque<ColumnAccess> slots_;
+        std::uint64_t head_ = 0;  ///< absolute position of the front
     };
 
     /** An in-flight transaction and its split bookkeeping. */
@@ -152,46 +187,64 @@ class VaultController : public Clocked
     /** Per-bank timing state and queued column accesses. */
     struct Bank
     {
-        bool rowOpen = false;
-        std::uint64_t openRow = 0;
         Cycles actAllowedAt = 0;
         Cycles colAllowedAt = 0;     ///< tRCD after ACT
         Cycles colCmdAllowedAt = 0;  ///< tCCD after this bank's last col
         Cycles preAllowedAt = 0;
+        std::uint64_t openRow = 0;
+        bool rowOpen = false;
 
-        /** This bank's queued accesses, oldest first. */
-        std::deque<ColumnAccess> cols;
-
-        /** True while cols is nonempty (listed in activeBanks_). */
-        bool active = false;
+        /** Live accesses in @c cols; nonzero exactly while listed in
+         *  activeBanks_. */
+        unsigned queued = 0;
 
         /**
          * How many of @c cols target @c openRow, maintained while the
          * row is open (meaningless when closed). Lets the scheduler
-         * and nextEventAt() classify a bank without scanning its
-         * queue.
+         * classify a bank without scanning its queue.
          */
         unsigned hitQueued = 0;
+
+        /**
+         * Position in @c cols and arrival stamp of the oldest access
+         * to @c openRow; valid while the row is open and hitQueued >
+         * 0. Every live access ahead of it targets another row and
+         * stays queued until the row closes, so the position only
+         * moves forward: the issue of the oldest hit resumes the
+         * search just past it.
+         */
+        std::uint64_t hitPos = 0;
+        std::uint64_t hitSeq = 0;
+
+        /**
+         * Arrival stamp of the oldest access to a row other than
+         * @c openRow (the precharge candidate); valid while the row
+         * is open and queued > hitQueued. Only hits issue while the
+         * row is open, so it changes only when the row does, or when
+         * an enqueue adds the bank's first non-hit.
+         */
+        std::uint64_t missSeq = 0;
+
+        ColumnQueue cols;
     };
 
     struct CompletionEvent
     {
         Cycles at;
         std::size_t transIndex;
-
-        bool
-        operator>(const CompletionEvent &o) const
-        {
-            return at > o.at;
-        }
     };
 
     void splitIntoColumns(std::size_t trans_index);
-    bool issueOldestHit(Cycles now);
-    void issueColumn(unsigned bank_idx, Cycles now,
-                     std::deque<ColumnAccess>::iterator it);
+    void issueOldestHit(Cycles now);
+    void issueColumn(unsigned bank_idx, Cycles now);
     void deactivateBank(unsigned bank_idx);
     void progressOldest(Cycles now);
+    void openRow(Bank &bank, Cycles now);
+    void updateBank(unsigned bank_idx);
+    std::uint64_t oldestEligible(const std::vector<Cycles> &gate,
+                                 const std::vector<std::uint64_t> &key,
+                                 Cycles now) const;
+    void refreshGates() const;
     void beginRefresh(Cycles now);
     void retireCompletions(Cycles now);
     void finishColumn(std::size_t trans_index, Cycles now);
@@ -203,9 +256,32 @@ class VaultController : public Clocked
     std::vector<Bank> banks_;
 
     /**
+     * One bank's scheduling candidates, rebuilt by updateBank() after
+     * every change to that bank: the earliest cycle its oldest hit may
+     * issue (tRCD, tCCD) and that hit's key, and the earliest cycle
+     * its row-state progress candidate — the oldest conflicting access
+     * with the row open, the oldest access with it closed — may
+     * precharge or activate, and that access's key. A gate is
+     * kIdleForever when the bank has no such candidate. Kept apart
+     * from Bank, one contiguous array per field, so the FR-FCFS passes
+     * and the gate recompute are short loops that never touch a queue.
+     *
+     * A key is the candidate's arrival stamp << kBankBits | its bank.
+     * Stamps are unique, so keys order as the stamps do, and the
+     * smallest key also names its bank: picking the oldest eligible
+     * candidate is a branch-free minimum.
+     */
+    static constexpr unsigned kBankBits = 8;
+    static constexpr std::uint64_t kBankMask = (1u << kBankBits) - 1;
+    std::vector<Cycles> hitGate_;
+    std::vector<std::uint64_t> hitKey_;
+    std::vector<Cycles> progGate_;
+    std::vector<std::uint64_t> progKey_;
+
+    /**
      * Indices of banks with queued accesses, unordered. The scheduler
-     * passes and nextEventAt() are min-computations over banks, so
-     * iteration order is free — which keeps ticks O(busy banks)
+     * passes and the gate recompute are min-computations over banks,
+     * so iteration order is free — which keeps them O(busy banks)
      * instead of O(all banks) for sparse traffic.
      */
     std::vector<unsigned> activeBanks_;
@@ -215,10 +291,27 @@ class VaultController : public Clocked
     unsigned liveTrans_ = 0;              ///< live entries in trans_
     std::size_t totalColumns_ = 0;        ///< queued accesses, all banks
     std::uint64_t nextSeq_ = 0;           ///< arrival-order stamp
-    std::priority_queue<CompletionEvent, std::vector<CompletionEvent>,
-                        std::greater<>> completions_;
+    /** Column data in flight, in completion order: every column
+     *  completes a fixed tCL + tBurst after its issue, and issue
+     *  cycles only grow, so arrival order is completion order. */
+    std::deque<CompletionEvent> completions_;
 
     Cycles colIssueAllowedAt_ = 0;
+
+    /**
+     * Memoized vault gates, recomputed by refreshGates() only after a
+     * state change set gatesDirty_: hitAt_ is the earliest cycle any
+     * open-row hit clears tRCD/tCCD/tBurst, progAt_ the earliest cycle
+     * any precharge (tRAS/tWR) or activate (tRP/tRFC) may happen
+     * (kIdleForever when no such access is queued). They depend only
+     * on bank state, never on the current cycle, so tick() skips a
+     * pass whose gate has not opened and nextEventAt() is O(1) between
+     * state changes.
+     */
+    mutable Cycles hitAt_ = kIdleForever;
+    mutable Cycles progAt_ = kIdleForever;
+    mutable bool gatesDirty_ = false;
+
     Cycles refreshUntil_ = 0;
     Cycles nextRefreshAt_;
     CompletionHandler completionHandler_;

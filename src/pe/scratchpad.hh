@@ -16,6 +16,11 @@
  * latency to the programmer (Sec. III-A), so well-scheduled code never
  * does this. The hazard checker lets tests prove our generated kernels
  * are correctly scheduled.
+ *
+ * Alongside the per-byte clock, each 64-byte block keeps the maximum
+ * ready time of its bytes, so the hazard check skips every block that
+ * was produced before the stream reaches it and runs the per-byte test
+ * only where a hazard is possible.
  */
 
 #ifndef VIP_PE_SCRATCHPAD_HH
@@ -34,6 +39,7 @@ class Scratchpad
   public:
     static constexpr unsigned kBytes = 4096;
     static constexpr unsigned kBanks = 8;
+    static constexpr unsigned kBlockBytes = 64;  ///< ready-max granule
 
     void read(SpAddr addr, void *dst, unsigned bytes) const;
     void write(SpAddr addr, const void *src, unsigned bytes);
@@ -106,6 +112,9 @@ class Scratchpad
   private:
     std::array<std::uint8_t, kBytes> data_{};
     std::array<Cycles, kBytes> readyAt_{};
+    /** Max of readyAt_ over each kBlockBytes-aligned block. Ready times
+     *  only ever rise, so a running max is exact. */
+    std::array<Cycles, kBytes / kBlockBytes> blockMax_{};
 };
 
 } // namespace vip

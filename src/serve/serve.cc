@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "sim/json.hh"
 
@@ -374,46 +375,117 @@ VipServer::dispatch(const std::string &line, bool *shutdown)
 }
 
 void
-VipServer::emitReady(std::deque<PendingPtr> &window, std::ostream &out)
+VipServer::emit(const PendingPtr &p, std::ostream &out)
+{
+    out << p->response << '\n' << std::flush;
+    // Journal the response after the client had its chance to see it;
+    // a completed entry answers resumes byte-identically.
+    if (p->journaled && journal_)
+        journal_->appendResponse(p->seq, p->response);
+}
+
+void
+VipServer::emitReady(Window &window, std::ostream &out)
 {
     LockGuard lock(mutex_);
-    while (!window.empty() && window.front()->done) {
-        const PendingPtr p = window.front();
-        window.pop_front();
+    while (!window.slots.empty() && window.slots.front()->done) {
+        const PendingPtr p = window.slots.front();
+        window.slots.pop_front();
         if (p->isError)
             ++errors_;
         lock.unlock();
-        out << p->response << '\n' << std::flush;
-        // Journal the response after the client had its chance to see
-        // it; a completed entry answers resumes byte-identically.
-        if (p->journaled && journal_)
-            journal_->appendResponse(p->seq, p->response);
+        emit(p, out);
         lock.lock();
     }
 }
 
 void
-VipServer::drain(std::deque<PendingPtr> &window, std::ostream &out)
+VipServer::drain(Window &window, std::ostream &out)
 {
     LockGuard lock(mutex_);
-    while (!window.empty()) {
-        const PendingPtr head = window.front();
+    if (window.hasWriter) {
+        cv_.wait(lock, [&window] { return window.slots.empty(); });
+        return;
+    }
+    while (!window.slots.empty()) {
+        const PendingPtr head = window.slots.front();
         cv_.wait(lock, [&head] { return head->done; });
-        window.pop_front();
+        window.slots.pop_front();
         if (head->isError)
             ++errors_;
         lock.unlock();
-        out << head->response << '\n' << std::flush;
-        if (head->journaled && journal_)
-            journal_->appendResponse(head->seq, head->response);
+        emit(head, out);
         lock.lock();
     }
+}
+
+void
+VipServer::writeResponses(Window &window, std::ostream &out)
+{
+    LockGuard lock(mutex_);
+    for (;;) {
+        cv_.wait(lock, [&window] {
+            return (!window.slots.empty() && window.slots.front()->done) ||
+                   (window.closed && window.slots.empty());
+        });
+        if (window.slots.empty())
+            return;  // closed and drained
+        const PendingPtr p = window.slots.front();
+        window.slots.pop_front();
+        if (p->isError)
+            ++errors_;
+        lock.unlock();
+        // Keeps emitting after a failure (the writes are no-ops) so
+        // in-flight work still drains and the window still empties.
+        emit(p, out);
+        const bool failed = !out;
+        lock.lock();
+        window.outFailed = window.outFailed || failed;
+        cv_.notify_all();  // the reader may wait for room or a drain
+    }
+}
+
+void
+VipServer::stopWriter(Window &window, std::thread &writer)
+{
+    {
+        LockGuard lock(mutex_);
+        window.closed = true;
+    }
+    cv_.notify_all();
+    writer.join();
 }
 
 void
 VipServer::serve(std::istream &in, std::ostream &out)
 {
-    std::deque<PendingPtr> window;
+    Window window;
+    if (engine_.jobs() == 1) {
+        // Inline engine: every run completes inside dispatch(), so this
+        // thread emits each response before it reads the next line.
+        readRequests(in, out, window);
+        drain(window, out);
+        return;
+    }
+    // Pool: runs complete while this thread blocks reading the next
+    // line, so a writer thread emits the heads as they complete.
+    window.hasWriter = true;
+    std::thread writer([this, &window, &out] {
+        writeResponses(window, out);
+    });
+    try {
+        readRequests(in, out, window);
+    } catch (...) {
+        stopWriter(window, writer);
+        throw;
+    }
+    stopWriter(window, writer);
+}
+
+void
+VipServer::readRequests(std::istream &in, std::ostream &out,
+                        Window &window)
+{
     std::string line;
     bool shutdown = false;
     while (!shutdown) {
@@ -458,22 +530,30 @@ VipServer::serve(std::istream &in, std::ostream &out)
         }
         p->seq = seq;
         p->journaled = journaled;
-        window.push_back(std::move(p));
+        if (window.hasWriter) {
+            LockGuard lock(mutex_);
+            window.slots.push_back(std::move(p));
+            cv_.notify_all();
+            if (window.outFailed)
+                break;  // client vanished; finish in-flight work
+            // Bound the pipeline: never more than two batches of work
+            // queued ahead of the slowest outstanding request.
+            const std::size_t bound = 2 * std::size_t{engine_.jobs()} + 1;
+            cv_.wait(lock, [&window, bound] {
+                return window.slots.size() < bound || window.outFailed;
+            });
+            continue;
+        }
+        // Inline: every slot completed inside dispatch(), so this
+        // emits the whole window.
+        {
+            LockGuard lock(mutex_);
+            window.slots.push_back(std::move(p));
+        }
         emitReady(window, out);
         if (!out)
             break;  // client vanished; finish in-flight work and return
-        // Bound the pipeline: never more than two batches of work
-        // queued ahead of the slowest outstanding request.
-        LockGuard lock(mutex_);
-        while (window.size() >= 2 * engine_.jobs() + 1) {
-            const PendingPtr head = window.front();
-            cv_.wait(lock, [&head] { return head->done; });
-            lock.unlock();
-            emitReady(window, out);
-            lock.lock();
-        }
     }
-    drain(window, out);
 }
 
 } // namespace vip

@@ -76,7 +76,11 @@
  * the sweep determinism contract); responses are reordered back into
  * request order by a bounded per-connection window, so a stream of N
  * requests pipelines across the pool while the client still sees
- * responses 1..N in order. With jobs == 1 everything runs inline on
+ * responses 1..N in order. With jobs > 1 a per-connection writer
+ * thread emits each window head as soon as it completes, so a
+ * closed-loop client — one that waits for each response before it
+ * sends the next request — is answered while the reading thread is
+ * blocked on that next line. With jobs == 1 everything runs inline on
  * the caller's thread — byte-for-byte deterministic, which is what
  * the tests pin. serve() may be called concurrently from several
  * transport threads (one per socket connection): the window is local
@@ -99,6 +103,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -253,11 +258,41 @@ class VipServer
     void cacheInsert(std::uint64_t key, std::string response)
         VIP_REQUIRES(mutex_);
 
-    /** Emit (and journal) every completed slot at @p window's head. */
-    void emitReady(std::deque<PendingPtr> &window, std::ostream &out);
+    /**
+     * One serve() call's in-order response window. Local to the call
+     * but shared with its writer thread, so every field is read and
+     * written under mutex_ (not annotated: the analysis cannot name
+     * the outer object's mutex from here).
+     */
+    struct Window
+    {
+        std::deque<PendingPtr> slots;
+        bool hasWriter = false;  ///< a writer thread emits the heads
+        bool closed = false;     ///< reading done: drain, then exit
+        bool outFailed = false;  ///< the writer saw the stream fail
+    };
 
-    /** Block until the whole @p window has been emitted. */
-    void drain(std::deque<PendingPtr> &window, std::ostream &out);
+    /** Read, dispatch and queue request lines until EOF, shutdown,
+     *  a stop request, or a failed output stream. */
+    void readRequests(std::istream &in, std::ostream &out,
+                      Window &window);
+
+    /** Write (and journal) one popped slot's response. */
+    void emit(const PendingPtr &p, std::ostream &out);
+
+    /** Inline mode: emit every completed slot at the window's head. */
+    void emitReady(Window &window, std::ostream &out);
+
+    /** Block until the whole window has been emitted (by this thread
+     *  inline, by the writer thread otherwise). */
+    void drain(Window &window, std::ostream &out);
+
+    /** Writer thread body: emit heads in order as they complete until
+     *  the window is closed and empty. */
+    void writeResponses(Window &window, std::ostream &out);
+
+    /** Close @p window and join its writer thread. */
+    void stopWriter(Window &window, std::thread &writer);
 
     ServeOptions opts_;
     std::atomic<bool> shutdownRequested_{false};

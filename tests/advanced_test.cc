@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "isa/builder.hh"
 #include "kernels/bp_kernel.hh"
 #include "kernels/conv_kernel.hh"
@@ -332,6 +335,96 @@ TEST(Scratchpad, ReadyTimeTracking)
     // A streamed read starting at the same base chases the writer.
     EXPECT_FALSE(sp.hazardousStreamRead(100, 32, 200));
     EXPECT_TRUE(sp.hazardousStreamRead(100, 32, 199));
+}
+
+TEST(Scratchpad, MatchesPerByteModelOnRandomTraffic)
+{
+    // The scratchpad keeps a per-block maximum beside its per-byte
+    // ready clock and skips blocks with it; a plain per-byte model
+    // must give the same answer to every query. Ranges are drawn to
+    // start anywhere, straddle block edges, sit at offset 0 or on the
+    // last byte, and stream across most of the scratchpad.
+    constexpr unsigned kBytes = Scratchpad::kBytes;
+    constexpr unsigned kBlock = Scratchpad::kBlockBytes;
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+        Scratchpad sp;
+        std::vector<Cycles> model(kBytes, 0);
+        Rng rng(seed);
+        Cycles now = 0;
+
+        auto range = [&](SpAddr *addr, unsigned *bytes) {
+            switch (rng.nextBelow(6)) {
+              case 0:  // anywhere, short
+                *addr = static_cast<SpAddr>(rng.nextBelow(kBytes));
+                *bytes = static_cast<unsigned>(rng.nextBelow(40));
+                break;
+              case 1: {  // straddles a block edge
+                const unsigned edge = static_cast<unsigned>(
+                    (1 + rng.nextBelow(kBytes / kBlock - 1)) * kBlock);
+                *addr = edge - 1 - static_cast<SpAddr>(rng.nextBelow(9));
+                *bytes = 2 + static_cast<unsigned>(rng.nextBelow(150));
+                break;
+              }
+              case 2:  // block-aligned start
+                *addr = static_cast<SpAddr>(
+                    rng.nextBelow(kBytes / kBlock) * kBlock);
+                *bytes = static_cast<unsigned>(rng.nextBelow(3 * kBlock));
+                break;
+              case 3:  // the last bytes
+                *bytes = 1 + static_cast<unsigned>(rng.nextBelow(8));
+                *addr = kBytes - *bytes;
+                break;
+              case 4:  // from byte 0
+                *addr = 0;
+                *bytes = 1 + static_cast<unsigned>(rng.nextBelow(200));
+                break;
+              default:  // a long stream
+                *addr = static_cast<SpAddr>(rng.nextBelow(kBytes / 4));
+                *bytes = static_cast<unsigned>(
+                    rng.nextBelow(kBytes - *addr + 1));
+                break;
+            }
+            *bytes = std::min(*bytes, kBytes - *addr);
+        };
+
+        for (unsigned step = 0; step < 4000; ++step) {
+            now += rng.nextBelow(6);
+            SpAddr addr = 0;
+            unsigned bytes = 0;
+            range(&addr, &bytes);
+            const Cycles t = now + rng.nextBelow(80);
+            switch (rng.nextBelow(4)) {
+              case 0:
+                sp.markReadyAt(addr, bytes, t);
+                for (unsigned i = 0; i < bytes; ++i)
+                    model[addr + i] = std::max(model[addr + i], t);
+                break;
+              case 1:
+                sp.markReadyStream(addr, bytes, t);
+                for (unsigned i = 0; i < bytes; ++i)
+                    model[addr + i] = std::max(model[addr + i], t + i / 8);
+                break;
+              case 2: {
+                bool want = false;
+                for (unsigned i = 0; i < bytes; ++i)
+                    want = want || model[addr + i] > t + i / 8;
+                ASSERT_EQ(sp.hazardousStreamRead(addr, bytes, t), want)
+                    << "seed " << seed << " step " << step << " sp["
+                    << addr << ", +" << bytes << ") at " << t;
+                break;
+              }
+              default: {
+                Cycles want = 0;
+                for (unsigned i = 0; i < bytes; ++i)
+                    want = std::max(want, model[addr + i]);
+                ASSERT_EQ(sp.readyAt(addr, bytes), want)
+                    << "seed " << seed << " step " << step << " sp["
+                    << addr << ", +" << bytes << ")";
+                break;
+              }
+            }
+        }
+    }
 }
 
 TEST(Arc, AllocateOverlapClear)

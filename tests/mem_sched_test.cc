@@ -2,15 +2,21 @@
  * @file
  * Focused tests of the vault scheduler's timing behavior: write
  * recovery, bank-level pipelining, FR-FCFS reordering, per-bank tCCD
- * pacing, closed-page row-burst retention, and latency histograms.
+ * pacing, closed-page row-burst retention, and latency histograms —
+ * plus a differential test against a naive reference scheduler on
+ * seeded random traffic.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <list>
 #include <memory>
 #include <vector>
 
 #include "mem/vault.hh"
+#include "sim/rng.hh"
 
 namespace vip {
 namespace {
@@ -200,6 +206,408 @@ TEST(VaultSched, ReadsAndWritesShareTheDataBus)
     EXPECT_EQ(h.vault.stats().readBytes.value(), 3u * 64);
     EXPECT_EQ(h.vault.stats().reqCount.value(), 6u);
 }
+
+/**
+ * Reference FR-FCFS vault: the textbook form of the scheduler. Every
+ * queued column access lives in one arrival-ordered list; each cycle
+ * retires due data, honours refresh, then scans the list front to back
+ * for the first row hit whose bank may issue, and failing that for the
+ * first access whose bank may precharge (wrong row open) or activate
+ * (bank closed). It shares no code with VaultController beyond the
+ * address mapping and the timing parameters.
+ */
+class RefVault
+{
+  public:
+    using Counters = std::array<std::uint64_t, 9>;
+
+    RefVault(const MemConfig &cfg, const AddressMapper &mapper)
+        : cfg_(cfg), mapper_(mapper), banks_(cfg.geom.banksPerVault),
+          nextRefreshAt_(cfg.timing.tREFI)
+    {}
+
+    /** Returns false (queue full) or queues request @p id. */
+    bool
+    enqueue(std::size_t id, Addr addr, unsigned bytes, bool write,
+            Cycles now)
+    {
+        if (live_ == cfg_.transQueueDepth)
+            return false;
+        ++live_;
+        if (trans_.size() <= id)
+            trans_.resize(id + 1);
+        Trans &t = trans_[id];
+        t = Trans{bytes, write, now, 0, 0};
+        for (Addr a = addr; a < addr + bytes;) {
+            const DramCoord c = mapper_.decode(a);
+            queue_.push_back({c.bank, c.row, write, id});
+            ++t.pending;
+            a += cfg_.geom.colBytes - c.offset;
+        }
+        return true;
+    }
+
+    void
+    tick(Cycles now)
+    {
+        const DramTiming &tm = cfg_.timing;
+        for (auto it = done_.begin(); it != done_.end();) {
+            if (it->first > now) {
+                ++it;
+                continue;
+            }
+            Trans &t = trans_[it->second];
+            t.lastDone = std::max(t.lastDone, it->first);
+            if (--t.pending == 0)
+                complete(it->second);
+            it = done_.erase(it);
+        }
+        if (now < refreshUntil_)
+            return;
+        if (now >= nextRefreshAt_) {
+            for (Bank &b : banks_) {
+                b.open = false;
+                b.actAllowedAt = std::max(b.actAllowedAt, now + tm.tRFC);
+            }
+            refreshUntil_ = now + tm.tRFC;
+            nextRefreshAt_ += tm.tREFI;
+            ++c_[5];
+            return;
+        }
+        for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+            Bank &b = banks_[it->bank];
+            if (b.open && b.row == it->row && now >= b.colAllowedAt &&
+                now >= b.colCmdAllowedAt && now >= colIssueAllowedAt_) {
+                issue(it, now);
+                return;
+            }
+        }
+        for (const Access &a : queue_) {
+            Bank &b = banks_[a.bank];
+            if (b.open && b.row != a.row && now >= b.preAllowedAt) {
+                b.open = false;
+                b.actAllowedAt = std::max(b.actAllowedAt, now + tm.tRP);
+                ++c_[4];
+                return;
+            }
+            if (!b.open && now >= b.actAllowedAt) {
+                b.open = true;
+                b.row = a.row;
+                b.colAllowedAt = now + tm.tRCD;
+                b.preAllowedAt = now + tm.tRAS;
+                ++c_[3];
+                return;
+            }
+        }
+    }
+
+    /** Completion cycle of request @p id (0 while pending). */
+    Cycles completedAt(std::size_t id) const { return trans_[id].doneAt; }
+
+    /** Same order as vaultCounters(). */
+    const Counters &counters() const { return c_; }
+
+  private:
+    struct Access
+    {
+        unsigned bank;
+        std::uint64_t row;
+        bool write;
+        std::size_t id;
+    };
+    struct Trans
+    {
+        unsigned bytes;
+        bool write;
+        Cycles issuedAt;
+        unsigned pending;
+        Cycles lastDone;
+        Cycles doneAt = 0;
+    };
+    struct Bank
+    {
+        bool open = false;
+        std::uint64_t row = 0;
+        Cycles actAllowedAt = 0, colAllowedAt = 0, colCmdAllowedAt = 0,
+               preAllowedAt = 0;
+    };
+
+    void
+    issue(std::list<Access>::iterator it, Cycles now)
+    {
+        const DramTiming &tm = cfg_.timing;
+        const Access a = *it;
+        Bank &b = banks_[a.bank];
+        colIssueAllowedAt_ = now + tm.tBurst;
+        b.colCmdAllowedAt = now + tm.tCCD;
+        ++c_[6];  // col commands
+        ++c_[2];  // row hits
+        const Cycles done = now + tm.tCL + tm.tBurst;
+        if (a.write)
+            b.preAllowedAt = std::max(b.preAllowedAt, done + tm.tWR);
+        done_.emplace_back(done, a.id);
+        queue_.erase(it);
+        if (cfg_.pagePolicy != PagePolicy::Closed)
+            return;
+        for (const Access &o : queue_) {
+            if (o.bank == a.bank && o.row == b.row)
+                return;  // a queued access still needs the row
+        }
+        b.open = false;
+        b.actAllowedAt =
+            std::max(b.preAllowedAt, a.write ? done + tm.tWR : done) +
+            tm.tRP;
+    }
+
+    void
+    complete(std::size_t id)
+    {
+        Trans &t = trans_[id];
+        t.doneAt = t.lastDone;
+        --live_;
+        ++c_[7];
+        c_[8] += t.doneAt - t.issuedAt;
+        c_[t.write ? 1 : 0] += t.bytes;
+    }
+
+    MemConfig cfg_;
+    const AddressMapper &mapper_;
+    std::vector<Bank> banks_;
+    std::list<Access> queue_;
+    std::list<std::pair<Cycles, std::size_t>> done_;
+    std::vector<Trans> trans_;
+    unsigned live_ = 0;
+    Cycles colIssueAllowedAt_ = 0;
+    Cycles refreshUntil_ = 0;
+    Cycles nextRefreshAt_;
+    Counters c_{};
+};
+
+/** VaultController's Stats in RefVault::Counters order. */
+RefVault::Counters
+vaultCounters(const VaultController &v)
+{
+    const VaultController::Stats &s = v.stats();
+    return {s.readBytes.value(),    s.writeBytes.value(),
+            s.rowHits.value(),      s.rowMisses.value(),
+            s.rowConflicts.value(), s.refreshes.value(),
+            s.colCommands.value(),  s.reqCount.value(),
+            s.totalReqLatency.value()};
+}
+
+/** One seeded request stream: arrival cycle, address, size, kind. */
+struct TrafficReq
+{
+    Cycles arrival;
+    Addr addr;
+    unsigned bytes;
+    bool write;
+};
+
+std::vector<TrafficReq>
+randomTraffic(const MemConfig &cfg, std::uint64_t seed, unsigned count)
+{
+    // Bursts (which fill the queue) alternate with idle gaps (which
+    // let refreshes land on an empty vault); a few hot rows per bank
+    // make hits, misses and conflicts all common.
+    const AddressMapper mapper(cfg.geom, cfg.addrMap);
+    Rng rng(seed);
+    std::vector<TrafficReq> reqs;
+    Cycles t = 0;
+    while (reqs.size() < count) {
+        const bool burst = rng.nextBelow(3) != 0;
+        const unsigned n = 1 + static_cast<unsigned>(rng.nextBelow(24));
+        for (unsigned i = 0; i < n && reqs.size() < count; ++i) {
+            t += burst ? rng.nextBelow(3) : rng.nextBelow(40);
+            DramCoord c;
+            c.vault = 0;
+            c.bank = static_cast<unsigned>(
+                rng.nextBelow(cfg.geom.banksPerVault));
+            c.row = rng.nextBelow(4);
+            c.col = static_cast<unsigned>(
+                rng.nextBelow(cfg.geom.colsPerRow()));
+            c.offset = static_cast<unsigned>(
+                rng.nextBelow(cfg.geom.colBytes));
+            const unsigned bytes =
+                1 + static_cast<unsigned>(rng.nextBelow(
+                        rng.nextBelow(4) == 0 ? 600 : 64));
+            reqs.push_back({t, mapper.encode(c), bytes,
+                            rng.nextBelow(3) == 0});
+        }
+        if (rng.nextBelow(4) == 0)
+            t += 500 + rng.nextBelow(3000);  // idle: refresh crossings
+    }
+    return reqs;
+}
+
+/**
+ * Drives a VaultController with @p reqs: requests queue FIFO at their
+ * arrival cycle and are offered head-first until the vault refuses.
+ * Ticking every cycle, or (warp) only at cycles where something can
+ * happen — the vault's nextEventAt(), the next arrival, or a refused
+ * request that the vault can now take.
+ */
+struct VaultDriver
+{
+    VaultDriver(const MemConfig &cfg, const std::vector<TrafficReq> &reqs)
+        : cfg(cfg), mapper(cfg.geom, cfg.addrMap),
+          vault(0, cfg, mapper, nullptr), reqs(reqs),
+          enqueuedAt(reqs.size(), 0), completedAt(reqs.size(), 0)
+    {}
+
+    /** Offer every arrived request (FIFO, head first) at @p now. */
+    void
+    offer(Cycles now)
+    {
+        while (next < reqs.size() && reqs[next].arrival <= now) {
+            const TrafficReq &r = reqs[next];
+            auto req = std::make_unique<MemRequest>();
+            req->addr = r.addr;
+            req->bytes = r.bytes;
+            req->isWrite = r.write;
+            req->issuedAt = now;
+            const std::size_t id = next;
+            req->onComplete = [this, id](MemRequest &m) {
+                completedAt[id] = m.completedAt;
+            };
+            if (!vault.enqueue(std::move(req)))
+                return;
+            enqueuedAt[id] = now;
+            ++next;
+        }
+    }
+
+    bool done() const { return next == reqs.size() && vault.idle(); }
+
+    MemConfig cfg;
+    AddressMapper mapper;
+    VaultController vault;
+    const std::vector<TrafficReq> &reqs;
+    std::size_t next = 0;
+    std::vector<Cycles> enqueuedAt;
+    std::vector<Cycles> completedAt;
+};
+
+struct SchedCase
+{
+    const char *name;
+    PagePolicy policy;
+    unsigned transDepth;
+    Cycles tREFI;
+    bool moreBanks;
+};
+
+class VaultDifferential : public ::testing::TestWithParam<SchedCase>
+{};
+
+TEST_P(VaultDifferential, MatchesNaiveReferenceAndNeverWakesLate)
+{
+    const SchedCase &sc = GetParam();
+    MemConfig cfg = oneVault();
+    cfg.pagePolicy = sc.policy;
+    cfg.transQueueDepth = sc.transDepth;
+    if (sc.tREFI)
+        cfg.timing.tREFI = sc.tREFI;
+    if (sc.moreBanks)
+        cfg.geom.scaleBanks(true);
+
+    for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
+        SCOPED_TRACE(std::string(sc.name) + " seed " +
+                     std::to_string(seed));
+        const std::vector<TrafficReq> reqs =
+            randomTraffic(cfg, seed, 1500);
+        constexpr Cycles kLimit = 5'000'000;
+
+        // Reference and real controller, both ticked every cycle. In
+        // every cycle that nextEventAt() calls dead, the real tick
+        // must change nothing a caller can observe.
+        const AddressMapper mapper(cfg.geom, cfg.addrMap);
+        RefVault ref(cfg, mapper);
+        std::vector<Cycles> ref_enqueued(reqs.size(), 0);
+        std::size_t ref_next = 0;
+        VaultDriver step(cfg, reqs);
+        Cycles now = 0;
+        unsigned dead_cycles = 0;
+        for (; now < kLimit && !step.done(); ++now) {
+            while (ref_next < reqs.size() &&
+                   reqs[ref_next].arrival <= now &&
+                   ref.enqueue(ref_next, reqs[ref_next].addr,
+                               reqs[ref_next].bytes,
+                               reqs[ref_next].write, now)) {
+                ref_enqueued[ref_next++] = now;
+            }
+            ref.tick(now);
+
+            step.offer(now);
+            VaultController &v = step.vault;
+            const Cycles wake = v.nextEventAt(now);
+            ASSERT_GE(wake, now);
+            if (wake > now) {
+                ++dead_cycles;
+                const auto counters = vaultCounters(v);
+                const unsigned pending = v.pendingTransactions();
+                const Cycles completion = v.nextCompletionAt();
+                v.tick(now);
+                ASSERT_EQ(vaultCounters(v), counters)
+                    << "cycle " << now << " before nextEventAt " << wake;
+                ASSERT_EQ(v.pendingTransactions(), pending);
+                ASSERT_EQ(v.nextCompletionAt(), completion);
+                ASSERT_EQ(v.nextEventAt(now + 1), wake);
+            } else {
+                v.tick(now);
+            }
+        }
+        ASSERT_TRUE(step.done()) << "traffic did not drain";
+        EXPECT_GT(dead_cycles, 0u);
+
+        // The same traffic, ticked only at event cycles.
+        VaultDriver warp(cfg, reqs);
+        Cycles t = 0;
+        while (t < kLimit && !warp.done()) {
+            warp.offer(t);
+            warp.vault.tick(t);
+            Cycles to = warp.vault.nextEventAt(t + 1);
+            if (warp.next < reqs.size()) {
+                // A refused request waits for a slot, which frees only
+                // at a completion: nextEventAt() already covers that.
+                const Cycles arrival = reqs[warp.next].arrival;
+                if (arrival > t)
+                    to = std::min(to, arrival);
+                else if (warp.vault.canAccept())
+                    to = t + 1;
+            }
+            ASSERT_GT(to, t);
+            t = to;
+        }
+        ASSERT_TRUE(warp.done()) << "warped traffic did not drain";
+
+        EXPECT_EQ(vaultCounters(step.vault), ref.counters());
+        EXPECT_EQ(vaultCounters(warp.vault), ref.counters());
+        EXPECT_GT(ref.counters()[4], 0u) << "no row conflicts exercised";
+        EXPECT_GT(ref.counters()[5], 0u) << "no refresh exercised";
+        for (std::size_t i = 0; i < reqs.size(); ++i) {
+            ASSERT_EQ(step.enqueuedAt[i], ref_enqueued[i]) << "req " << i;
+            ASSERT_EQ(step.completedAt[i], ref.completedAt(i))
+                << "req " << i;
+            ASSERT_EQ(warp.enqueuedAt[i], ref_enqueued[i]) << "req " << i;
+            ASSERT_EQ(warp.completedAt[i], ref.completedAt(i))
+                << "req " << i;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Traffic, VaultDifferential,
+    ::testing::Values(
+        SchedCase{"open", PagePolicy::Open, 32, 0, false},
+        SchedCase{"closed", PagePolicy::Closed, 32, 0, false},
+        SchedCase{"open_backpressure", PagePolicy::Open, 3, 0, false},
+        SchedCase{"closed_backpressure", PagePolicy::Closed, 4, 0, false},
+        SchedCase{"open_fast_refresh", PagePolicy::Open, 16, 300, false},
+        SchedCase{"open_64_banks", PagePolicy::Open, 32, 0, true}),
+    [](const ::testing::TestParamInfo<SchedCase> &info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace
 } // namespace vip

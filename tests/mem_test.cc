@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "mem/addrmap.hh"
 #include "mem/hmc.hh"
@@ -35,6 +36,31 @@ TEST_P(AddrMapRoundTrip, EncodeDecodeIdentity)
         EXPECT_LT(c.row, geom.rowsPerBank);
         EXPECT_LT(c.col, geom.colsPerRow());
         EXPECT_LT(c.offset, geom.colBytes);
+    }
+}
+
+TEST_P(AddrMapRoundTrip, NextColumnMatchesDecode)
+{
+    // Random addresses plus every carry boundary: the last column of
+    // a row, of a bank, and of a vault.
+    DramGeometry geom;
+    const AddressMapper mapper(geom, GetParam());
+    Rng rng(6);
+    std::vector<Addr> addrs;
+    for (unsigned n = 0; n < 2000; ++n)
+        addrs.push_back(rng.nextBelow(geom.capacity() - geom.colBytes));
+    for (const Addr unit : {Addr{geom.rowBytes},
+                            Addr{geom.rowBytes} * geom.banksPerVault,
+                            geom.bytesPerVault(),
+                            Addr{geom.colBytes} * geom.vaults}) {
+        addrs.push_back(unit - 1);
+        addrs.push_back(5 * unit - geom.colBytes + 3);
+    }
+    for (const Addr addr : addrs) {
+        const Addr next = addr - addr % geom.colBytes + geom.colBytes;
+        EXPECT_EQ(mapper.nextColumn(mapper.decode(addr)),
+                  mapper.decode(next))
+            << "addr 0x" << std::hex << addr;
     }
 }
 

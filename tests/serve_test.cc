@@ -12,7 +12,15 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#ifdef __unix__
+#include <poll.h>
+#include <unistd.h>
+
+#include <ext/stdio_filebuf.h>
+#endif
 
 #include "serve/serve.hh"
 #include "sim/json.hh"
@@ -364,6 +372,70 @@ TEST(VipServer, ParallelPoolKeepsRequestOrder)
             << "response " << i;
     }
 }
+
+#ifdef __unix__
+TEST(VipServer, ClosedLoopClientIsAnsweredByAPool)
+{
+    // A closed-loop client sends its next request only after reading
+    // the previous response. With a worker pool, serve() must emit a
+    // finished run while it is blocked reading that next line.
+    ServeOptions opts;
+    opts.jobs = 2;
+    VipServer server(opts);
+    int to_server[2];
+    int from_server[2];
+    ASSERT_EQ(::pipe(to_server), 0);
+    ASSERT_EQ(::pipe(from_server), 0);
+    std::thread daemon([&server, &to_server, &from_server] {
+        // The buffers own (and close) the daemon's pipe ends.
+        __gnu_cxx::stdio_filebuf<char> inbuf(to_server[0], std::ios::in);
+        __gnu_cxx::stdio_filebuf<char> outbuf(from_server[1],
+                                              std::ios::out);
+        std::istream in(&inbuf);
+        std::ostream out(&outbuf);
+        server.serve(in, out);
+    });
+
+    // One response line, or false once 30 s pass without a byte.
+    auto read_line = [fd = from_server[0]](std::string *line) {
+        line->clear();
+        for (;;) {
+            pollfd p{fd, POLLIN, 0};
+            if (::poll(&p, 1, 30'000) != 1)
+                return false;
+            char c = 0;
+            if (::read(fd, &c, 1) != 1)
+                return false;
+            if (c == '\n')
+                return true;
+            line->push_back(c);
+        }
+    };
+
+    for (unsigned i = 0; i < 4; ++i) {
+        RunSpec spec = dotSpec();
+        spec.maxCycles = 300'000 + i;
+        char want[20];
+        std::snprintf(want, sizeof(want), "%016llx",
+                      static_cast<unsigned long long>(spec.fingerprint()));
+        Json req = Json::object();
+        req.set("run", spec.toJson());
+        const std::string text = req.str() + "\n";
+        ASSERT_EQ(::write(to_server[1], text.data(), text.size()),
+                  static_cast<ssize_t>(text.size()));
+        std::string rsp;
+        const bool answered = read_line(&rsp);
+        EXPECT_TRUE(answered) << "request " << i << " got no response";
+        if (!answered)
+            break;
+        EXPECT_EQ(Json::parse(rsp).at("key").asString(), want)
+            << "response " << i;
+    }
+    ::close(to_server[1]);  // EOF: serve() drains and returns
+    daemon.join();
+    ::close(from_server[0]);
+}
+#endif
 
 } // namespace
 } // namespace vip
