@@ -4,6 +4,7 @@
 #include <bit>
 #include <limits>
 
+#include "sim/error.hh"
 #include "sim/fault.hh"
 #include "sim/logging.hh"
 
@@ -14,6 +15,21 @@ namespace {
 /** A register waiting on a memory response: ready only when the
  *  completion event (an external wake-up) lands. */
 constexpr Cycles kNeverReady = kIdleForever;
+
+/** [start, start + bytes) lies inside the scratchpad. Both come from
+ *  program registers, so the test must not wrap. */
+inline bool
+inScratchpad(SpAddr start, std::uint64_t bytes)
+{
+    return bytes <= Scratchpad::kBytes && start <= Scratchpad::kBytes - bytes;
+}
+
+/** A set.vl / set.mr operand the vector unit can stream. */
+inline bool
+legalVectorLength(std::uint64_t v)
+{
+    return v > 0 && v <= Scratchpad::kBytes;
+}
 
 /** Scalar-class µop result — the one definition both the per-cycle
  *  issue path and the fast-block executor evaluate. */
@@ -134,6 +150,7 @@ Pe::setReg(unsigned r, std::uint64_t v)
     vip_assert(r < kNumScalarRegs, "register r", r, " out of range");
     regs_[r] = v;
     regReadyAt_[r] = 0;
+    wake();
 }
 
 std::uint64_t
@@ -187,6 +204,16 @@ Pe::stallFor(Counter &counter, Cycles wake_at)
 }
 
 void
+Pe::programError(const std::string &what) const
+{
+    std::string where = "pe" + std::to_string(cfg_.peId) + " pc " +
+                        std::to_string(pc_);
+    if (const Instruction *inst = currentInstruction())
+        where += " '" + disassemble(*inst) + "'";
+    throw ProgramError(where + ": " + what);
+}
+
+void
 Pe::storeElemSaturating(SpAddr a, ElemWidth w, std::int64_t v)
 {
     const std::int64_t s = saturateToWidth(v, w);
@@ -212,9 +239,9 @@ Pe::checkReadHazard(SpAddr addr, unsigned bytes, Cycles now)
     if (scratchpad_.hazardousStreamRead(addr, bytes, now)) {
         stats_.timingHazards += 1;
         if (cfg_.strictHazards) {
-            vip_panic("pe", cfg_.peId, ": timing hazard reading sp[",
-                      addr, ", ", addr + bytes, ") at cycle ", now,
-                      " — kernel is mis-scheduled");
+            programError(detail::formatArgs(
+                "timing hazard reading sp[", addr, ", ", addr + bytes,
+                ") at cycle ", now, " — kernel is mis-scheduled"));
         }
     }
 }
@@ -224,16 +251,25 @@ Pe::issueConfig(const Uop &u, Cycles now)
 {
     if (!regsReady(u, now))
         return stallFor(stats_.stallScalar, regsWakeAt(u));
-    if (u.op == Opcode::SetVl) {
-        vl_ = regs_[u.rs1];
-        vip_assert(vl_ > 0 && vl_ <= Scratchpad::kBytes,
-                   "set.vl with illegal length ", vl_);
-    } else {
-        mr_ = regs_[u.rs1];
-        vip_assert(mr_ > 0 && mr_ <= Scratchpad::kBytes,
-                   "set.mr with illegal row count ", mr_);
-    }
+    setLengths(u);
     return true;
+}
+
+void
+Pe::setLengths(const Uop &u)
+{
+    const std::uint64_t v = regs_[u.rs1];
+    if (u.op == Opcode::SetVl) {
+        if (!legalVectorLength(v))
+            programError(detail::formatArgs("set.vl with illegal length ",
+                                            v));
+        vl_ = v;
+    } else {
+        if (!legalVectorLength(v))
+            programError(detail::formatArgs(
+                "set.mr with illegal row count ", v));
+        mr_ = v;
+    }
 }
 
 bool
@@ -311,7 +347,8 @@ Pe::issueVector(const Uop &u, Cycles now)
         return stallFor(stats_.stallScalar, regsWakeAt(u));
     if (now < vectorBusyUntil_)
         return stallFor(stats_.stallVectorBusy, vectorBusyUntil_);
-    vip_assert(vl_ > 0, "vector instruction with VL unset");
+    if (vl_ == 0)
+        programError("vector instruction with VL unset");
 
     const unsigned w = u.wBytes;
     const auto vl = static_cast<unsigned>(vl_);
@@ -323,10 +360,12 @@ Pe::issueVector(const Uop &u, Cycles now)
     Cycles occupancy = 0;
 
     if (u.op == Opcode::MatVec) {
-        vip_assert(mr_ > 0, "m.v with MR unset");
-        vip_assert(cfg_.enableReduction,
-                   "m.v issued on a configuration without the reduction "
-                   "unit (Fig. 4 ablation)");
+        if (mr_ == 0)
+            programError("m.v with MR unset");
+        if (!cfg_.enableReduction) {
+            programError("m.v issued on a configuration without the "
+                         "reduction unit (Fig. 4 ablation)");
+        }
         const auto mr = static_cast<unsigned>(mr_);
         ranges[nranges++] = {static_cast<SpAddr>(regs_[u.rs1]),
                              mr * vl * w};
@@ -344,10 +383,12 @@ Pe::issueVector(const Uop &u, Cycles now)
     }
 
     for (unsigned i = 0; i < nranges; ++i) {
-        vip_assert(ranges[i].start + ranges[i].bytes <= Scratchpad::kBytes,
-                   "vector operand [", ranges[i].start, ", ",
-                   ranges[i].start + ranges[i].bytes,
-                   ") outside the scratchpad");
+        if (!inScratchpad(ranges[i].start, ranges[i].bytes)) {
+            programError(detail::formatArgs(
+                "vector operand [", ranges[i].start, ", ",
+                std::uint64_t{ranges[i].start} + ranges[i].bytes,
+                ") outside the scratchpad"));
+        }
         if (arc_.overlaps(ranges[i].start,
                           ranges[i].start + ranges[i].bytes)) {
             // The blocking entry is either a vector-pipeline entry
@@ -406,6 +447,9 @@ Pe::completeTransferPiece(int slot, const MemRequest &done)
 {
     vip_assert(lsqLive_ > 0, "LSQ underflow");
     --lsqLive_;
+    // Delivered by the NoC ahead of this cycle's PE ticks: the freed
+    // entry, ARC range, or register may break the current stall.
+    wake();
     Transfer &t = transfers_[slot];
     vip_assert(t.pending > 0, "stray transfer completion");
     if (--t.pending == 0) {
@@ -425,8 +469,13 @@ bool
 Pe::issueDramTransfer(Addr dram, unsigned bytes, bool is_write, int arc_id,
                       int dest_reg, Cycles now)
 {
-    // Split at vault-contiguity boundaries so each piece has one home.
     const auto &geom = mapper_.geometry();
+    if (bytes > geom.capacity() || dram > geom.capacity() - bytes) {
+        programError(detail::formatArgs(
+            "DRAM access of ", bytes, " bytes at 0x", std::hex, dram,
+            " beyond the DRAM capacity"));
+    }
+    // Split at vault-contiguity boundaries so each piece has one home.
     const std::uint64_t span = mapper_.scheme() == AddrMap::VaultRowBankCol
                                    ? geom.bytesPerVault()
                                    : geom.colBytes;
@@ -483,6 +532,19 @@ Pe::issueDramTransfer(Addr dram, unsigned bytes, bool is_write, int arc_id,
     return true;
 }
 
+unsigned
+Pe::sramTransferBytes(const Uop &u, SpAddr sp) const
+{
+    const std::uint64_t count = regs_[u.rs2];
+    if (count == 0 || count > Scratchpad::kBytes ||
+        !inScratchpad(sp, count * u.wBytes)) {
+        programError(detail::formatArgs(
+            u.op == Opcode::LdSram ? "ld.sram" : "st.sram", " of ", count,
+            " elements at sp ", sp, " outside the scratchpad"));
+    }
+    return static_cast<unsigned>(count * u.wBytes);
+}
+
 bool
 Pe::issueMemory(const Uop &u, Cycles now)
 {
@@ -494,10 +556,7 @@ Pe::issueMemory(const Uop &u, Cycles now)
       case Opcode::LdSram: {
         const auto sp = static_cast<SpAddr>(regs_[u.rd]);
         const Addr dram = regs_[u.rs1];
-        const auto bytes = static_cast<unsigned>(regs_[u.rs2] * w);
-        vip_assert(bytes > 0 && sp + bytes <= Scratchpad::kBytes,
-                   "ld.sram range [", sp, ", ", sp + bytes,
-                   ") outside the scratchpad");
+        const unsigned bytes = sramTransferBytes(u, sp);
         if (arc_.overlaps(sp, sp + bytes))
             return stallFor(stats_.stallArc, earliestVecArcRetireAt());
         if (arc_.full())
@@ -521,10 +580,7 @@ Pe::issueMemory(const Uop &u, Cycles now)
       case Opcode::StSram: {
         const auto sp = static_cast<SpAddr>(regs_[u.rd]);
         const Addr dram = regs_[u.rs1];
-        const auto bytes = static_cast<unsigned>(regs_[u.rs2] * w);
-        vip_assert(bytes > 0 && sp + bytes <= Scratchpad::kBytes,
-                   "st.sram range [", sp, ", ", sp + bytes,
-                   ") outside the scratchpad");
+        const unsigned bytes = sramTransferBytes(u, sp);
         if (arc_.overlaps(sp, sp + bytes))
             return stallFor(stats_.stallArc, earliestVecArcRetireAt());
         checkReadHazard(sp, bytes, now);
@@ -682,15 +738,7 @@ Pe::execFastBlock(const FastBlock &b, Cycles at)
             ++pc_;
             break;
           case UopClass::Config:
-            if (u.op == Opcode::SetVl) {
-                vl_ = regs_[u.rs1];
-                vip_assert(vl_ > 0 && vl_ <= Scratchpad::kBytes,
-                           "set.vl with illegal length ", vl_);
-            } else {
-                mr_ = regs_[u.rs1];
-                vip_assert(mr_ > 0 && mr_ <= Scratchpad::kBytes,
-                           "set.mr with illegal row count ", mr_);
-            }
+            setLengths(u);
             ++pc_;
             break;
           case UopClass::Branch:
@@ -790,6 +838,8 @@ Pe::tryFastPath(Cycles now)
 void
 Pe::tick(Cycles now)
 {
+    settle(now);
+    settledTo_ = now + 1;
     // Retire vector-pipeline ARC entries whose writeback completed.
     if (!vecArcPending_.empty()) {
         for (auto it = vecArcPending_.begin();
@@ -809,8 +859,8 @@ Pe::tick(Cycles now)
         // these cycles were consumed by execFastBlock already.
         return;
     }
-    vip_assert(pc_ < prog_.size(), "pe", cfg_.peId,
-               ": PC ran off the end of the program");
+    if (pc_ >= prog_.size())
+        programError("PC ran off the end of the program");
 
     if (cfg_.fastPath) {
         if (tryFastPath(now))
@@ -842,36 +892,16 @@ Pe::currentInstruction() const
     return &prog_[pc_];
 }
 
-Cycles
-Pe::nextEventAt(Cycles now) const
-{
-    if (halted_) {
-        // Outstanding responses (if any) are events of the memory
-        // system; pending pipeline-ARC retirements are retired lazily
-        // by the tick prologue and have no observable effect while no
-        // instruction can issue.
-        return kIdleForever;
-    }
-    if (now < fpBusyUntil_) {
-        // Bulk-charged window: nothing to do until it ends.
-        return fpBusyUntil_;
-    }
-    if (stallCounter_ == nullptr) {
-        // Actively issuing (or not yet ticked): never warp past it.
-        return now;
-    }
-    return std::max(stallWakeAt_, now);
-}
-
 void
 Pe::fastForward(Cycles from, Cycles to)
 {
-    // Within a warp window no component changes state, so the front
-    // end would have re-evaluated to the exact same stall every cycle.
-    // Inside a fast-block busy window stallCounter_ is null and the
-    // cycles were already charged as busy, so nothing accrues here.
+    // While the PE is not due nothing it depends on changes, so the
+    // front end would have re-evaluated to the exact same stall every
+    // cycle. Inside a fast-block busy window stallCounter_ is null and
+    // the cycles were already charged as busy, so nothing accrues here.
     if (!halted_ && stallCounter_ != nullptr)
         *stallCounter_ += to - from;
+    settledTo_ = to;
 }
 
 } // namespace vip

@@ -17,13 +17,14 @@
  * programmer exactly as in the paper: the issue stage does *not*
  * interlock on scratchpad ranges written by earlier vector
  * instructions. A built-in hazard checker records (or, in strict mode,
- * panics on) reads scheduled inside a producer's timing shadow, which
- * is how we verify that generated kernels are legally scheduled.
+ * fails the run on) reads scheduled inside a producer's timing shadow,
+ * which is how we verify that generated kernels are legally scheduled.
  */
 
 #ifndef VIP_PE_PE_HH
 #define VIP_PE_PE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -55,7 +56,7 @@ struct PeConfig
     unsigned mulStages = 4;   ///< multiplier pipeline depth
     unsigned aluStages = 1;   ///< add-like vertical op latency
     unsigned reduceStages = 2; ///< horizontal unit latency
-    bool strictHazards = false; ///< panic on vector timing hazards
+    bool strictHazards = false; ///< ProgramError on vector timing hazards
     bool enableReduction = true; ///< false emulates a no-reduction ISA
 
     /**
@@ -88,17 +89,21 @@ struct PeConfig
 /** How the PE hands memory transactions to the system. */
 using MemIssueFn = std::function<void(std::unique_ptr<MemRequest>)>;
 
-class Pe : public Clocked
+class Pe final : public Clocked
 {
   public:
     Pe(const PeConfig &cfg, DramStorage &dram, const AddressMapper &mapper,
        MemIssueFn issue, StatGroup *parent);
 
     /** Load a program and reset PC; registers are preserved so the host
-     *  can pass arguments via setReg() before or after. */
+     *  can pass arguments via setReg() before or after. A program
+     *  longer than the instruction buffer is a caller bug (the
+     *  assembler and AsmBuilder reject it). */
     void loadProgram(std::vector<Instruction> prog);
 
-    /** Host interface: seed an argument register. */
+    /** Host interface: seed an argument register. Like a memory
+     *  completion, the write may break a stall, so the PE reports
+     *  itself due (see nextEventAt()). */
     void setReg(unsigned r, std::uint64_t v);
     std::uint64_t reg(unsigned r) const;
 
@@ -108,7 +113,13 @@ class Pe : public Clocked
 
     void setTracer(Tracer t) { tracer_ = std::move(t); }
 
-    /** Advance one clock cycle (issue at most one instruction). */
+    /**
+     * Advance one clock cycle (issue at most one instruction). Ticks
+     * may skip cycles in which nextEventAt() reported nothing due: the
+     * stall recorded at the last tick is first charged for the skipped
+     * cycles (see settle()), exactly as per-cycle ticks would have.
+     * Issue errors a program can cause throw ProgramError.
+     */
     void tick(Cycles now) override;
 
     /**
@@ -126,17 +137,50 @@ class Pe : public Clocked
      * with a known completion time (vector occupancy, a register's
      * valid cycle, a pipeline ARC retirement, v.drain) reports that
      * time; a PE waiting on a memory response (or halted) reports
-     * kIdleForever — the response is an event of the NoC/vault that
-     * will deliver it.
+     * kIdleForever until the response lands: completing a transfer
+     * piece (like setReg()) makes the PE report the cycle it lands
+     * in, so a run loop that ticks only due PEs still sees it.
      */
-    Cycles nextEventAt(Cycles now) const override;
+    Cycles
+    nextEventAt(Cycles now) const override
+    {
+        if (halted_) {
+            // Outstanding responses (if any) are events of the memory
+            // system; pending pipeline-ARC retirements are retired
+            // lazily by the tick prologue and have no observable effect
+            // while no instruction can issue.
+            return kIdleForever;
+        }
+        if (now < fpBusyUntil_) {
+            // Bulk-charged window: nothing to do until it ends.
+            return fpBusyUntil_;
+        }
+        if (stallCounter_ == nullptr) {
+            // Actively issuing (or not yet ticked): never skip it.
+            return now;
+        }
+        return std::max(stallWakeAt_, now);
+    }
 
     /**
      * Replicate the per-cycle stall accounting for skipped cycles
      * [from, to): the stall reason recorded at the last tick cannot
-     * change inside a warp window, so the same counter is charged.
+     * change while the PE is not due, so the same counter is charged.
      */
-    void fastForward(Cycles from, Cycles to) override;
+    void fastForward(Cycles from, Cycles to);
+
+    /**
+     * Charge every cycle before @p now since the last tick (or the
+     * last charge) that no tick accounted for. tick() does this first;
+     * a run loop that skips PEs calls it on each one as it returns, so
+     * the statistics are complete whenever the caller can read them.
+     */
+    void
+    settle(Cycles now)
+    {
+        if (now > settledTo_)
+            fastForward(settledTo_, now);
+    }
 
     bool halted() const { return halted_; }
 
@@ -238,6 +282,13 @@ class Pe : public Clocked
     bool issueMemory(const Uop &u, Cycles now);
     bool issueConfig(const Uop &u, Cycles now);
 
+    /** Apply set.vl / set.mr (ProgramError on an illegal length). */
+    void setLengths(const Uop &u);
+
+    /** Bytes an ld.sram/st.sram at @p sp moves (ProgramError when the
+     *  range is empty or leaves the scratchpad). */
+    unsigned sramTransferBytes(const Uop &u, SpAddr sp) const;
+
     bool regsReady(const Uop &u, Cycles now) const;
     bool regReady(unsigned r, Cycles now) const;
 
@@ -261,6 +312,12 @@ class Pe : public Clocked
     /** Record a stall: bump @p counter, remember it and the wake cycle
      *  for nextEventAt()/fastForward(). Always returns false. */
     bool stallFor(Counter &counter, Cycles wake_at);
+
+    /** An external event may have broken the stall: report due now. */
+    void wake() { stallWakeAt_ = 0; }
+
+    /** Throw ProgramError for the instruction at the PC. */
+    [[noreturn]] void programError(const std::string &what) const;
 
     void execVector(const Uop &u, Cycles now, Cycles done_at);
     void checkReadHazard(SpAddr addr, unsigned bytes, Cycles now);
@@ -306,6 +363,18 @@ class Pe : public Clocked
      */
     Cycles fpBusyUntil_ = 0;
 
+    /** Stall recorded at the last tick: which counter the front end
+     *  charged and the earliest cycle the stall could break. Cleared
+     *  when an instruction issues. Kept next to halted_ and
+     *  fpBusyUntil_, the rest of what nextEventAt() reads, since the
+     *  run loop polls it for every PE every cycle. */
+    Counter *stallCounter_ = nullptr;
+    Cycles stallWakeAt_ = 0;
+
+    /** First cycle whose stall accounting is still owed: the cycle
+     *  after the last tick, or the end of the last charge. */
+    Cycles settledTo_ = 0;
+
     /** Exclusive run bound fast blocks may not charge past. */
     Cycles runDeadline_ = ~Cycles{0};
 
@@ -341,12 +410,6 @@ class Pe : public Clocked
     int freeTransfer_ = -1;
     MemRequestPool reqPool_;
     Tracer tracer_;
-
-    /** Stall recorded at the last tick: which counter the front end
-     *  charged and the earliest cycle the stall could break. Cleared
-     *  when an instruction issues. */
-    Counter *stallCounter_ = nullptr;
-    Cycles stallWakeAt_ = 0;
 
     StatGroup statGroup_;
     Stats stats_;

@@ -6,31 +6,46 @@
  * Every tickable unit of the machine (PE, NoC, vault, the system's
  * ingress drains) implements `tick(now)` plus `nextEventAt(now)`: the
  * earliest future cycle at which the component, left alone, could
- * change architectural or statistical state. The system's run loop
- * computes the horizon `min(nextEventAt)` over all components each
- * iteration and, when it exceeds the next cycle, warps simulated time
- * directly to it — skipping cycles that would have been no-op ticks
- * for every component.
+ * change architectural or statistical state. The serial run loop uses
+ * it twice when fast-forward is on:
  *
- * The contract that keeps warping *exact* rather than approximate:
+ *  - Per component: a vault or PE whose `nextEventAt(now) > now` is not
+ *    ticked at `now` (`HmcStack::tickDue`, `VipSystem::tickDue`).
+ *  - For the whole machine: the loop computes the horizon
+ *    `min(nextEventAt)` over all components after each cycle and, when
+ *    it exceeds the next cycle, warps simulated time directly to it.
+ *
+ * The contract that keeps both *exact* rather than approximate:
  *
  *  - `nextEventAt` may be conservative (early). Reporting a cycle at
- *    which the component turns out to do nothing merely shrinks the
- *    warp; the component is ticked there and re-reports.
+ *    which the component turns out to do nothing merely costs a tick;
+ *    the component is ticked there and re-reports.
  *  - `nextEventAt` must never be late. If the component would have
  *    changed any observable state (including statistics) at cycle t,
  *    it must report a value <= t. A busy or unknown component reports
  *    `now` (equivalently `now + 1` relative to the cycle it just
- *    ticked), which disables warping entirely.
- *  - External wake-ups need not be reported. A component waiting on
+ *    ticked), which disables skipping it.
+ *  - External wake-ups must be delivered. A component waiting on
  *    another component's event (a PE waiting on a DRAM response that
- *    arrives through the NoC) may report `kIdleForever`; the event is
- *    already in the queue of the component that will deliver it, and
- *    that component's `nextEventAt` bounds the horizon.
- *  - Components whose per-cycle behaviour is observable even when
- *    "nothing happens" (the PE's per-cycle stall counters) implement
- *    `fastForward(from, to)` to account for the skipped cycles
- *    [from, to) exactly as the per-cycle ticks would have.
+ *    arrives through the NoC) may report `kIdleForever` while it
+ *    waits; the event is in the queue of the component that will
+ *    deliver it, whose `nextEventAt` bounds the horizon. The delivery
+ *    itself must make the waiting component report the delivery
+ *    cycle: `Pe::completeTransferPiece` collapses the PE's wake
+ *    estimate, and a vault's `enqueue` dirties its memoized gates.
+ *    The tick order (NoC, vaults, ingress drains, PEs) delivers each
+ *    wake-up before the woken component's due check in the same cycle.
+ *  - A component whose per-cycle behaviour is observable even when
+ *    "nothing happens" (the PE's per-cycle stall counters) accounts
+ *    for skipped cycles itself: a PE charges the stall recorded at
+ *    its last tick for every cycle since then at its next tick
+ *    (`Pe::settle`), and the run loop settles every PE on each exit.
+ *
+ * The system's ingress drain is ticked every cycle, never gated: a
+ * vault completion earlier in the same cycle frees the slot a parked
+ * request drains into, but by then the vault's `nextCompletionAt()`
+ * already names its *next* completion, so the drain's own
+ * `nextEventAt` would miss the cycle.
  */
 
 #ifndef VIP_SIM_CLOCKED_HH
@@ -61,18 +76,6 @@ class Clocked
      * file comment for the full contract.
      */
     virtual Cycles nextEventAt(Cycles now) const = 0;
-
-    /**
-     * Cycles [@p from, @p to) are being skipped: every component
-     * reported no event in the interval, so a per-cycle tick would
-     * have been a no-op. Components with per-cycle observable
-     * behaviour (stall counters) replicate it here.
-     */
-    virtual void fastForward(Cycles from, Cycles to)
-    {
-        (void)from;
-        (void)to;
-    }
 };
 
 /** What the event-horizon fast-forward did during a run. */

@@ -83,6 +83,23 @@ class AssemblyFailure : public SimError
 };
 
 /**
+ * A program did something the ISA rules out at run time: a scratchpad
+ * operand outside the scratchpad, an empty ld.sram/st.sram, a DRAM
+ * access beyond the capacity, VL or MR unset or out of range, m.v
+ * without the reduction unit, the PC running off the end, or (with
+ * strict hazard checking) a read in a vector result's timing shadow.
+ * The issuing PE throws it mid-run, naming itself, the PC and the
+ * instruction; the machine is left mid-flight but destructible.
+ */
+class ProgramError : public SimError
+{
+  public:
+    explicit ProgramError(std::string message)
+        : SimError("program", std::move(message))
+    {}
+};
+
+/**
  * The watchdog found the machine making no progress. detail() carries
  * the deadlock diagnosis report: per-PE PC / stall reason / LSQ
  * occupancy and per-vault queue depths (see VipSystem::run).

@@ -58,6 +58,20 @@ unparkRequest(PacketPayload &payload)
         static_cast<MemRequest *>(payload.release()));
 }
 
+/** Runs a callable when its scope ends, by return or by throw. */
+template <typename F>
+class ScopeExit
+{
+  public:
+    explicit ScopeExit(F f) : f_(std::move(f)) {}
+    ~ScopeExit() { f_(); }
+    ScopeExit(const ScopeExit &) = delete;
+    ScopeExit &operator=(const ScopeExit &) = delete;
+
+  private:
+    F f_;
+};
+
 } // namespace
 
 void
@@ -295,6 +309,21 @@ VipSystem::tick()
     ++now_;
 }
 
+void
+VipSystem::tickDue()
+{
+    // tick()'s order, skipping every vault and PE with nothing due. A
+    // PE woken by a completion the NoC delivers above reports now.
+    noc_.tick(now_);
+    hmc_.tickDue(now_);
+    ingressDrain_.tick(now_);
+    for (auto &pe : pes_) {
+        if (pe->nextEventAt(now_) <= now_)
+            pe->tick(now_);
+    }
+    ++now_;
+}
+
 Cycles
 VipSystem::nextEventAt() const
 {
@@ -328,6 +357,10 @@ VipSystem::run(Cycles max_cycles, const CancelToken *cancel)
                "VipSystem::run() entered concurrently; a system must "
                "be confined to one caller at a time (one system per "
                "sweep job)");
+    // Every exit releases the machine: a return, a deadlock or cancel
+    // throw, or a ProgramError out of a PE's tick.
+    const ScopeExit release(
+        [this] { running_.store(false, std::memory_order_release); });
     const Cycles deadline = max_cycles == 0 ? ~Cycles{0}
                                             : now_ + max_cycles;
     // The fast path must not charge a block past the budget: a run cut
@@ -337,6 +370,19 @@ VipSystem::run(Cycles max_cycles, const CancelToken *cancel)
         pe->setRunDeadline(deadline);
     if (cfg_.islands > 1)
         return islandRun(deadline, cancel);
+    return serialRun(deadline, cancel);
+}
+
+Cycles
+VipSystem::serialRun(Cycles deadline, const CancelToken *cancel)
+{
+    // With fast-forward on, PEs skipped by tickDue() (and every PE
+    // over a warp) owe stall cycles; charge them on every exit so the
+    // statistics are whole when the caller reads them.
+    const ScopeExit settle([this] {
+        for (auto &pe : pes_)
+            pe->settle(now_);
+    });
 
     std::uint64_t last_progress = ~std::uint64_t{0};
     Cycles last_check = now_;
@@ -349,18 +395,20 @@ VipSystem::run(Cycles max_cycles, const CancelToken *cancel)
         return p;
     };
 
-    while (now_ < deadline && !allIdle()) {
-        tick();
+    bool idle = allIdle();
+    while (now_ < deadline && !idle) {
+        if (cfg_.fastForward)
+            tickDue();
+        else
+            tick();
         if (cancel && now_ >= next_cancel_poll) {
             // Cooperative stop point: a fast-forward warp below can
             // jump now_ far past the cadence mark, so the poll also
             // lands right after every warp. shouldStop() reads the
             // host clock only here, never per tick.
             next_cancel_poll = now_ + kCancelPollCycles;
-            if (cancel->shouldStop()) {
-                running_.store(false, std::memory_order_release);
+            if (cancel->shouldStop())
                 cancel->check();  // throws Timeout/CancelledError
-            }
         }
         if (now_ - last_check >= cfg_.watchdogCycles) {
             const std::uint64_t p = progress();
@@ -368,35 +416,32 @@ VipSystem::run(Cycles max_cycles, const CancelToken *cancel)
                 // Genuine deadlock. Diagnose rather than die: a sweep
                 // harness marks this one point failed (carrying the
                 // report) and the rest of the campaign completes.
-                const std::string diagnosis = deadlockDiagnosis();
-                running_.store(false, std::memory_order_release);
                 throw DeadlockError("system deadlocked at cycle " +
                                         std::to_string(now_),
-                                    diagnosis);
+                                    deadlockDiagnosis());
             }
             last_progress = p;
             last_check = now_;
         }
-        if (!cfg_.fastForward || allIdle())
+        idle = allIdle();
+        if (!cfg_.fastForward || idle)
             continue;
 
         // Event-horizon warp: every cycle in [now_, horizon) is dead —
         // ticking through it would change nothing but the PE stall
-        // counters, which fastForward() replicates. Clamp to the
-        // deadline and to the cycle where the watchdog would next look,
-        // so both fire at exactly the same now_ as an unwarped run.
+        // counters, which each PE charges at its next tick or settle.
+        // Clamp to the deadline and to the cycle where the watchdog
+        // would next look, so both fire at exactly the same now_ as an
+        // unwarped run.
         const Cycles horizon = nextEventAt();
         Cycles target = std::min(horizon, deadline);
         target = std::min(target, last_check + cfg_.watchdogCycles - 1);
         if (target > now_) {
-            for (auto &pe : pes_)
-                pe->fastForward(now_, target);
             ff_.skippedCycles += target - now_;
             ff_.warps += 1;
             now_ = target;
         }
     }
-    running_.store(false, std::memory_order_release);
     return now_;
 }
 
@@ -443,7 +488,6 @@ VipSystem::islandRun(Cycles deadline, const CancelToken *cancel)
         out = sched.run(now_, deadline);
     } catch (...) {
         noc_.flushIslandStats();
-        running_.store(false, std::memory_order_release);
         throw;
     }
 
@@ -457,14 +501,11 @@ VipSystem::islandRun(Cycles deadline, const CancelToken *cancel)
     noc_.flushIslandStats();
 
     if (out.deadlocked) {
-        const std::string diagnosis = deadlockDiagnosis();
-        running_.store(false, std::memory_order_release);
         throw DeadlockError("system deadlocked at cycle " +
                                 std::to_string(now_),
-                            diagnosis);
+                            deadlockDiagnosis());
     }
     if (out.cancelStopped) {
-        running_.store(false, std::memory_order_release);
         vip_assert(cancel, "scheduler stopped on a token it was "
                            "never given");
         cancel->check();
@@ -473,7 +514,6 @@ VipSystem::islandRun(Cycles deadline, const CancelToken *cancel)
         // this line is unreachable — but keep control flow total.
         throw CancelledError("run cancelled");
     }
-    running_.store(false, std::memory_order_release);
     return now_;
 }
 

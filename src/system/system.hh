@@ -146,7 +146,8 @@ class VipSystem
         return hmc_.mapper().vaultBase(v);
     }
 
-    /** Advance the whole machine one cycle (serial path only). */
+    /** Advance the whole machine one cycle, ticking every component
+     *  (serial path only; the per-cycle oracle for fast-forward). */
     void tick();
 
     /**
@@ -218,6 +219,17 @@ class VipSystem
     double achievedBandwidthGBs() const;
 
   private:
+    /** The serial run loop (cfg.islands == 1). */
+    Cycles serialRun(Cycles deadline, const CancelToken *cancel);
+
+    /**
+     * One cycle of the fast-forward serial loop: tick()'s order, but a
+     * vault or PE ticks only when its nextEventAt(now) <= now. Exact
+     * under the sim/clocked.hh contract; skipped PEs charge their
+     * stall cycles at their next tick or at the run's exit.
+     */
+    void tickDue();
+
     void routeRequest(std::unique_ptr<MemRequest> req, unsigned src_vault);
     void deliverToVault(unsigned vault, std::unique_ptr<MemRequest> req);
     void onVaultComplete(unsigned vault, std::unique_ptr<MemRequest> req);

@@ -14,6 +14,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "isa/builder.hh"
 #include "kernels/bp_kernel.hh"
@@ -217,6 +218,95 @@ TEST(FfEquivalence, FcPartialThenAccum)
         sys.pe(0).loadProgram(genFcAccum(acc));
         sys.run(50'000'000);
     });
+}
+
+TEST(FfEquivalence, MultiVaultRemoteTrafficInCutPhases)
+{
+    // Sixteen PEs on four vaults, each streaming from one remote vault
+    // and storing to another, behind a two-entry transaction queue so
+    // requests park in ingress. The loop stalls on every external wake
+    // a PE can get (an ARC entry held by a load, an ld.reg target, the
+    // LSQ at a fence) and on v.drain. Short run() phases cut it
+    // mid-stall, and the statistics at every cut must match too: a PE
+    // skipped by the per-component gate has to have settled its stall
+    // cycles by the time run() returns.
+    SystemConfig cfg = makeSystemConfig(4, 4);
+    cfg.mem.transQueueDepth = 2;
+
+    std::vector<std::vector<std::string>> cuts;  // one list per machine
+    bool parked = false;
+    std::uint64_t stalls[4] = {};  // scalar, ARC, drain, fence
+    auto drive = [&](VipSystem &sys) {
+        cuts.emplace_back();
+        const unsigned vaults = 4;
+        for (unsigned pe = 0; pe < sys.numPes(); ++pe) {
+            const unsigned v = sys.vaultOf(pe);
+            const Addr src = sys.vaultBase((v + 1) % vaults) + pe * 8192;
+            const Addr dst = sys.vaultBase((v + 2) % vaults) + pe * 8192;
+            for (unsigned i = 0; i < 64; ++i) {
+                const auto x = static_cast<std::int16_t>(pe * 64 + i);
+                sys.dram().store<std::int16_t>(src + 2 * i, x);
+            }
+            AsmBuilder b;
+            b.movImm(1, 0);
+            b.movImm(2, 4 + pe % 3);  // iterations
+            b.movImm(3, static_cast<std::int64_t>(src));
+            b.movImm(4, static_cast<std::int64_t>(dst));
+            b.movImm(5, 256);  // DRAM stride per iteration
+            b.movImm(6, 48);   // elements per transfer
+            b.movImm(7, 0);    // scratchpad: loaded data
+            b.movImm(8, 512);  // scratchpad: result
+            b.setVl(6);
+            const auto loop = b.newLabel();
+            b.bind(loop);
+            b.ldSram(7, 3, 6);
+            b.vv(VecOp::Add, 8, 7, 7); // waits on the ld.sram ARC entry
+            b.vdrain();
+            b.ldReg(20, 3, ElemWidth::W16);
+            b.addImm(21, 20, 1);       // waits on the ld.reg response
+            b.stSram(8, 4, 6);
+            b.stReg(21, 4, ElemWidth::W16);
+            b.memfence();              // waits on every response
+            b.scalar(ScalarOp::Add, 3, 3, 5);
+            b.scalar(ScalarOp::Add, 4, 4, 5);
+            b.addImm(1, 1, 1);
+            b.branch(BranchCond::Lt, 1, 2, loop);
+            b.halt();
+            sys.pe(pe).loadProgram(b.finish());
+        }
+        const Cycles phases[] = {97, 31, 211};
+        for (unsigned i = 0; !sys.allIdle(); ++i) {
+            ASSERT_LT(i, 10'000u) << "machine did not drain";
+            sys.run(phases[i % 3]);
+            const std::string diag = sys.deadlockDiagnosis();
+            for (std::size_t at = diag.find(" ingress=");
+                 at != std::string::npos;
+                 at = diag.find(" ingress=", at + 1)) {
+                parked |= diag[at + 9] != '0';
+            }
+            std::ostringstream os;
+            os << sys.now() << "\n";
+            sys.stats().dumpJson(os);
+            cuts.back().push_back(os.str());
+        }
+        for (unsigned pe = 0; pe < sys.numPes(); ++pe) {
+            const Pe::Stats &st = sys.pe(pe).stats();
+            stalls[0] += st.stallScalar.value();
+            stalls[1] += st.stallArc.value();
+            stalls[2] += st.stallDrain.value();
+            stalls[3] += st.stallFence.value();
+        }
+    };
+    expectEquivalent(cfg, drive);
+
+    EXPECT_TRUE(parked) << "no request ever parked in ingress";
+    for (unsigned k = 0; k < 4; ++k)
+        EXPECT_GT(stalls[k], 0u) << "stall kind " << k << " never hit";
+    ASSERT_EQ(cuts.size(), 2u);
+    ASSERT_EQ(cuts[0].size(), cuts[1].size());
+    EXPECT_GT(cuts[0].size(), 4u);
+    for (std::size_t i = 0; i < cuts[0].size(); ++i)
+        ASSERT_EQ(cuts[0][i], cuts[1][i]) << "phase " << i;
 }
 
 TEST(FfEquivalence, MemoryBoundCopySkipsMostCycles)

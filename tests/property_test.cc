@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "isa/builder.hh"
 #include "kernels/bp_kernel.hh"
 #include "kernels/conv_kernel.hh"
@@ -307,7 +310,7 @@ randomProgram(Rng &rng, Addr dram_base)
         const auto sp_reg = [&] {
             return 1 + static_cast<unsigned>(rng.nextBelow(8));
         };
-        switch (rng.nextBelow(10)) {
+        switch (rng.nextBelow(12)) {
           case 0:
             b.vv(static_cast<VecOp>(rng.nextBelow(5)), sp_reg(),
                  sp_reg(), sp_reg());
@@ -353,6 +356,16 @@ randomProgram(Rng &rng, Addr dram_base)
           case 9:
             b.vdrain();
             break;
+          case 10:
+            // A later scalar op or branch on the target waits for the
+            // response.
+            b.ldReg(40 + static_cast<unsigned>(rng.nextBelow(8)), 10,
+                    ElemWidth::W16);
+            break;
+          case 11:
+            b.stReg(40 + static_cast<unsigned>(rng.nextBelow(8)), 10,
+                    ElemWidth::W16);
+            break;
         }
     }
     // Bind any labels that point past the body.
@@ -365,16 +378,37 @@ randomProgram(Rng &rng, Addr dram_base)
 
 TEST(Fuzz, RandomProgramsRunToCompletion)
 {
+    // Each trial also runs on the per-cycle oracle (fast-forward off):
+    // the two PEs share a vault, and between them ld.sram, ld.reg,
+    // memfence and v.drain reach every external wake-up a PE skipped
+    // by the fast-forward loop can get.
     Rng rng(20260704);
     for (unsigned trial = 0; trial < 60; ++trial) {
         SystemConfig cfg = makeSystemConfig(1, 2);
-        VipSystem sys(cfg);
-        sys.pe(0).loadProgram(randomProgram(rng, sys.vaultBase(0)));
-        sys.pe(1).loadProgram(randomProgram(rng, sys.vaultBase(0)));
-        sys.run(2'000'000);
-        EXPECT_TRUE(sys.allIdle()) << "trial " << trial;
-        EXPECT_TRUE(sys.pe(0).halted());
-        EXPECT_TRUE(sys.pe(1).halted());
+        const Addr base = VipSystem(cfg).vaultBase(0);
+        const auto prog0 = randomProgram(rng, base);
+        const auto prog1 = randomProgram(rng, base);
+
+        Cycles cycles[2];
+        std::string stats[2];
+        std::uint64_t dram[2];
+        for (const bool ff : {true, false}) {
+            cfg.fastForward = ff;
+            VipSystem sys(cfg);
+            sys.pe(0).loadProgram(prog0);
+            sys.pe(1).loadProgram(prog1);
+            cycles[ff] = sys.run(2'000'000);
+            EXPECT_TRUE(sys.allIdle()) << "trial " << trial;
+            EXPECT_TRUE(sys.pe(0).halted());
+            EXPECT_TRUE(sys.pe(1).halted());
+            std::ostringstream os;
+            sys.stats().dumpJson(os);
+            stats[ff] = os.str();
+            dram[ff] = sys.dram().fingerprint();
+        }
+        EXPECT_EQ(cycles[true], cycles[false]) << "trial " << trial;
+        EXPECT_EQ(stats[true], stats[false]) << "trial " << trial;
+        EXPECT_EQ(dram[true], dram[false]) << "trial " << trial;
     }
 }
 

@@ -294,6 +294,57 @@ TEST(VipServer, AssemblyAndDeadlockFailuresAreStructured)
     }
 }
 
+TEST(VipServer, HostileProgramsAreProgramErrorsAndLoopSurvives)
+{
+    // Programs that break the ISA's run-time rules. Each one must come
+    // back as a "program" error naming the PE and the instruction, and
+    // the next request must still be served.
+    const char *hostile[] = {
+        // ld.sram of 16 bytes at sp 4090 runs off the scratchpad.
+        "mov.imm r1, 4090\nmov.imm r2, 0x1000\nmov.imm r3, 8\n"
+        "ld.sram[16] r1, r2, r3\nmemfence\nhalt\n",
+        // An empty st.sram.
+        "mov.imm r2, 0x1000\nmov.imm r3, 0\nst.sram[16] r1, r2, r3\n"
+        "halt\n",
+        // A vector operand whose end wraps a 32-bit address.
+        "mov.imm r1, 4\nset.vl r1\nmov.imm r2, -4\n"
+        "v.v.add[16] r3, r2, r3\nhalt\n",
+        "mov.imm r1, 0\nset.vl r1\nhalt\n",
+        "mov.imm r1, 8\nset.mr r1\nv.v.add[16] r1, r1, r1\nhalt\n",
+        "mov.imm r1, 8\nset.vl r1\nm.v.mul.add[16] r1, r1, r1\nhalt\n",
+        "mov.imm r2, -8\nld.reg[64] r1, r2\nmemfence\nhalt\n",
+        // No halt: the PC runs off the end.
+        "mov.imm r1, 1\n",
+    };
+    std::string requests;
+    for (const char *src : hostile) {
+        RunSpec spec;
+        spec.config = makeSystemConfig(1, 1);
+        spec.programs.push_back({0, src});
+        spec.maxCycles = 100'000;
+        Json req = Json::object();
+        req.set("run", spec.toJson());
+        requests += req.str() + "\n";
+    }
+    Json ok = Json::object();
+    ok.set("run", dotSpec().toJson());
+    requests += ok.str() + "\n";
+
+    const std::vector<std::string> rsp = serveLines(requests);
+    const std::size_t n = std::size(hostile);
+    ASSERT_EQ(rsp.size(), n + 1);
+    for (std::size_t i = 0; i < n; ++i) {
+        const Json r = Json::parse(rsp[i]);
+        const Json *err = r.find("error");
+        ASSERT_NE(err, nullptr) << "program " << i << ": " << rsp[i];
+        EXPECT_EQ(err->at("kind").asString(), "program") << rsp[i];
+        EXPECT_EQ(err->at("message").asString().rfind("pe0 pc ", 0), 0u)
+            << rsp[i];
+    }
+    EXPECT_TRUE(Json::parse(rsp[n]).at("result").at("haltedCleanly")
+                    .asBool());
+}
+
 TEST(VipServer, LruEvictsAndCountsWhenBounded)
 {
     ServeOptions opts;

@@ -10,6 +10,7 @@
 #include "isa/builder.hh"
 #include "kernels/runner.hh"
 #include "kernels/sync.hh"
+#include "sim/error.hh"
 #include "workloads/fixed.hh"
 #include "system/system.hh"
 
@@ -182,6 +183,26 @@ TEST(System, RunStopsAtDeadline)
     const Cycles simulated = sys.run(5000);
     EXPECT_EQ(simulated, 5000u);
     EXPECT_FALSE(sys.allIdle());
+}
+
+TEST(System, ProgramErrorReleasesTheMachine)
+{
+    // A ProgramError thrown out of a PE's tick must leave run()
+    // re-enterable: the one-run-at-a-time guard is released on every
+    // exit, so the second call reaches the same bad instruction again
+    // instead of tripping the concurrent-entry check.
+    for (const bool ff : {true, false}) {
+        SystemConfig cfg = makeSystemConfig(1, 1);
+        cfg.fastForward = ff;
+        VipSystem sys(cfg);
+        AsmBuilder b;
+        b.movImm(1, 0);
+        b.setVl(1);
+        b.halt();
+        sys.pe(0).loadProgram(b.finish());
+        EXPECT_THROW(sys.run(1000), ProgramError);
+        EXPECT_THROW(sys.run(1000), ProgramError);
+    }
 }
 
 TEST(System, BandwidthAndGopsAccounting)

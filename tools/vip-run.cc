@@ -38,7 +38,8 @@
  *     --no-fast-path       interpret every instruction instead of
  *                          replaying decoded µops and fast blocks
  *                          (same results, slower)
- *     --strict             panic on vector timing hazards
+ *     --strict             fail with a "program" error on vector
+ *                          timing hazards
  *
  * Campaign recovery (no source file; pairs with vip-serve --journal):
  *
