@@ -37,22 +37,6 @@ class HmcStack : public Clocked
             v->tick(now);
     }
 
-    /**
-     * Tick only the vaults with an event due at @p now. Exact because a
-     * vault's tick before its nextEventAt() is a no-op, and an enqueue
-     * (its one external input) dirties its memoized gates, so
-     * nextEventAt() already reflects it. The fast-forward run loop
-     * uses this; tick() stays the every-cycle oracle.
-     */
-    void
-    tickDue(Cycles now)
-    {
-        for (auto &v : vaults_) {
-            if (v->nextEventAt(now) <= now)
-                v->tick(now);
-        }
-    }
-
     /** Earliest event over all vault controllers. */
     Cycles
     nextEventAt(Cycles now) const override

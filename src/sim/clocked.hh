@@ -7,13 +7,16 @@
  * ingress drains) implements `tick(now)` plus `nextEventAt(now)`: the
  * earliest future cycle at which the component, left alone, could
  * change architectural or statistical state. The serial run loop uses
- * it twice when fast-forward is on:
+ * it twice when fast-forward is on, both from one pass per cycle
+ * (`VipSystem::tickDue`):
  *
- *  - Per component: a vault or PE whose `nextEventAt(now) > now` is not
- *    ticked at `now` (`HmcStack::tickDue`, `VipSystem::tickDue`).
- *  - For the whole machine: the loop computes the horizon
- *    `min(nextEventAt)` over all components after each cycle and, when
- *    it exceeds the next cycle, warps simulated time directly to it.
+ *  - Per component: the system caches each vault's and PE's due cycle,
+ *    its `nextEventAt(now + 1)` as of its last tick, and ticks it only
+ *    once that cycle has come.
+ *  - For the whole machine: the same pass folds the refreshed entries,
+ *    the NoC and the ingress drain into the horizon `min(nextEventAt)`
+ *    and, when it exceeds the next cycle, the loop warps simulated
+ *    time directly to it.
  *
  * The contract that keeps both *exact* rather than approximate:
  *
@@ -30,22 +33,31 @@
  *    arrives through the NoC) may report `kIdleForever` while it
  *    waits; the event is in the queue of the component that will
  *    deliver it, whose `nextEventAt` bounds the horizon. The delivery
- *    itself must make the waiting component report the delivery
- *    cycle: `Pe::completeTransferPiece` collapses the PE's wake
- *    estimate, and a vault's `enqueue` dirties its memoized gates.
- *    The tick order (NoC, vaults, ingress drains, PEs) delivers each
- *    wake-up before the woken component's due check in the same cycle.
+ *    itself must make the waiting component due in the delivery
+ *    cycle. Every such delivery passes through the system, which
+ *    lowers the cached due cycle: a vault enqueue from the NoC and a
+ *    response landing at its PE set the entry to 0, and a vault the
+ *    ingress drain feeds is recomputed (the drain runs after the vault
+ *    phase). The tick order (NoC, vaults, ingress drains, PEs)
+ *    delivers each wake-up before the woken component's due check in
+ *    the same cycle. Host calls between runs (`Pe::setReg`,
+ *    `Pe::loadProgram`, `VipSystem::tick()`) bypass these, so `run()`
+ *    recomputes every entry when it starts; the components' own
+ *    wake-ups (`Pe::wake`, a vault's dirty gates) keep `nextEventAt`
+ *    honest for that and for the island path.
  *  - A component whose per-cycle behaviour is observable even when
  *    "nothing happens" (the PE's per-cycle stall counters) accounts
  *    for skipped cycles itself: a PE charges the stall recorded at
  *    its last tick for every cycle since then at its next tick
  *    (`Pe::settle`), and the run loop settles every PE on each exit.
  *
- * The system's ingress drain is ticked every cycle, never gated: a
- * vault completion earlier in the same cycle frees the slot a parked
- * request drains into, but by then the vault's `nextCompletionAt()`
- * already names its *next* completion, so the drain's own
- * `nextEventAt` would miss the cycle.
+ * The system's ingress drain runs in every cycle in which a request is
+ * parked, never gated on its own `nextEventAt`: a vault completion
+ * earlier in the same cycle frees the slot a parked request drains
+ * into, but by then the vault's `nextCompletionAt()` already names its
+ * *next* completion, so the drain would miss the cycle. The system
+ * counts parked requests, so with none parked the drain and its
+ * horizon term cost nothing.
  */
 
 #ifndef VIP_SIM_CLOCKED_HH

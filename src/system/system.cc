@@ -1,5 +1,6 @@
 #include "system/system.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "sim/cancel.hh"
@@ -140,7 +141,7 @@ VipSystem::VipSystem(const SystemConfig &cfg)
     : cfg_(validated(cfg)), statGroup_("system"),
       hmc_(cfg.mem, &statGroup_), noc_(cfg.nocX, cfg.nocY, &statGroup_),
       partition_(IslandPartition::make(cfg.islands, cfg.nocX, cfg.nocY)),
-      ingress_(cfg.mem.geom.vaults)
+      ingress_(cfg.mem.geom.vaults), vaultDue_(cfg.mem.geom.vaults)
 {
     if (cfg_.islands > 1)
         noc_.setPartition(partition_.islandOfNode, cfg_.islands);
@@ -149,6 +150,7 @@ VipSystem::VipSystem(const SystemConfig &cfg)
 
     const unsigned num_pes = cfg_.mem.geom.vaults * cfg_.pesPerVault;
     pes_.reserve(num_pes);
+    peDue_.resize(num_pes);
     for (unsigned id = 0; id < num_pes; ++id) {
         PeConfig pe_cfg = cfg_.pe;
         pe_cfg.peId = id;
@@ -234,9 +236,15 @@ VipSystem::deliverToVault(unsigned vault, std::unique_ptr<MemRequest> req)
     if (ingress_[vault].empty() && hmc_.vault(vault).canAccept()) {
         const bool ok = hmc_.vault(vault).enqueue(std::move(req));
         vip_assert(ok, "vault rejected a request it could accept");
+        // Wake point: the vault has new work. The NoC delivers ahead
+        // of the vault phase, so the vault ticks (and re-reports) in
+        // this same cycle.
+        vaultDue_[vault] = 0;
         return;
     }
     ingress_[vault].push_back(std::move(req));
+    if (cfg_.islands == 1)
+        ++parked_;
 }
 
 void
@@ -252,9 +260,12 @@ VipSystem::onVaultComplete(unsigned vault, std::unique_ptr<MemRequest> req)
     // Runs on the issuing PE's island thread (the response's dst is
     // the PE's own vault router), so the completion callback and the
     // per-PE request pool stay island-confined.
-    pkt.onArrive = [](Packet &p) {
+    pkt.onArrive = [this](Packet &p) {
         std::unique_ptr<MemRequest> owned = unparkRequest(p.payload);
         owned->completedAt = p.deliveredAt;
+        // Wake point: the completion may break the PE's stall, and the
+        // PE phase of this cycle is still ahead.
+        peDue_[owned->sourcePe] = 0;
         if (owned->onComplete)
             owned->onComplete(*owned);
         // The issuer is done with the descriptor; recycle pooled ones.
@@ -264,15 +275,20 @@ VipSystem::onVaultComplete(unsigned vault, std::unique_ptr<MemRequest> req)
     noc_.send(std::move(pkt), localNow(vault));
 }
 
-void
+bool
 VipSystem::drainIngress(unsigned v)
 {
+    bool drained = false;
     while (!ingress_[v].empty() && hmc_.vault(v).canAccept()) {
         const bool ok =
             hmc_.vault(v).enqueue(std::move(ingress_[v].front()));
         vip_assert(ok, "vault rejected a request it could accept");
         ingress_[v].pop_front();
+        if (cfg_.islands == 1)
+            --parked_;
+        drained = true;
     }
+    return drained;
 }
 
 void
@@ -309,19 +325,65 @@ VipSystem::tick()
     ++now_;
 }
 
-void
+Cycles
 VipSystem::tickDue()
 {
-    // tick()'s order, skipping every vault and PE with nothing due. A
-    // PE woken by a completion the NoC delivers above reports now.
+    // tick()'s order, skipping every vault and PE whose cached due
+    // cycle lies ahead, and folding the refreshed entries into the
+    // warp horizon as it goes. A PE or vault woken by a delivery the
+    // NoC makes here has had its entry lowered to 0.
+    const Cycles next = now_ + 1;
     noc_.tick(now_);
-    hmc_.tickDue(now_);
-    ingressDrain_.tick(now_);
-    for (auto &pe : pes_) {
-        if (pe->nextEventAt(now_) <= now_)
-            pe->tick(now_);
+
+    Cycles horizon = kIdleForever;
+    for (unsigned v = 0; v < vaultDue_.size(); ++v) {
+        if (vaultDue_[v] <= now_) {
+            VaultController &vault = hmc_.vault(v);
+            vault.tick(now_);
+            vaultDue_[v] = vault.nextEventAt(next);
+        }
+        horizon = std::min(horizon, vaultDue_[v]);
     }
-    ++now_;
+
+    if (parked_ != 0) {
+        // The drain enqueues after the vault phase, so a fed vault's
+        // entry would be late: recompute it, then the vault minimum.
+        bool fed = false;
+        for (unsigned v = 0; v < vaultDue_.size(); ++v) {
+            if (drainIngress(v)) {
+                vaultDue_[v] = hmc_.vault(v).nextEventAt(next);
+                fed = true;
+            }
+        }
+        if (fed) {
+            horizon = *std::min_element(vaultDue_.begin(),
+                                        vaultDue_.end());
+        }
+    }
+
+    for (unsigned p = 0; p < peDue_.size(); ++p) {
+        if (peDue_[p] <= now_) {
+            Pe &pe = *pes_[p];
+            pe.tick(now_);
+            peDue_[p] = pe.nextEventAt(next);
+        }
+        horizon = std::min(horizon, peDue_[p]);
+    }
+
+    now_ = next;
+    horizon = std::min(horizon, noc_.nextEventAt(now_));
+    if (parked_ != 0)
+        horizon = std::min(horizon, ingressDrain_.nextEventAt(now_));
+    return horizon;
+}
+
+void
+VipSystem::refreshDue()
+{
+    for (unsigned v = 0; v < vaultDue_.size(); ++v)
+        vaultDue_[v] = hmc_.vault(v).nextEventAt(now_);
+    for (unsigned p = 0; p < peDue_.size(); ++p)
+        peDue_[p] = pes_[p]->nextEventAt(now_);
 }
 
 Cycles
@@ -361,8 +423,12 @@ VipSystem::run(Cycles max_cycles, const CancelToken *cancel)
     // throw, or a ProgramError out of a PE's tick.
     const ScopeExit release(
         [this] { running_.store(false, std::memory_order_release); });
-    const Cycles deadline = max_cycles == 0 ? ~Cycles{0}
-                                            : now_ + max_cycles;
+    // Saturate: a budget that reaches past the end of time means "no
+    // limit", not a deadline that wrapped around behind now().
+    const Cycles deadline =
+        max_cycles == 0 || max_cycles > ~Cycles{0} - now_
+            ? ~Cycles{0}
+            : now_ + max_cycles;
     // The fast path must not charge a block past the budget: a run cut
     // mid-loop has to leave the same architectural state as a
     // cycle-by-cycle run would (the partial block re-executes per-µop).
@@ -395,10 +461,16 @@ VipSystem::serialRun(Cycles deadline, const CancelToken *cancel)
         return p;
     };
 
+    // Host calls since the last run (setReg, loadProgram, tick())
+    // bypass the wake points, so start from fresh entries.
+    if (cfg_.fastForward)
+        refreshDue();
+
     bool idle = allIdle();
     while (now_ < deadline && !idle) {
+        Cycles horizon = now_;
         if (cfg_.fastForward)
-            tickDue();
+            horizon = tickDue();
         else
             tick();
         if (cancel && now_ >= next_cancel_poll) {
@@ -433,7 +505,6 @@ VipSystem::serialRun(Cycles deadline, const CancelToken *cancel)
         // Clamp to the deadline and to the cycle where the watchdog
         // would next look, so both fire at exactly the same now_ as an
         // unwarped run.
-        const Cycles horizon = nextEventAt();
         Cycles target = std::min(horizon, deadline);
         target = std::min(target, last_check + cfg_.watchdogCycles - 1);
         if (target > now_) {

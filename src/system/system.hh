@@ -224,18 +224,26 @@ class VipSystem
 
     /**
      * One cycle of the fast-forward serial loop: tick()'s order, but a
-     * vault or PE ticks only when its nextEventAt(now) <= now. Exact
+     * vault or PE ticks only when its cached due cycle (vaultDue_,
+     * peDue_) has come, and each ticked entry is refreshed to the
+     * component's nextEventAt(now + 1). Returns the horizon: the
+     * minimum over the entries, the NoC and the ingress drain, which
+     * is what nextEventAt() would compute at the new now(). Exact
      * under the sim/clocked.hh contract; skipped PEs charge their
      * stall cycles at their next tick or at the run's exit.
      */
-    void tickDue();
+    Cycles tickDue();
+
+    /** Recompute every vaultDue_/peDue_ entry from the components. */
+    void refreshDue();
 
     void routeRequest(std::unique_ptr<MemRequest> req, unsigned src_vault);
     void deliverToVault(unsigned vault, std::unique_ptr<MemRequest> req);
     void onVaultComplete(unsigned vault, std::unique_ptr<MemRequest> req);
 
-    /** Drain vault @p v's parked ingress queue into freed slots. */
-    void drainIngress(unsigned v);
+    /** Drain vault @p v's parked ingress queue into freed slots.
+     *  @return true when at least one request reached the vault. */
+    bool drainIngress(unsigned v);
 
     // ---- island mode (cfg_.islands > 1) ----------------------------
     Cycles islandRun(Cycles deadline, const CancelToken *cancel);
@@ -292,6 +300,25 @@ class VipSystem
      *  Per-vault, hence island-confined like the vaults themselves. */
     std::vector<std::deque<std::unique_ptr<MemRequest>>> ingress_;
     IngressDrain ingressDrain_{*this};
+
+    /** Requests parked across all of ingress_, so the fast-forward
+     *  loop skips the drain and its horizon term when none are.
+     *  Serial path only: island threads park concurrently, so they
+     *  leave it alone and nothing reads it there. */
+    std::size_t parked_ = 0;
+
+    /**
+     * The fast-forward loop's cached due cycles, one per vault and one
+     * per PE: the component's nextEventAt(now + 1) as of its last tick,
+     * lowered to 0 by the events that can wake a skipped component
+     * (deliverToVault's enqueue, a response landing at its PE) and
+     * recomputed by tickDue() for a vault the ingress drain fed and by
+     * refreshDue() when run() starts. An early entry only costs a
+     * tick; a late one would be wrong. Only serialRun() reads them;
+     * the island path writes just its own vaults' and PEs' entries.
+     */
+    std::vector<Cycles> vaultDue_;
+    std::vector<Cycles> peDue_;
 
     /** Every tickable unit, in the machine's tick order (serial path;
      *  island threads tick the same components in the same per-node

@@ -309,6 +309,116 @@ TEST(FfEquivalence, MultiVaultRemoteTrafficInCutPhases)
         ASSERT_EQ(cuts[0][i], cuts[1][i]) << "phase " << i;
 }
 
+TEST(FfEquivalence, HostInterventionsBetweenRuns)
+{
+    // The fast-forward loop caches each vault's and PE's next due
+    // cycle, lowered only by the wake-ups it sees inside a run. Host
+    // calls between run() phases bypass those: reloading a halted PE,
+    // writing a live PE's register, poking DRAM a PE is about to load,
+    // and ticking the machine by hand. run() must start from fresh
+    // due cycles, or the reloaded PE never runs again.
+    SystemConfig cfg = makeSystemConfig(2, 2);
+    cfg.watchdogCycles = 100'000;
+
+    std::vector<std::vector<std::string>> cuts;  // one list per machine
+    auto drive = [&](VipSystem &sys) {
+        cuts.emplace_back();
+        const Addr base = sys.vaultBase(1);
+        const Addr data = base;          // read by pe0's second program
+        const Addr flag = base + 4096;   // polled by pe2
+        const Addr out = base + 8192;    // one word per PE
+
+        auto cut = [&] {
+            std::ostringstream os;
+            os << sys.now() << "\n";
+            sys.stats().dumpJson(os);
+            cuts.back().push_back(os.str());
+        };
+
+        // pe0: a short first program, halted by the first cut.
+        AsmBuilder first;
+        first.movImm(1, 7);
+        first.movImm(2, static_cast<std::int64_t>(out));
+        first.stReg(1, 2);
+        first.memfence();
+        first.halt();
+        sys.pe(0).loadProgram(first.finish());
+
+        // pe1: a fenced remote-load loop whose trip count r2 the host
+        // cuts short while it runs.
+        AsmBuilder loop;
+        loop.movImm(1, 0);
+        loop.movImm(2, 1000);
+        loop.movImm(3, static_cast<std::int64_t>(data));
+        loop.movImm(4, static_cast<std::int64_t>(out + 8));
+        const auto top = loop.newLabel();
+        loop.bind(top);
+        loop.ldReg(20, 3);
+        loop.scalar(ScalarOp::Add, 21, 21, 20);
+        loop.addImm(1, 1, 1);
+        loop.branch(BranchCond::Lt, 1, 2, top);
+        loop.stReg(21, 4);
+        loop.memfence();
+        loop.halt();
+        sys.pe(1).loadProgram(loop.finish());
+
+        // pe2: spins on a DRAM flag the host raises between runs.
+        AsmBuilder spin;
+        spin.movImm(3, static_cast<std::int64_t>(flag));
+        spin.movImm(4, static_cast<std::int64_t>(out + 16));
+        spin.movImm(5, 0);
+        const auto poll = spin.newLabel();
+        spin.bind(poll);
+        spin.ldReg(20, 3);
+        spin.branch(BranchCond::Eq, 20, 5, poll);
+        spin.stReg(20, 4);
+        spin.memfence();
+        spin.halt();
+        sys.pe(2).loadProgram(spin.finish());
+
+        sys.run(400);
+        cut();
+        ASSERT_TRUE(sys.pe(0).halted());
+        ASSERT_FALSE(sys.pe(1).halted());
+        ASSERT_FALSE(sys.pe(2).halted());
+
+        // Reload the halted PE with a program that reads a word the
+        // host writes now.
+        sys.dram().store<std::uint64_t>(data, 1234);
+        AsmBuilder second;
+        second.movImm(3, static_cast<std::int64_t>(data));
+        second.movImm(4, static_cast<std::int64_t>(out + 24));
+        second.ldReg(20, 3);
+        second.addImm(21, 20, 1);
+        second.stReg(21, 4);
+        second.memfence();
+        second.halt();
+        sys.pe(0).loadProgram(second.finish());
+        sys.run(300);
+        cut();
+
+        ASSERT_FALSE(sys.pe(1).halted());
+        sys.pe(1).setReg(2, 12);
+        for (int i = 0; i < 3; ++i)
+            sys.tick();
+        sys.run(250);
+        cut();
+
+        ASSERT_FALSE(sys.pe(2).halted());
+        sys.dram().store<std::uint64_t>(flag, 5);
+        sys.run();
+        cut();
+        EXPECT_EQ(sys.dram().load<std::uint64_t>(out + 16), 5u);
+        EXPECT_EQ(sys.dram().load<std::uint64_t>(out + 24), 1235u);
+    };
+    expectEquivalent(cfg, drive);
+
+    ASSERT_EQ(cuts.size(), 2u);
+    ASSERT_EQ(cuts[0].size(), cuts[1].size());
+    for (std::size_t i = 0; i < cuts[0].size(); ++i)
+        ASSERT_EQ(cuts[0][i], cuts[1][i]) << "phase " << i;
+}
+
 TEST(FfEquivalence, MemoryBoundCopySkipsMostCycles)
 {
     // A fenced DRAM copy is dominated by round-trip latency; the warp

@@ -185,6 +185,32 @@ TEST(System, RunStopsAtDeadline)
     EXPECT_FALSE(sys.allIdle());
 }
 
+TEST(System, HugeBudgetOnALaterRunHasNoDeadline)
+{
+    // now() + max_cycles must saturate: a budget reaching past the end
+    // of time on a machine already at cycle 10 is "no limit", not a
+    // deadline that wrapped around behind now().
+    for (const bool ff : {true, false}) {
+        SystemConfig cfg = makeSystemConfig(1, 1);
+        cfg.fastForward = ff;
+        VipSystem sys(cfg);
+        AsmBuilder b;
+        b.movImm(1, 0);
+        b.movImm(2, 200);
+        const auto loop = b.newLabel();
+        b.bind(loop);
+        b.addImm(1, 1, 1);
+        b.branch(BranchCond::Lt, 1, 2, loop);
+        b.halt();
+        sys.pe(0).loadProgram(b.finish());
+        EXPECT_EQ(sys.run(10), 10u);
+        ASSERT_FALSE(sys.pe(0).halted());
+        EXPECT_GT(sys.run(~Cycles{0}), 200u);
+        EXPECT_TRUE(sys.allIdle());
+        EXPECT_EQ(sys.pe(0).reg(1), 200u);
+    }
+}
+
 TEST(System, ProgramErrorReleasesTheMachine)
 {
     // A ProgramError thrown out of a PE's tick must leave run()
