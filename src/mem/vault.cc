@@ -32,8 +32,8 @@ VaultController::VaultController(unsigned vaultId, const MemConfig &cfg,
              Counter(&statGroup_, "req_latency_total",
                      "sum of transaction latencies (cycles)")}
 {
-    vip_assert(cfg.geom.banksPerVault <= (1u << kBankBits),
-               "scheduler keys hold at most ", 1u << kBankBits,
+    vip_assert(cfg.geom.banksPerVault <= kMaxBanks,
+               "scheduler keys hold at most ", kMaxBanks,
                " banks per vault");
     // Stacked descending so the next slot handed out is the lowest
     // index, matching the original linear free-slot search.
@@ -67,6 +67,10 @@ VaultController::splitIntoColumns(std::size_t trans_index)
     const MemRequest &req = *t.req;
     const unsigned col_bytes = cfg_.geom.colBytes;
 
+    // A column extends the run the previous one opened when both sit
+    // in the same (bank, row): that run is still its bank's newest.
+    ColumnAccess *run = nullptr;
+    unsigned run_bank = 0;
     std::uint64_t remaining = req.bytes;
     for (DramCoord c = mapper_.decode(req.addr); remaining > 0;
          c = mapper_.nextColumn(c)) {
@@ -76,23 +80,32 @@ VaultController::splitIntoColumns(std::size_t trans_index)
         const std::uint64_t chunk = std::min<std::uint64_t>(remaining,
                                                             within);
         Bank &bank = banks_[c.bank];
-        if (bank.queued == 0)
-            activeBanks_.push_back(c.bank);
         const std::uint64_t seq = nextSeq_++;
         vip_assert(seq < (~0ull >> kBankBits), "arrival stamps exhausted");
-        if (bank.rowOpen) {
-            if (bank.openRow == c.row) {
-                if (bank.hitQueued++ == 0) {
+        const bool hit = bank.rowOpen && bank.openRow == c.row;
+        const bool new_run = !run || run_bank != c.bank || run->row != c.row;
+        if (new_run) {
+            if (bank.queued == 0)
+                activeBanks_.push_back(c.bank);
+            if (hit) {
+                if (bank.hitQueued == 0) {
                     bank.hitPos = bank.cols.end();
                     bank.hitSeq = seq;
                 }
-            } else if (bank.queued == bank.hitQueued) {
+            } else if (bank.rowOpen && bank.queued == bank.hitQueued) {
                 bank.missSeq = seq;  // every live access ahead hits
             }
+            bank.cols.push({seq, c.row, trans_index, 0, req.isWrite});
+            run = &bank.cols.back();
+            run_bank = c.bank;
         }
-        bank.cols.push({seq, c.row, trans_index, req.isWrite, true});
+        ++run->left;
         ++bank.queued;
-        updateBank(c.bank);
+        bank.hitQueued += hit;
+        // Extending a run changes no gate or key: its first column
+        // already classified the bank.
+        if (new_run)
+            updateBank(c.bank);
         ++totalColumns_;
         ++t.pendingColumns;
         remaining -= chunk;
@@ -105,37 +118,36 @@ VaultController::retireCompletions(Cycles now)
     while (!completions_.empty() && completions_.front().at <= now) {
         const CompletionEvent ev = completions_.front();
         completions_.pop_front();
-        finishColumn(ev.transIndex, ev.at);
+        finishTransaction(ev.transIndex, ev.at);
     }
 }
 
 void
-VaultController::finishColumn(std::size_t trans_index, Cycles now)
+VaultController::finishTransaction(std::size_t trans_index, Cycles now)
 {
     Transaction &t = trans_[trans_index];
-    vip_assert(t.live && t.pendingColumns > 0, "stray column completion");
-    if (--t.pendingColumns == 0) {
-        std::unique_ptr<MemRequest> req = std::move(t.req);
-        t.live = false;
-        freeSlots_.push_back(trans_index);
-        --liveTrans_;
-        req->completedAt = now;
-        stats_.reqCount += 1;
-        stats_.totalReqLatency += now - req->issuedAt;
-        latencyHist_.sample(now - req->issuedAt);
-        if (req->isWrite)
-            stats_.writeBytes += req->bytes;
-        else
-            stats_.readBytes += req->bytes;
-        if (completionHandler_) {
-            completionHandler_(std::move(req));
-        } else if (req->onComplete) {
-            req->onComplete(*req);
-        }
-        // Direct-callback path: hand pooled descriptors back for reuse.
-        if (req && req->pool)
-            req->pool->release(std::move(req));
+    vip_assert(t.live && t.pendingColumns == 0,
+               "completion of a transaction with unissued columns");
+    std::unique_ptr<MemRequest> req = std::move(t.req);
+    t.live = false;
+    freeSlots_.push_back(trans_index);
+    --liveTrans_;
+    req->completedAt = now;
+    stats_.reqCount += 1;
+    stats_.totalReqLatency += now - req->issuedAt;
+    latencyHist_.sample(now - req->issuedAt);
+    if (req->isWrite)
+        stats_.writeBytes += req->bytes;
+    else
+        stats_.readBytes += req->bytes;
+    if (completionHandler_) {
+        completionHandler_(std::move(req));
+    } else if (req->onComplete) {
+        req->onComplete(*req);
     }
+    // Direct-callback path: hand pooled descriptors back for reuse.
+    if (req && req->pool)
+        req->pool->release(std::move(req));
 }
 
 void
@@ -203,7 +215,9 @@ void
 VaultController::issueColumn(unsigned bank_idx, Cycles now)
 {
     Bank &bank = banks_[bank_idx];
-    const ColumnAccess ca = bank.cols.at(bank.hitPos);
+    ColumnAccess &run = bank.cols.at(bank.hitPos);
+    const std::size_t trans_index = run.transIndex;
+    const bool is_write = run.isWrite;
     const DramTiming &t = cfg_.timing;
 
     // Data occupies the shared TSVs for tBurst beats (the vault-wide
@@ -214,33 +228,44 @@ VaultController::issueColumn(unsigned bank_idx, Cycles now)
     stats_.rowHits += 1;
 
     const Cycles done_at = now + t.tCL + t.tBurst;
-    if (ca.isWrite) {
+    if (is_write) {
         bank.preAllowedAt = std::max(bank.preAllowedAt,
                                      done_at + t.tWR);
     }
-    completions_.push_back({done_at, ca.transIndex});
+    // Only the last column's completion is observable: it is the
+    // transaction's, and no earlier one frees anything.
+    if (--trans_[trans_index].pendingColumns == 0)
+        completions_.push_back({done_at, trans_index});
 
-    bank.cols.erase(bank.hitPos);
     --totalColumns_;
     if (--bank.queued == 0)
         deactivateBank(bank_idx);
-    if (--bank.hitQueued > 0) {
-        // Only tombstones and non-hits lie between this hit and the
-        // next one; the erase may have dropped the leading tombstones.
-        std::uint64_t pos = std::max(bank.hitPos + 1, bank.cols.head());
-        while (!bank.cols.at(pos).live ||
-               bank.cols.at(pos).row != bank.openRow)
-            ++pos;
-        bank.hitPos = pos;
-        bank.hitSeq = bank.cols.at(pos).seq;
+    --bank.hitQueued;
+    if (--run.left > 0) {
+        // The run's next column is the bank's oldest hit.
+        bank.hitSeq = ++run.seq;
+    } else {
+        bank.cols.popDead();
+        if (bank.hitQueued > 0) {
+            // Only tombstones and non-hits lie between this run and
+            // the next hit; the pop may have dropped leading
+            // tombstones.
+            std::uint64_t pos =
+                std::max(bank.hitPos + 1, bank.cols.head());
+            while (bank.cols.at(pos).left == 0 ||
+                   bank.cols.at(pos).row != bank.openRow)
+                ++pos;
+            bank.hitPos = pos;
+            bank.hitSeq = bank.cols.at(pos).seq;
+        }
     }
 
     if (cfg_.pagePolicy == PagePolicy::Closed && bank.hitQueued == 0) {
         // Auto-precharge: no other queued access needs this row.
         bank.rowOpen = false;
         bank.actAllowedAt = std::max(bank.preAllowedAt,
-                                     ca.isWrite ? done_at + t.tWR
-                                                : done_at) +
+                                     is_write ? done_at + t.tWR
+                                              : done_at) +
                             t.tRP;
     }
     updateBank(bank_idx);
@@ -294,10 +319,10 @@ VaultController::openRow(Bank &bank, Cycles now)
     for (std::uint64_t pos = bank.cols.head(); pos != bank.cols.end();
          ++pos) {
         const ColumnAccess &c = bank.cols.at(pos);
-        if (!c.live)
+        if (c.left == 0)
             continue;
         if (c.row == bank.openRow) {
-            ++bank.hitQueued;
+            bank.hitQueued += c.left;
         } else if (!miss_found) {
             miss_found = true;
             bank.missSeq = c.seq;

@@ -28,6 +28,9 @@ class FaultInjector;
 class VaultController final : public Clocked
 {
   public:
+    /** Most banks one vault can schedule (see kBankBits). */
+    static constexpr unsigned kMaxBanks = 256;
+
     VaultController(unsigned vaultId, const MemConfig &cfg,
                     const AddressMapper &mapper, StatGroup *parent);
 
@@ -52,7 +55,7 @@ class VaultController final : public Clocked
     Cycles nextEventAt(Cycles now) const override;
 
     /** Head of the completion queue (kIdleForever when empty): the
-     *  next cycle this vault could free a transaction slot. */
+     *  cycle the next transaction completes and frees its slot. */
     Cycles
     nextCompletionAt() const
     {
@@ -125,24 +128,26 @@ class VaultController final : public Clocked
 
   private:
     /**
-     * One pending DRAM column access derived from a transaction.
-     * Accesses live in their bank's queue (oldest first); @c seq
-     * records global arrival order so FR-FCFS age comparisons across
-     * banks stay exact.
+     * A run of pending DRAM column accesses: consecutive columns of
+     * one transaction in one (bank, row). Runs live in their bank's
+     * queue (oldest first). Every column still takes its own arrival
+     * stamp, so a run's columns hold consecutive stamps and @c seq,
+     * the stamp of its next unissued column, keeps FR-FCFS age
+     * comparisons across banks exact.
      */
     struct ColumnAccess
     {
-        std::uint64_t seq;       ///< global arrival order (FCFS age)
+        std::uint64_t seq;       ///< stamp of the next unissued column
         std::uint64_t row;
         std::size_t transIndex;  ///< owning transaction slot
+        unsigned left;           ///< unissued columns; 0 is a tombstone
         bool isWrite;
-        bool live;               ///< false once issued (a tombstone)
     };
 
     /**
-     * One bank's queued accesses, oldest first, addressed by absolute
+     * One bank's queued runs, oldest first, addressed by absolute
      * position: positions never shift, so the scheduler can hold on to
-     * one. Issuing an access other than the oldest leaves a tombstone
+     * one. Finishing a run other than the oldest leaves a tombstone
      * that is dropped once it reaches the front; the front is always
      * live.
      */
@@ -160,12 +165,13 @@ class VaultController final : public Clocked
         }
 
         void push(const ColumnAccess &c) { slots_.push_back(c); }
+        ColumnAccess &back() { return slots_.back(); }
 
+        /** Drop the tombstones at the front. */
         void
-        erase(std::uint64_t pos)
+        popDead()
         {
-            at(pos).live = false;
-            while (!slots_.empty() && !slots_.front().live) {
+            while (!slots_.empty() && slots_.front().left == 0) {
                 slots_.pop_front();
                 ++head_;
             }
@@ -180,7 +186,7 @@ class VaultController final : public Clocked
     struct Transaction
     {
         std::unique_ptr<MemRequest> req;
-        unsigned pendingColumns = 0;
+        unsigned pendingColumns = 0;  ///< columns not yet issued
         bool live = false;
     };
 
@@ -194,34 +200,34 @@ class VaultController final : public Clocked
         std::uint64_t openRow = 0;
         bool rowOpen = false;
 
-        /** Live accesses in @c cols; nonzero exactly while listed in
-         *  activeBanks_. */
+        /** Unissued columns in @c cols; nonzero exactly while listed
+         *  in activeBanks_. */
         unsigned queued = 0;
 
         /**
-         * How many of @c cols target @c openRow, maintained while the
-         * row is open (meaningless when closed). Lets the scheduler
-         * classify a bank without scanning its queue.
+         * How many of those columns target @c openRow, maintained
+         * while the row is open (meaningless when closed). Lets the
+         * scheduler classify a bank without scanning its queue.
          */
         unsigned hitQueued = 0;
 
         /**
-         * Position in @c cols and arrival stamp of the oldest access
-         * to @c openRow; valid while the row is open and hitQueued >
-         * 0. Every live access ahead of it targets another row and
-         * stays queued until the row closes, so the position only
-         * moves forward: the issue of the oldest hit resumes the
-         * search just past it.
+         * Position in @c cols and next stamp of the oldest run to
+         * @c openRow; valid while the row is open and hitQueued > 0.
+         * Every live run ahead of it targets another row and stays
+         * queued until the row closes, so the position only moves
+         * forward: the run stays the oldest hit until its last column
+         * issues, and the search then resumes just past it.
          */
         std::uint64_t hitPos = 0;
         std::uint64_t hitSeq = 0;
 
         /**
-         * Arrival stamp of the oldest access to a row other than
-         * @c openRow (the precharge candidate); valid while the row
-         * is open and queued > hitQueued. Only hits issue while the
-         * row is open, so it changes only when the row does, or when
-         * an enqueue adds the bank's first non-hit.
+         * Next stamp of the oldest run to a row other than @c openRow
+         * (the precharge candidate); valid while the row is open and
+         * queued > hitQueued. Only hits issue while the row is open,
+         * so it changes only when the row does, or when an enqueue
+         * adds the bank's first non-hit.
          */
         std::uint64_t missSeq = 0;
 
@@ -247,7 +253,7 @@ class VaultController final : public Clocked
     void refreshGates() const;
     void beginRefresh(Cycles now);
     void retireCompletions(Cycles now);
-    void finishColumn(std::size_t trans_index, Cycles now);
+    void finishTransaction(std::size_t trans_index, Cycles now);
 
     unsigned vaultId_;
     MemConfig cfg_;
@@ -272,6 +278,7 @@ class VaultController final : public Clocked
      * candidate is a branch-free minimum.
      */
     static constexpr unsigned kBankBits = 8;
+    static_assert(kMaxBanks == 1u << kBankBits);
     static constexpr std::uint64_t kBankMask = (1u << kBankBits) - 1;
     std::vector<Cycles> hitGate_;
     std::vector<std::uint64_t> hitKey_;
@@ -289,11 +296,15 @@ class VaultController final : public Clocked
     std::vector<Transaction> trans_;
     std::vector<std::size_t> freeSlots_;  ///< free transaction slots
     unsigned liveTrans_ = 0;              ///< live entries in trans_
-    std::size_t totalColumns_ = 0;        ///< queued accesses, all banks
+    std::size_t totalColumns_ = 0;        ///< unissued columns, all banks
     std::uint64_t nextSeq_ = 0;           ///< arrival-order stamp
-    /** Column data in flight, in completion order: every column
-     *  completes a fixed tCL + tBurst after its issue, and issue
-     *  cycles only grow, so arrival order is completion order. */
+    /**
+     * Fully issued transactions awaiting their data, in completion
+     * order. Only a transaction's last column pushes an entry: every
+     * column completes a fixed tCL + tBurst after its issue and issue
+     * cycles only grow, so the last column's completion is the
+     * transaction's, and arrival order is completion order.
+     */
     std::deque<CompletionEvent> completions_;
 
     Cycles colIssueAllowedAt_ = 0;

@@ -10,13 +10,13 @@
  * it twice when fast-forward is on, both from one pass per cycle
  * (`VipSystem::tickDue`):
  *
- *  - Per component: the system caches each vault's and PE's due cycle,
- *    its `nextEventAt(now + 1)` as of its last tick, and ticks it only
- *    once that cycle has come.
- *  - For the whole machine: the same pass folds the refreshed entries,
- *    the NoC and the ingress drain into the horizon `min(nextEventAt)`
- *    and, when it exceeds the next cycle, the loop warps simulated
- *    time directly to it.
+ *  - Per component: the system caches the NoC's, each vault's and
+ *    each PE's due cycle, its `nextEventAt(now + 1)` as of its last
+ *    tick, and ticks it only once that cycle has come.
+ *  - For the whole machine: the same pass folds the refreshed entries
+ *    and the ingress drain into the horizon `min(nextEventAt)` and,
+ *    when it exceeds the next cycle, the loop warps simulated time
+ *    directly to it.
  *
  * The contract that keeps both *exact* rather than approximate:
  *
@@ -36,9 +36,11 @@
  *    itself must make the waiting component due in the delivery
  *    cycle. Every such delivery passes through the system, which
  *    lowers the cached due cycle: a vault enqueue from the NoC and a
- *    response landing at its PE set the entry to 0, and a vault the
+ *    response landing at its PE set the entry to 0, a vault the
  *    ingress drain feeds is recomputed (the drain runs after the vault
- *    phase). The tick order (NoC, vaults, ingress drains, PEs)
+ *    phase), and every packet a vault or PE sends lowers the NoC's
+ *    entry to the NoC's next event. The tick order (NoC, vaults,
+ *    ingress drains, PEs)
  *    delivers each wake-up before the woken component's due check in
  *    the same cycle. Host calls between runs (`Pe::setReg`,
  *    `Pe::loadProgram`, `VipSystem::tick()`) bypass these, so `run()`
@@ -55,7 +57,9 @@
  * parked, never gated on its own `nextEventAt`: a vault completion
  * earlier in the same cycle frees the slot a parked request drains
  * into, but by then the vault's `nextCompletionAt()` already names its
- * *next* completion, so the drain would miss the cycle. The system
+ * *next* completion, so the drain would miss the cycle. A vault keeps
+ * one completion per transaction, pushed when its last column issues,
+ * so `nextCompletionAt()` is exactly the cycle the next slot frees. The system
  * counts parked requests, so with none parked the drain and its
  * horizon term cost nothing.
  */

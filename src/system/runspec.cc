@@ -1,5 +1,6 @@
 #include "system/runspec.hh"
 
+#include <cstdint>
 #include <utility>
 
 #include "sim/cancel.hh"
@@ -25,6 +26,30 @@ rejectUnknown(const Json &j, const std::string &path,
         }
         if (!known)
             throw ConfigError("unknown key \"" + path + key + "\"");
+    }
+}
+
+/** Decode an index field, rejecting values a 32-bit index would
+ *  silently truncate. */
+unsigned
+indexField(const Json &j, const char *key, const std::string &path)
+{
+    const std::uint64_t v = j.at(key).asU64();
+    if (v > UINT32_MAX) {
+        throw ConfigError(path + key + " = " + std::to_string(v) +
+                          " does not fit in 32 bits");
+    }
+    return static_cast<unsigned>(v);
+}
+
+/** Reject an index outside [0, limit), naming the key. */
+void
+requireBelow(unsigned v, unsigned limit, const std::string &what)
+{
+    if (v >= limit) {
+        throw ConfigError(what + " = " + std::to_string(v) +
+                          " is out of range [0, " +
+                          std::to_string(limit) + ")");
     }
 }
 
@@ -82,7 +107,7 @@ RunSpec::fromJson(const Json &j)
         for (const Json &pj : progs->asArray()) {
             rejectUnknown(pj, "programs[].", {"pe", "source"});
             Program p;
-            p.pe = static_cast<unsigned>(pj.at("pe").asU64());
+            p.pe = indexField(pj, "pe", "programs[].");
             p.source = pj.at("source").asString();
             spec.programs.push_back(std::move(p));
         }
@@ -108,8 +133,8 @@ RunSpec::fromJson(const Json &j)
         for (const Json &rj : regs->asArray()) {
             rejectUnknown(rj, "regs[].", {"pe", "reg", "value"});
             RegSet r;
-            r.pe = static_cast<unsigned>(rj.at("pe").asU64());
-            r.reg = static_cast<unsigned>(rj.at("reg").asU64());
+            r.pe = indexField(rj, "pe", "regs[].");
+            r.reg = indexField(rj, "reg", "regs[].");
             r.value = rj.at("value").asU64();
             spec.regs.push_back(r);
         }
@@ -138,12 +163,18 @@ std::unique_ptr<Simulation>
 buildSimulation(const RunSpec &spec)
 {
     auto sim = std::make_unique<Simulation>(spec.config);
+    const unsigned pes = sim->system().numPes();
     for (const RunSpec::DramPoke &p : spec.pokes)
         sim->pokeDram(p.addr, p.values);
-    for (const RunSpec::RegSet &r : spec.regs)
+    for (const RunSpec::RegSet &r : spec.regs) {
+        requireBelow(r.pe, pes, "regs[].pe");
+        requireBelow(r.reg, kNumScalarRegs, "regs[].reg");
         sim->setReg(r.pe, r.reg, r.value);
-    for (const RunSpec::Program &p : spec.programs)
+    }
+    for (const RunSpec::Program &p : spec.programs) {
+        requireBelow(p.pe, pes, "programs[].pe");
         sim->loadProgram(p.pe, p.source);
+    }
     return sim;
 }
 

@@ -134,7 +134,8 @@ struct RunSpec
 /**
  * Construct the simulation a spec describes: validate and build the
  * system, stage DRAM, seed registers, assemble and load every
- * program. Throws ConfigError / AssemblyFailure. The caller runs it
+ * program. Throws ConfigError (naming the key for a PE or register
+ * index outside the machine) / AssemblyFailure. The caller runs it
  * (runSpec() does both steps) or keeps the Simulation around to
  * inspect memory afterwards, as vip-run does for its --dump flags.
  * Returned by pointer because a Simulation owns a VipSystem full of

@@ -85,6 +85,10 @@ validateSystemConfig(const SystemConfig &cfg)
                 "split cleanly out of the address");
     require(g.banksPerVault > 0 && g.rowsPerBank > 0,
             "mem.geom: banksPerVault and rowsPerBank must be nonzero");
+    require(g.banksPerVault <= VaultController::kMaxBanks,
+            "mem.geom.banksPerVault = " + std::to_string(g.banksPerVault) +
+                "; the vault scheduler addresses at most " +
+                std::to_string(VaultController::kMaxBanks) + " banks");
     require(g.rowBytes > 0 && g.colBytes > 0 &&
                 g.colBytes <= g.rowBytes &&
                 g.rowBytes % g.colBytes == 0,
@@ -227,6 +231,7 @@ VipSystem::routeRequest(std::unique_ptr<MemRequest> req, unsigned src_vault)
         deliverToVault(p.dst, unparkRequest(p.payload));
     };
     noc_.send(std::move(pkt), localNow(src_vault));
+    noteSend();
 }
 
 void
@@ -273,6 +278,17 @@ VipSystem::onVaultComplete(unsigned vault, std::unique_ptr<MemRequest> req)
             owned->pool->release(std::move(owned));
     };
     noc_.send(std::move(pkt), localNow(vault));
+    noteSend();
+}
+
+void
+VipSystem::noteSend()
+{
+    // Wake point: the packet's first event may come before the NoC's
+    // cached due cycle. Island threads send concurrently and never
+    // read the entry, so they leave it alone.
+    if (cfg_.islands == 1)
+        nocDue_ = std::min(nocDue_, noc_.nextEventAt(now_));
 }
 
 bool
@@ -328,12 +344,16 @@ VipSystem::tick()
 Cycles
 VipSystem::tickDue()
 {
-    // tick()'s order, skipping every vault and PE whose cached due
-    // cycle lies ahead, and folding the refreshed entries into the
-    // warp horizon as it goes. A PE or vault woken by a delivery the
-    // NoC makes here has had its entry lowered to 0.
+    // tick()'s order, skipping the NoC and every vault and PE whose
+    // cached due cycle lies ahead, and folding the refreshed entries
+    // into the warp horizon as it goes. A PE or vault woken by a
+    // delivery the NoC makes here has had its entry lowered to 0.
     const Cycles next = now_ + 1;
-    noc_.tick(now_);
+    if (nocDue_ <= now_) {
+        noc_.tick(now_);
+        // Covers retransmits the fault model queued inside the tick.
+        nocDue_ = noc_.nextEventAt(next);
+    }
 
     Cycles horizon = kIdleForever;
     for (unsigned v = 0; v < vaultDue_.size(); ++v) {
@@ -371,7 +391,7 @@ VipSystem::tickDue()
     }
 
     now_ = next;
-    horizon = std::min(horizon, noc_.nextEventAt(now_));
+    horizon = std::min(horizon, nocDue_);
     if (parked_ != 0)
         horizon = std::min(horizon, ingressDrain_.nextEventAt(now_));
     return horizon;
@@ -380,6 +400,7 @@ VipSystem::tickDue()
 void
 VipSystem::refreshDue()
 {
+    nocDue_ = noc_.nextEventAt(now_);
     for (unsigned v = 0; v < vaultDue_.size(); ++v)
         vaultDue_[v] = hmc_.vault(v).nextEventAt(now_);
     for (unsigned p = 0; p < peDue_.size(); ++p)

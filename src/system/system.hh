@@ -223,19 +223,24 @@ class VipSystem
     Cycles serialRun(Cycles deadline, const CancelToken *cancel);
 
     /**
-     * One cycle of the fast-forward serial loop: tick()'s order, but a
-     * vault or PE ticks only when its cached due cycle (vaultDue_,
-     * peDue_) has come, and each ticked entry is refreshed to the
-     * component's nextEventAt(now + 1). Returns the horizon: the
-     * minimum over the entries, the NoC and the ingress drain, which
-     * is what nextEventAt() would compute at the new now(). Exact
-     * under the sim/clocked.hh contract; skipped PEs charge their
-     * stall cycles at their next tick or at the run's exit.
+     * One cycle of the fast-forward serial loop: tick()'s order, but
+     * the NoC, a vault or a PE ticks only when its cached due cycle
+     * (nocDue_, vaultDue_, peDue_) has come, and each ticked entry is
+     * refreshed to the component's nextEventAt(now + 1). Returns the
+     * horizon: the minimum over the entries and the ingress drain,
+     * which is what nextEventAt() would compute at the new now().
+     * Exact under the sim/clocked.hh contract; skipped PEs charge
+     * their stall cycles at their next tick or at the run's exit.
      */
     Cycles tickDue();
 
-    /** Recompute every vaultDue_/peDue_ entry from the components. */
+    /** Recompute nocDue_ and every vaultDue_/peDue_ entry from the
+     *  components. */
     void refreshDue();
+
+    /** Lower nocDue_ to the NoC's next event after a send (serial
+     *  path only). */
+    void noteSend();
 
     void routeRequest(std::unique_ptr<MemRequest> req, unsigned src_vault);
     void deliverToVault(unsigned vault, std::unique_ptr<MemRequest> req);
@@ -316,9 +321,13 @@ class VipSystem
      * refreshDue() when run() starts. An early entry only costs a
      * tick; a late one would be wrong. Only serialRun() reads them;
      * the island path writes just its own vaults' and PEs' entries.
+     * nocDue_ is the NoC's: its nextEventAt(now + 1) after its last
+     * tick, lowered by every send (noteSend), and never touched by
+     * the island path.
      */
     std::vector<Cycles> vaultDue_;
     std::vector<Cycles> peDue_;
+    Cycles nocDue_ = 0;
 
     /** Every tickable unit, in the machine's tick order (serial path;
      *  island threads tick the same components in the same per-node

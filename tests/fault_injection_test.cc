@@ -391,6 +391,11 @@ TEST(ConfigValidation, RejectsBadConfigs)
         cfg.watchdogCycles = 0;
         EXPECT_THROW(VipSystem{cfg}, ConfigError);
     }
+    {
+        SystemConfig cfg = makeSystemConfig(1, 1);
+        cfg.mem.geom.banksPerVault = 512;  // past the scheduler's keys
+        EXPECT_THROW(VipSystem{cfg}, ConfigError);
+    }
 }
 
 TEST(ConfigValidation, MessagesNameTheParameter)

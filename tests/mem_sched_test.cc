@@ -2,9 +2,9 @@
  * @file
  * Focused tests of the vault scheduler's timing behavior: write
  * recovery, bank-level pipelining, FR-FCFS reordering, per-bank tCCD
- * pacing, closed-page row-burst retention, and latency histograms —
- * plus a differential test against a naive reference scheduler on
- * seeded random traffic.
+ * pacing, closed-page row-burst retention, latency histograms, and
+ * one completion event per transaction — plus a differential test
+ * against a naive reference scheduler on seeded random traffic.
  */
 
 #include <gtest/gtest.h>
@@ -191,6 +191,39 @@ TEST(VaultSched, LatencyHistogramTracksCompletions)
     EXPECT_EQ(hist.count(), 4u);
     EXPECT_GT(hist.mean(), static_cast<double>(cfg.timing.tCL));
     EXPECT_GE(hist.max(), static_cast<Cycles>(hist.mean()));
+}
+
+TEST(VaultSched, OneCompletionEventPerTransaction)
+{
+    // A row-aligned 256-B read is one row's 8 columns. Driven only at
+    // the cycles nextEventAt() names, the vault wakes to activate, to
+    // issue each column, and once more to complete the transaction:
+    // the intermediate columns' data is not an event.
+    const MemConfig cfg = oneVault();
+    ASSERT_EQ(cfg.geom.rowBytes, 256u);
+    Harness h(cfg);
+    Cycles done = 0;
+    h.issue(0, 256, false, &done);
+
+    unsigned wakes = 0;
+    Cycles completion = kIdleForever;
+    while (!h.vault.idle() && wakes < 100) {
+        h.now = h.vault.nextEventAt(h.now);
+        ASSERT_LT(h.now, cfg.timing.tREFI) << "refresh intervened";
+        h.vault.tick(h.now++);
+        ++wakes;
+        if (h.vault.stats().colCommands.value() < 8) {
+            EXPECT_EQ(h.vault.nextCompletionAt(), kIdleForever)
+                << "after wake " << wakes;
+        } else if (completion == kIdleForever) {
+            completion = h.vault.nextCompletionAt();
+        }
+    }
+    ASSERT_TRUE(h.vault.idle());
+    EXPECT_EQ(h.vault.stats().rowMisses.value(), 1u);
+    EXPECT_EQ(h.vault.stats().colCommands.value(), 8u);
+    EXPECT_EQ(completion, done);
+    EXPECT_EQ(wakes, 1u + 8u + 1u);
 }
 
 TEST(VaultSched, ReadsAndWritesShareTheDataBus)
@@ -428,9 +461,13 @@ randomTraffic(const MemConfig &cfg, std::uint64_t seed, unsigned count)
                 rng.nextBelow(cfg.geom.colsPerRow()));
             c.offset = static_cast<unsigned>(
                 rng.nextBelow(cfg.geom.colBytes));
+            // Large requests can span a whole row, so wide-row
+            // geometries see full-row column runs.
+            const unsigned large =
+                std::max(600u, cfg.geom.rowBytes + 64);
             const unsigned bytes =
                 1 + static_cast<unsigned>(rng.nextBelow(
-                        rng.nextBelow(4) == 0 ? 600 : 64));
+                        rng.nextBelow(4) == 0 ? large : 64));
             reqs.push_back({t, mapper.encode(c), bytes,
                             rng.nextBelow(3) == 0});
         }
@@ -495,6 +532,7 @@ struct SchedCase
     unsigned transDepth;
     Cycles tREFI;
     bool moreBanks;
+    bool widerRows = false;  ///< 4x rows: runs of up to 32 columns
 };
 
 class VaultDifferential : public ::testing::TestWithParam<SchedCase>
@@ -510,6 +548,8 @@ TEST_P(VaultDifferential, MatchesNaiveReferenceAndNeverWakesLate)
         cfg.timing.tREFI = sc.tREFI;
     if (sc.moreBanks)
         cfg.geom.scaleBanks(true);
+    if (sc.widerRows)
+        cfg.geom.scaleRowWidth(true);
 
     for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
         SCOPED_TRACE(std::string(sc.name) + " seed " +
@@ -604,7 +644,10 @@ INSTANTIATE_TEST_SUITE_P(
         SchedCase{"open_backpressure", PagePolicy::Open, 3, 0, false},
         SchedCase{"closed_backpressure", PagePolicy::Closed, 4, 0, false},
         SchedCase{"open_fast_refresh", PagePolicy::Open, 16, 300, false},
-        SchedCase{"open_64_banks", PagePolicy::Open, 32, 0, true}),
+        SchedCase{"open_64_banks", PagePolicy::Open, 32, 0, true},
+        SchedCase{"open_wide_rows", PagePolicy::Open, 32, 0, false, true},
+        SchedCase{"closed_wide_rows", PagePolicy::Closed, 32, 0, false,
+                  true}),
     [](const ::testing::TestParamInfo<SchedCase> &info) {
         return std::string(info.param.name);
     });

@@ -140,6 +140,37 @@ TEST(RunSpec, FromJsonRejectsUnknownAndMalformedFields)
         RunSpec::fromJson(Json::parse(
             "{\"pokes\": [{\"addr\": 0, \"values\": [70000]}]}")),
         ConfigError);
+
+    // Indices must be rejected by name, never truncated to 32 bits
+    // (pe 2^32 would load PE 0, reg 2^32 + 2 would set r2) nor left
+    // to trip a range check deep inside the machine.
+    auto expectNamed = [](const char *text, const char *key) {
+        try {
+            buildSimulation(RunSpec::fromJson(Json::parse(text)));
+            ADD_FAILURE() << "expected ConfigError for " << text;
+        } catch (const ConfigError &e) {
+            EXPECT_NE(e.message().find(key), std::string::npos)
+                << e.message();
+        }
+    };
+    expectNamed("{\"programs\": [{\"pe\": 4294967296, "
+                "\"source\": \"halt\"}]}",
+                "programs[].pe");
+    expectNamed("{\"regs\": [{\"pe\": 4294967296, \"reg\": 1, "
+                "\"value\": 7}]}",
+                "regs[].pe");
+    expectNamed("{\"regs\": [{\"pe\": 0, \"reg\": 4294967298, "
+                "\"value\": 7}]}",
+                "regs[].reg");
+    expectNamed("{\"programs\": [{\"pe\": 99999, "
+                "\"source\": \"halt\"}]}",
+                "programs[].pe");
+    expectNamed("{\"regs\": [{\"pe\": 99999, \"reg\": 1, "
+                "\"value\": 7}]}",
+                "regs[].pe");
+    expectNamed("{\"regs\": [{\"pe\": 0, \"reg\": 64, "
+                "\"value\": 7}]}",
+                "regs[].reg");
 }
 
 TEST(SystemConfig, JsonRoundTripIsLossless)
@@ -261,6 +292,29 @@ TEST(VipServer, MalformedRequestsGetErrorsAndLoopSurvives)
                     .asBool());
     EXPECT_EQ(server.errors(), 3u);
     EXPECT_EQ(server.cacheMisses(), 1u);
+}
+
+TEST(VipServer, OversizedBankCountIsAConfigErrorAndLoopSurvives)
+{
+    // More banks than the vault scheduler can key used to abort the
+    // whole daemon from inside the VaultController constructor.
+    Json ok = Json::object();
+    ok.set("run", dotSpec().toJson());
+    const std::vector<std::string> rsp = serveLines(
+        "{\"run\": {\"config\": {\"mem\": {\"geom\": "
+        "{\"banksPerVault\": 512}}}, \"programs\": []}}\n" +
+        ok.str() + "\n");
+    ASSERT_EQ(rsp.size(), 2u);
+    const Json err = Json::parse(rsp[0]).at("error");
+    EXPECT_EQ(err.at("kind").asString(), "config");
+    EXPECT_NE(err.at("message").asString().find(
+                  "mem.geom.banksPerVault"),
+              std::string::npos)
+        << rsp[0];
+    EXPECT_TRUE(Json::parse(rsp[1])
+                    .at("result")
+                    .at("haltedCleanly")
+                    .asBool());
 }
 
 TEST(VipServer, AssemblyAndDeadlockFailuresAreStructured)
