@@ -228,7 +228,8 @@ VipServer::dispatchRun(const Json &spec_json)
     // the worker running this job touches it (retries re-invoke on
     // the same thread, sequentially).
     auto attempts = std::make_shared<unsigned>(0);
-    engine_.submit([this, spec, key, p, token, run_id, attempts] {
+    engine_.submit([this, spec = std::move(spec), key, p, token, run_id,
+                    attempts] {
         const unsigned attempt = (*attempts)++;
         std::string response;
         bool is_error = false;

@@ -1,11 +1,13 @@
 #include "sim/json.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 namespace vip {
+
+static_assert(sizeof(Json) == 16, "a Json is a tag and one 8-byte word");
 
 namespace {
 
@@ -32,29 +34,44 @@ typeName(Json::Type t)
 }
 
 void
-escapeString(std::ostream &os, const std::string &s)
+writeString(std::string &out, const std::string &s)
 {
-    os << '"';
-    for (const char c : s) {
+    out += '"';
+    // Append runs of plain bytes whole; only escapes go byte by byte.
+    std::size_t plain = 0;
+    for (std::size_t k = 0; k < s.size(); ++k) {
+        const unsigned char c = static_cast<unsigned char>(s[k]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s, plain, k - plain);
+        plain = k + 1;
         switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          case '\b': os << "\\b"; break;
-          case '\f': os << "\\f"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          case '\b': out += "\\b"; break;
+          case '\f': out += "\\f"; break;
+          default: {
+            const char esc[] = {'\\', 'u', '0', '0',
+                                "0123456789abcdef"[c >> 4],
+                                "0123456789abcdef"[c & 0xf]};
+            out.append(esc, sizeof(esc));
+          }
         }
     }
-    os << '"';
+    out.append(s, plain, std::string::npos);
+    out += '"';
+}
+
+template <typename T>
+void
+writeInteger(std::string &out, T v)
+{
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
 }
 
 /** One-pass recursive-descent parser over the request line. */
@@ -190,13 +207,14 @@ class Parser
         get();  // '"'
         std::string out;
         for (;;) {
-            const char c = get();
-            if (c == '"')
+            // Copy the run up to the next quote or escape whole.
+            std::size_t k = pos_;
+            while (k < text_.size() && text_[k] != '"' && text_[k] != '\\')
+                ++k;
+            out.append(text_, pos_, k - pos_);
+            pos_ = k;
+            if (get() == '"')
                 return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
             const char esc = get();
             switch (esc) {
               case '"': out += '"'; break;
@@ -292,29 +310,27 @@ class Parser
                 break;
             }
         }
-        const std::string tok = text_.substr(start, pos_ - start);
-        if (tok.empty() || tok == "-")
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
+        // The token text is built only for an error message.
+        const auto token = [&] { return text_.substr(start, pos_ - start); };
+        if (first == last || (negative && last - first == 1))
             fail("invalid JSON number at offset " +
                  std::to_string(start));
-        errno = 0;
         if (integral) {
-            char *end = nullptr;
-            if (negative) {
-                const long long v = std::strtoll(tok.c_str(), &end, 10);
-                if (errno == ERANGE)
-                    fail("JSON integer out of range: " + tok);
-                if (end != tok.c_str() + tok.size())
-                    fail("invalid JSON number: " + tok);
-                return Json(static_cast<std::int64_t>(v));
-            }
-            const unsigned long long v =
-                std::strtoull(tok.c_str(), &end, 10);
-            if (errno == ERANGE)
-                fail("JSON integer out of range: " + tok);
-            if (end != tok.c_str() + tok.size())
-                fail("invalid JSON number: " + tok);
-            return Json(static_cast<std::uint64_t>(v));
+            // The token is -?[0-9]+, so from_chars fails only when the
+            // value overflows.
+            std::uint64_t u = 0;
+            std::int64_t i = 0;
+            const auto res = negative ? std::from_chars(first, last, i)
+                                      : std::from_chars(first, last, u);
+            if (res.ec == std::errc::result_out_of_range)
+                fail("JSON integer out of range: " + token());
+            if (res.ec != std::errc() || res.ptr != last)
+                fail("invalid JSON number: " + token());
+            return negative ? Json(i) : Json(u);
         }
+        const std::string tok = token();
         char *end = nullptr;
         const double v = std::strtod(tok.c_str(), &end);
         if (end != tok.c_str() + tok.size() || !std::isfinite(v))
@@ -329,12 +345,55 @@ class Parser
 
 } // namespace
 
+Json::Json(const Json &o) : type_(o.type_), u_(o.u_)
+{
+    switch (type_) {
+      case Type::String: u_.s = new std::string(*o.u_.s); break;
+      case Type::Array: u_.a = new Array(*o.u_.a); break;
+      case Type::Object: u_.o = new Object(*o.u_.o); break;
+      default: break;
+    }
+}
+
+Json &
+Json::operator=(const Json &o)
+{
+    if (this != &o)
+        *this = Json(o);
+    return *this;
+}
+
+Json &
+Json::operator=(Json &&o) noexcept
+{
+    // Detach @p o before releasing, in case it lives inside this
+    // value.
+    const Type t = o.type_;
+    const auto u = o.u_;
+    o.type_ = Type::Null;
+    release();
+    type_ = t;
+    u_ = u;
+    return *this;
+}
+
+void
+Json::release() noexcept
+{
+    switch (type_) {
+      case Type::String: delete u_.s; break;
+      case Type::Array: delete u_.a; break;
+      case Type::Object: delete u_.o; break;
+      default: break;
+    }
+}
+
 bool
 Json::asBool() const
 {
     if (type_ != Type::Bool)
         fail(std::string("expected bool, got ") + typeName(type_));
-    return bool_;
+    return u_.b;
 }
 
 std::uint64_t
@@ -342,14 +401,14 @@ Json::asU64() const
 {
     switch (type_) {
       case Type::UInt:
-        return uint_;
+        return u_.u;
       case Type::Int:
         fail("expected non-negative integer, got " +
-             std::to_string(int_));
+             std::to_string(u_.i));
       case Type::Double:
-        if (dbl_ >= 0 && dbl_ <= 1.8446744073709550e19 &&
-            dbl_ == std::floor(dbl_))
-            return static_cast<std::uint64_t>(dbl_);
+        if (u_.d >= 0 && u_.d <= 1.8446744073709550e19 &&
+            u_.d == std::floor(u_.d))
+            return static_cast<std::uint64_t>(u_.d);
         fail("expected non-negative integer, got non-integral number");
       default:
         fail(std::string("expected integer, got ") + typeName(type_));
@@ -361,15 +420,15 @@ Json::asI64() const
 {
     switch (type_) {
       case Type::UInt:
-        if (uint_ > 0x7fffffffffffffffULL)
-            fail("integer out of int64 range: " + std::to_string(uint_));
-        return static_cast<std::int64_t>(uint_);
+        if (u_.u > 0x7fffffffffffffffULL)
+            fail("integer out of int64 range: " + std::to_string(u_.u));
+        return static_cast<std::int64_t>(u_.u);
       case Type::Int:
-        return int_;
+        return u_.i;
       case Type::Double:
-        if (dbl_ == std::floor(dbl_) && dbl_ >= -9.2233720368547758e18 &&
-            dbl_ <= 9.2233720368547758e18)
-            return static_cast<std::int64_t>(dbl_);
+        if (u_.d == std::floor(u_.d) && u_.d >= -9.2233720368547758e18 &&
+            u_.d <= 9.2233720368547758e18)
+            return static_cast<std::int64_t>(u_.d);
         fail("expected integer, got non-integral number");
       default:
         fail(std::string("expected integer, got ") + typeName(type_));
@@ -380,9 +439,9 @@ double
 Json::asDouble() const
 {
     switch (type_) {
-      case Type::UInt: return static_cast<double>(uint_);
-      case Type::Int: return static_cast<double>(int_);
-      case Type::Double: return dbl_;
+      case Type::UInt: return static_cast<double>(u_.u);
+      case Type::Int: return static_cast<double>(u_.i);
+      case Type::Double: return u_.d;
       default:
         fail(std::string("expected number, got ") + typeName(type_));
     }
@@ -393,7 +452,7 @@ Json::asString() const
 {
     if (type_ != Type::String)
         fail(std::string("expected string, got ") + typeName(type_));
-    return str_;
+    return *u_.s;
 }
 
 const Json::Array &
@@ -401,7 +460,7 @@ Json::asArray() const
 {
     if (type_ != Type::Array)
         fail(std::string("expected array, got ") + typeName(type_));
-    return arr_;
+    return *u_.a;
 }
 
 const Json::Object &
@@ -409,7 +468,7 @@ Json::asObject() const
 {
     if (type_ != Type::Object)
         fail(std::string("expected object, got ") + typeName(type_));
-    return obj_;
+    return *u_.o;
 }
 
 const Json *
@@ -417,8 +476,8 @@ Json::find(const std::string &key) const
 {
     if (type_ != Type::Object)
         return nullptr;
-    const auto it = obj_.find(key);
-    return it == obj_.end() ? nullptr : &it->second;
+    const auto it = u_.o->find(key);
+    return it == u_.o->end() ? nullptr : &it->second;
 }
 
 const Json &
@@ -434,10 +493,10 @@ Json &
 Json::set(const std::string &key, Json value)
 {
     if (type_ == Type::Null)
-        type_ = Type::Object;
+        *this = object();
     if (type_ != Type::Object)
         fail(std::string("set() on a ") + typeName(type_));
-    obj_[key] = std::move(value);
+    (*u_.o)[key] = std::move(value);
     return *this;
 }
 
@@ -445,11 +504,21 @@ Json &
 Json::push(Json value)
 {
     if (type_ == Type::Null)
-        type_ = Type::Array;
+        *this = array();
     if (type_ != Type::Array)
         fail(std::string("push() on a ") + typeName(type_));
-    arr_.push_back(std::move(value));
+    u_.a->push_back(std::move(value));
     return *this;
+}
+
+void
+Json::reserve(std::size_t n)
+{
+    if (type_ == Type::Null)
+        *this = array();
+    if (type_ != Type::Array)
+        fail(std::string("reserve() on a ") + typeName(type_));
+    u_.a->reserve(n);
 }
 
 bool
@@ -463,8 +532,7 @@ Json::operator==(const Json &o) const
         if (li && ri) {
             if ((type_ == Type::Int) != (o.type_ == Type::Int))
                 return false;
-            return type_ == Type::Int ? int_ == o.int_
-                                      : uint_ == o.uint_;
+            return type_ == Type::Int ? u_.i == o.u_.i : u_.u == o.u_.u;
         }
         return asDouble() == o.asDouble();
     }
@@ -472,96 +540,97 @@ Json::operator==(const Json &o) const
         return false;
     switch (type_) {
       case Type::Null: return true;
-      case Type::Bool: return bool_ == o.bool_;
-      case Type::String: return str_ == o.str_;
-      case Type::Array: return arr_ == o.arr_;
-      case Type::Object: return obj_ == o.obj_;
+      case Type::Bool: return u_.b == o.u_.b;
+      case Type::String: return *u_.s == *o.u_.s;
+      case Type::Array: return *u_.a == *o.u_.a;
+      case Type::Object: return *u_.o == *o.u_.o;
       default: return true;  // numbers handled above
     }
 }
 
 void
-Json::dump(std::ostream &os, int indent) const
+Json::write(std::string &out, int indent) const
 {
     switch (type_) {
       case Type::Null:
-        os << "null";
+        out += "null";
         return;
       case Type::Bool:
-        os << (bool_ ? "true" : "false");
+        out += u_.b ? "true" : "false";
         return;
       case Type::UInt:
-        os << uint_;
+        writeInteger(out, u_.u);
         return;
       case Type::Int:
-        os << int_;
+        writeInteger(out, u_.i);
         return;
       case Type::Double: {
-        if (!std::isfinite(dbl_)) {
-            os << "null";  // JSON has no NaN/Inf
+        if (!std::isfinite(u_.d)) {
+            out += "null";  // JSON has no NaN/Inf
             return;
         }
         char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g", dbl_);
-        os << buf;
+        const int n = std::snprintf(buf, sizeof(buf), "%.17g", u_.d);
+        out.append(buf, static_cast<std::size_t>(n));
         return;
       }
       case Type::String:
-        escapeString(os, str_);
+        writeString(out, *u_.s);
         return;
-      case Type::Array: {
-        if (arr_.empty()) {
-            os << "[]";
-            return;
-        }
-        const bool pretty = indent >= 0;
-        const std::string pad(pretty ? (indent + 1) * 2 : 0, ' ');
-        os << '[';
-        for (std::size_t i = 0; i < arr_.size(); ++i) {
-            if (i)
-                os << ',';
-            if (pretty)
-                os << '\n' << pad;
-            arr_[i].dump(os, pretty ? indent + 1 : -1);
-        }
-        if (pretty)
-            os << '\n' << std::string(indent * 2, ' ');
-        os << ']';
-        return;
-      }
-      case Type::Object: {
-        if (obj_.empty()) {
-            os << "{}";
-            return;
-        }
-        const bool pretty = indent >= 0;
-        const std::string pad(pretty ? (indent + 1) * 2 : 0, ' ');
-        os << '{';
-        bool first = true;
-        for (const auto &[key, val] : obj_) {
-            if (!first)
-                os << ',';
-            first = false;
-            if (pretty)
-                os << '\n' << pad;
-            escapeString(os, key);
-            os << (pretty ? ": " : ":");
-            val.dump(os, pretty ? indent + 1 : -1);
-        }
-        if (pretty)
-            os << '\n' << std::string(indent * 2, ' ');
-        os << '}';
-        return;
-      }
+      case Type::Array:
+      case Type::Object:
+        break;
     }
+    const bool is_array = type_ == Type::Array;
+    if (size() == 0) {
+        out += is_array ? "[]" : "{}";
+        return;
+    }
+    const bool pretty = indent >= 0;
+    const int inner = pretty ? indent + 1 : -1;
+    out += is_array ? '[' : '{';
+    bool first = true;
+    const auto separate = [&] {
+        if (!first)
+            out += ',';
+        first = false;
+        if (pretty) {
+            out += '\n';
+            out.append(static_cast<std::size_t>(inner) * 2, ' ');
+        }
+    };
+    if (is_array) {
+        for (const Json &v : *u_.a) {
+            separate();
+            v.write(out, inner);
+        }
+    } else {
+        for (const auto &[key, val] : *u_.o) {
+            separate();
+            writeString(out, key);
+            out += pretty ? ": " : ":";
+            val.write(out, inner);
+        }
+    }
+    if (pretty) {
+        out += '\n';
+        out.append(static_cast<std::size_t>(indent) * 2, ' ');
+    }
+    out += is_array ? ']' : '}';
 }
 
 std::string
 Json::str(int indent) const
 {
-    std::ostringstream os;
-    dump(os, indent);
-    return os.str();
+    std::string out;
+    write(out, indent);
+    return out;
+}
+
+void
+Json::dump(std::ostream &os, int indent) const
+{
+    os << str(indent);
 }
 
 Json

@@ -24,6 +24,12 @@
  * Not supported (not needed here): duplicate object keys (last one
  * wins), non-BMP \u escapes beyond surrogate pairs, numbers outside
  * the uint64/int64/double ranges.
+ *
+ * Layout: a Json is 16 bytes — a type tag plus a union holding a
+ * scalar inline or an owning pointer to its string, Array or Object.
+ * A request line is mostly number arrays, so the size of one number
+ * sets the cost of parsing and hashing a spec. Copies are deep; moves
+ * steal the pointer and are noexcept, so Array growth moves.
  */
 
 #ifndef VIP_SIM_JSON_HH
@@ -68,30 +74,45 @@ class Json
     using Object = std::map<std::string, Json>;
 
     Json() = default;
-    Json(std::nullptr_t) {}
-    Json(bool b) : type_(Type::Bool), bool_(b) {}
-    Json(std::uint64_t v) : type_(Type::UInt), uint_(v) {}
-    Json(std::int64_t v)
+    Json(std::nullptr_t) noexcept {}
+    Json(bool b) noexcept : type_(Type::Bool) { u_.b = b; }
+    Json(std::uint64_t v) noexcept : type_(Type::UInt) { u_.u = v; }
+    Json(std::int64_t v) noexcept
     {
         if (v < 0) {
             type_ = Type::Int;
-            int_ = v;
+            u_.i = v;
         } else {
             type_ = Type::UInt;
-            uint_ = static_cast<std::uint64_t>(v);
+            u_.u = static_cast<std::uint64_t>(v);
         }
     }
-    Json(int v) : Json(static_cast<std::int64_t>(v)) {}
-    Json(unsigned v) : Json(static_cast<std::uint64_t>(v)) {}
-    Json(unsigned long long v) : Json(static_cast<std::uint64_t>(v)) {}
-    Json(double v) : type_(Type::Double), dbl_(v) {}
-    Json(std::string s) : type_(Type::String), str_(std::move(s)) {}
-    Json(const char *s) : type_(Type::String), str_(s) {}
+    Json(int v) noexcept : Json(static_cast<std::int64_t>(v)) {}
+    Json(unsigned v) noexcept : Json(static_cast<std::uint64_t>(v)) {}
+    Json(unsigned long long v) noexcept
+        : Json(static_cast<std::uint64_t>(v))
+    {}
+    Json(double v) noexcept : type_(Type::Double) { u_.d = v; }
+    Json(std::string s) : type_(Type::String)
+    {
+        u_.s = new std::string(std::move(s));
+    }
+    Json(const char *s) : type_(Type::String) { u_.s = new std::string(s); }
+
+    Json(const Json &o);
+    Json(Json &&o) noexcept : type_(o.type_), u_(o.u_)
+    {
+        o.type_ = Type::Null;
+    }
+    Json &operator=(const Json &o);
+    Json &operator=(Json &&o) noexcept;
+    ~Json() { release(); }
 
     static Json
     array()
     {
         Json j;
+        j.u_.a = new Array();
         j.type_ = Type::Array;
         return j;
     }
@@ -100,6 +121,7 @@ class Json
     object()
     {
         Json j;
+        j.u_.o = new Object();
         j.type_ = Type::Object;
         return j;
     }
@@ -141,10 +163,14 @@ class Json
     /** Array append; converts a Null value to an Array. */
     Json &push(Json value);
 
+    /** Make room for @p n array elements; converts a Null value to
+     *  an Array. */
+    void reserve(std::size_t n);
+
     std::size_t
     size() const
     {
-        return isArray() ? arr_.size() : isObject() ? obj_.size() : 0;
+        return isArray() ? u_.a->size() : isObject() ? u_.o->size() : 0;
     }
 
     bool operator==(const Json &o) const;
@@ -156,23 +182,34 @@ class Json
      * @p indent >= 0 pretty-prints with 2-space indentation starting
      * at that depth. Keys always emit in sorted order.
      */
-    void dump(std::ostream &os, int indent = -1) const;
-
-    /** dump() into a string. */
     std::string str(int indent = -1) const;
+
+    /** Write str(indent) to @p os. */
+    void dump(std::ostream &os, int indent = -1) const;
 
     /** Parse one JSON document; trailing garbage throws JsonError. */
     static Json parse(const std::string &text);
 
   private:
+    /** Append the serialization to @p out: the one writer behind
+     *  str() and dump(). */
+    void write(std::string &out, int indent) const;
+
+    /** Free the owned string/container, if any (type_ is left
+     *  stale: callers reassign it). */
+    void release() noexcept;
+
     Type type_ = Type::Null;
-    bool bool_ = false;
-    std::uint64_t uint_ = 0;
-    std::int64_t int_ = 0;
-    double dbl_ = 0.0;
-    std::string str_;
-    Array arr_;
-    Object obj_;
+    union
+    {
+        bool b;
+        std::uint64_t u;
+        std::int64_t i;
+        double d;
+        std::string *s;
+        Array *a;
+        Object *o;
+    } u_{};
 };
 
 /** FNV-1a over @p text, the repo's standard content-hash primitive

@@ -53,15 +53,15 @@ requireBelow(unsigned v, unsigned limit, const std::string &what)
     }
 }
 
-} // namespace
-
+/** The canonical encoding, with or without the budgetMs field. */
 Json
-RunSpec::toJson() const
+encode(const RunSpec &spec, bool with_budget)
 {
     Json j = Json::object();
-    j.set("config", config.toJson());
+    j.set("config", spec.config.toJson());
     Json progs = Json::array();
-    for (const Program &p : programs) {
+    progs.reserve(spec.programs.size());
+    for (const RunSpec::Program &p : spec.programs) {
         Json pj = Json::object();
         pj.set("pe", p.pe);
         pj.set("source", p.source);
@@ -69,10 +69,12 @@ RunSpec::toJson() const
     }
     j.set("programs", std::move(progs));
     Json pokesj = Json::array();
-    for (const DramPoke &p : pokes) {
+    pokesj.reserve(spec.pokes.size());
+    for (const RunSpec::DramPoke &p : spec.pokes) {
         Json pj = Json::object();
         pj.set("addr", static_cast<std::uint64_t>(p.addr));
         Json values = Json::array();
+        values.reserve(p.values.size());
         for (const std::int16_t v : p.values)
             values.push(static_cast<std::int64_t>(v));
         pj.set("values", std::move(values));
@@ -80,7 +82,8 @@ RunSpec::toJson() const
     }
     j.set("pokes", std::move(pokesj));
     Json regsj = Json::array();
-    for (const RegSet &r : regs) {
+    regsj.reserve(spec.regs.size());
+    for (const RunSpec::RegSet &r : spec.regs) {
         Json rj = Json::object();
         rj.set("pe", r.pe);
         rj.set("reg", r.reg);
@@ -88,10 +91,18 @@ RunSpec::toJson() const
         regsj.push(std::move(rj));
     }
     j.set("regs", std::move(regsj));
-    j.set("maxCycles", static_cast<std::uint64_t>(maxCycles));
-    if (budgetMs != 0)
-        j.set("budgetMs", budgetMs);
+    j.set("maxCycles", static_cast<std::uint64_t>(spec.maxCycles));
+    if (with_budget && spec.budgetMs != 0)
+        j.set("budgetMs", spec.budgetMs);
     return j;
+}
+
+} // namespace
+
+Json
+RunSpec::toJson() const
+{
+    return encode(*this, true);
 }
 
 RunSpec
@@ -117,7 +128,9 @@ RunSpec::fromJson(const Json &j)
             rejectUnknown(pj, "pokes[].", {"addr", "values"});
             DramPoke p;
             p.addr = static_cast<Addr>(pj.at("addr").asU64());
-            for (const Json &v : pj.at("values").asArray()) {
+            const Json::Array &values = pj.at("values").asArray();
+            p.values.reserve(values.size());
+            for (const Json &v : values) {
                 const std::int64_t val = v.asI64();
                 if (val < -32768 || val > 32767) {
                     throw ConfigError(
@@ -149,14 +162,9 @@ RunSpec::fromJson(const Json &j)
 std::uint64_t
 RunSpec::fingerprint() const
 {
-    if (budgetMs != 0) {
-        // The budget bounds host execution, not results: hash as if
-        // unbudgeted so a cached success answers any budget.
-        RunSpec unbudgeted = *this;
-        unbudgeted.budgetMs = 0;
-        return fnv1a(unbudgeted.toJson().str());
-    }
-    return fnv1a(toJson().str());
+    // The budget bounds host execution, not results: hash as if
+    // unbudgeted so a cached success answers any budget.
+    return fnv1a(encode(*this, false).str());
 }
 
 std::unique_ptr<Simulation>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 
 #include "isa/assembler.hh"
 #include "sim/error.hh"
@@ -65,9 +64,6 @@ Simulation::run(Cycles max_cycles, const CancelToken *cancel)
         result.faults = f->stats();
         result.outstandingFlippedWords = f->outstandingFlippedWords();
     }
-    std::ostringstream os;
-    sys_.stats().dump(os);
-    result.stats = os.str();
     sys_.stats().visit({
         [&result](const std::string &path, std::uint64_t value,
                   const std::string &) {

@@ -82,16 +82,10 @@ struct RunResult
     /** Every PE halted and the machine drained (not a budget stop). */
     bool haltedCleanly = false;
 
-    /**
-     * Debug-only text dump of the statistics tree at run end, for
-     * humans reading a terminal. Programs must read `counters` /
-     * `formulas` (or toJson()) instead of parsing this: the text
-     * format is not stable and parsing it is deprecated.
-     */
-    std::string stats;
-
     /** Every counter in the statistics tree, keyed by dotted path
-     *  ("system.pe0.issued", ...). The typed face of `stats`. */
+     *  ("system.pe0.issued", ...). For the human-readable text form,
+     *  call StatGroup::dump on the system's stats() (vip-run
+     *  --stats does). */
     std::map<std::string, std::uint64_t> counters;
 
     /** Every derived statistic (rates, bandwidth formulas), keyed by

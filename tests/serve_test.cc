@@ -24,6 +24,7 @@
 
 #include "serve/serve.hh"
 #include "sim/json.hh"
+#include "sim/rng.hh"
 #include "system/runspec.hh"
 
 namespace vip {
@@ -59,6 +60,26 @@ dotSpec()
     spec.programs.push_back({0, kDotProduct});
     spec.pokes.push_back({0x1000, {2, 3, 5, 7, 11, 13, 17, 19}});
     spec.pokes.push_back({0x1100, {1, 2, 3, 4, 5, 6, 7, 8}});
+    spec.maxCycles = 200'000;
+    return spec;
+}
+
+/// The shape of a benchmark serve request: one small program and a
+/// 10k-value poke, so the line is mostly numbers.
+RunSpec
+serveMixSpec()
+{
+    RunSpec spec;
+    spec.programs.push_back({0, kDotProduct});
+    Rng rng(23);
+    RunSpec::DramPoke big{0x1000, {}};
+    for (unsigned i = 0; i < 10'000; ++i) {
+        big.values.push_back(
+            static_cast<std::int16_t>(rng.nextRange(-50, 50)));
+    }
+    spec.pokes.push_back(std::move(big));
+    spec.pokes.push_back({0x1100, {1, 2, 3, 4, 5, 6, 7, 8}});
+    spec.regs.push_back({0, 3, 0x1234});
     spec.maxCycles = 200'000;
     return spec;
 }
@@ -129,6 +150,20 @@ TEST(RunSpec, RoundTripSurvivesPerturbedSpecs)
         EXPECT_TRUE(back == spec) << "spec " << i;
         EXPECT_EQ(back.fingerprint(), spec.fingerprint());
     }
+}
+
+TEST(RunSpec, FingerprintsArePinned)
+{
+    // The serve cache key, the responses' "key" field and recovered
+    // journals all depend on these exact values: a change here is a
+    // wire change, not a refactor.
+    RunSpec spec = serveMixSpec();
+    EXPECT_EQ(spec.fingerprint(), 0x8dd81caa50186f72ull);
+    EXPECT_EQ(fnv1a(spec.toJson().str()), 0x8dd81caa50186f72ull);
+    // The budget is on the wire but not in the key.
+    spec.budgetMs = 250;
+    EXPECT_EQ(spec.fingerprint(), 0x8dd81caa50186f72ull);
+    EXPECT_EQ(fnv1a(spec.toJson().str()), 0x73a5acf678a1e2e4ull);
 }
 
 TEST(RunSpec, FromJsonRejectsUnknownAndMalformedFields)

@@ -1,14 +1,19 @@
 /**
  * @file
  * Tests for the simulation substrate: statistics, histograms, the
- * deterministic RNG, logging counters, and type conversions.
+ * deterministic RNG, logging counters, type conversions, and the
+ * JSON writer's exact bytes.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "sim/histogram.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -117,6 +122,131 @@ TEST(Logging, WarnCounterAdvances)
     EXPECT_EQ(warnCount(), before + 1);
     inform("informational message");
     EXPECT_EQ(warnCount(), before + 1);
+}
+
+/// One value of every JSON type: the integer extremes, doubles that
+/// need all 17 digits, non-finite doubles (emitted as null), every
+/// string escape, and empty and nested containers.
+Json
+wireSample()
+{
+    std::string escapes = "\"\\/\b\f\n\r\t\x01";
+    escapes += '\x1f';
+    escapes += '\x7f';
+    escapes += '\0';
+    escapes += "end";
+    Json nested = Json::object();
+    nested.set("list", Json::array()
+                           .push(1)
+                           .push(Json::array().push(Json::array()))
+                           .push(Json::object().set("k", Json::object())));
+    nested.set("empty", "");
+    Json j = Json::object();
+    j.set("u64max", std::uint64_t{UINT64_MAX});
+    j.set("i64min", std::int64_t{INT64_MIN});
+    j.set("zero", 0);
+    j.set("minusOne", -1);
+    j.set("tenth", 0.1);
+    j.set("huge", 1e300);
+    j.set("negHalf", -0.5);
+    j.set("nan", std::nan(""));
+    j.set("inf", HUGE_VAL);
+    j.set("yes", true);
+    j.set("no", false);
+    j.set("nothing", nullptr);
+    j.set("escapes", escapes);
+    j.set("utf8", "caf\xc3\xa9");
+    j.set("emptyArray", Json::array());
+    j.set("emptyObject", Json::object());
+    j.set("nested", std::move(nested));
+    return j;
+}
+
+// These bytes feed the serve cache keys, the responses' "key" fields
+// and journal lines: a change to any of them is a wire change.
+
+TEST(JsonWire, CompactBytesArePinned)
+{
+    const std::string expected =
+        "{\"emptyArray\":[],\"emptyObject\":{},"
+        "\"escapes\":\"\\\"\\\\/\\b\\f\\n\\r\\t\\u0001\\u001f\x7f"
+        "\\u0000end\",\"huge\":1.0000000000000001e+300,"
+        "\"i64min\":-9223372036854775808,\"inf\":null,\"minusOne\":-1,"
+        "\"nan\":null,\"negHalf\":-0.5,"
+        "\"nested\":{\"empty\":\"\",\"list\":[1,[[]],{\"k\":{}}]},"
+        "\"no\":false,\"nothing\":null,\"tenth\":0.10000000000000001,"
+        "\"u64max\":18446744073709551615,\"utf8\":\"caf\xc3\xa9\","
+        "\"yes\":true,\"zero\":0}";
+    const Json j = wireSample();
+    EXPECT_EQ(j.str(), expected);
+    std::ostringstream os;
+    j.dump(os);
+    EXPECT_EQ(os.str(), expected);
+}
+
+TEST(JsonWire, PrettyBytesArePinned)
+{
+    const std::string body =
+        "  \"emptyArray\": [],\n"
+        "  \"emptyObject\": {},\n"
+        "  \"escapes\": \"\\\"\\\\/\\b\\f\\n\\r\\t\\u0001\\u001f\x7f"
+        "\\u0000end\",\n"
+        "  \"huge\": 1.0000000000000001e+300,\n"
+        "  \"i64min\": -9223372036854775808,\n"
+        "  \"inf\": null,\n"
+        "  \"minusOne\": -1,\n"
+        "  \"nan\": null,\n"
+        "  \"negHalf\": -0.5,\n"
+        "  \"nested\": {\n"
+        "    \"empty\": \"\",\n"
+        "    \"list\": [\n"
+        "      1,\n"
+        "      [\n"
+        "        []\n"
+        "      ],\n"
+        "      {\n"
+        "        \"k\": {}\n"
+        "      }\n"
+        "    ]\n"
+        "  },\n"
+        "  \"no\": false,\n"
+        "  \"nothing\": null,\n"
+        "  \"tenth\": 0.10000000000000001,\n"
+        "  \"u64max\": 18446744073709551615,\n"
+        "  \"utf8\": \"caf\xc3\xa9\",\n"
+        "  \"yes\": true,\n"
+        "  \"zero\": 0\n";
+    const Json j = wireSample();
+    EXPECT_EQ(j.str(0), "{\n" + body + "}");
+
+    // indent = 2 starts two levels deep: the opening brace is not
+    // indented, every line after it is shifted by four spaces.
+    std::string shifted;
+    std::size_t start = 0;
+    while (start < body.size()) {
+        const std::size_t nl = body.find('\n', start);
+        shifted += "    " + body.substr(start, nl + 1 - start);
+        start = nl + 1;
+    }
+    EXPECT_EQ(j.str(2), "{\n" + shifted + "    }");
+    std::ostringstream os;
+    j.dump(os, 2);
+    EXPECT_EQ(os.str(), j.str(2));
+}
+
+TEST(JsonWire, TopLevelScalarsAndEmptyContainersArePinned)
+{
+    // wireSample() only holds values inside an object; an indent adds
+    // no whitespace around a top-level scalar or an empty container.
+    EXPECT_EQ(Json().str(), "null");
+    EXPECT_EQ(Json(std::int64_t{-7}).str(0), "-7");
+    EXPECT_EQ(Json(-HUGE_VAL).str(2), "null");
+    EXPECT_EQ(Json("x").str(0), "\"x\"");
+    EXPECT_EQ(Json::array().str(0), "[]");
+    EXPECT_EQ(Json::array().str(2), "[]");
+    EXPECT_EQ(Json::object().str(0), "{}");
+    EXPECT_EQ(Json::object().str(2), "{}");
+    EXPECT_EQ(Json::array().push(Json::object()).str(0), "[\n  {}\n]");
 }
 
 } // namespace

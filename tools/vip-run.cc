@@ -317,8 +317,11 @@ run(const Options &opt)
             std::printf(" %d", v);
         std::printf("\n");
     }
-    if (opt.wantStats)
-        std::fputs(result.stats.c_str(), stdout);
+    if (opt.wantStats) {
+        std::ostringstream os;
+        sys.stats().dump(os);
+        std::fputs(os.str().c_str(), stdout);
+    }
     if (!opt.common.jsonStatsPath.empty()) {
         // The deterministic RunResult document (counters, formulas,
         // faults — byte-identical run to run) plus a "host" section
