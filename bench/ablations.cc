@@ -21,8 +21,8 @@
 #include "common.hh"
 #include "kernels/bp_kernel.hh"
 #include "kernels/layout.hh"
-#include "kernels/runner.hh"
 #include "sim/sweep.hh"
+#include "system/simulation.hh"
 
 using namespace vip;
 

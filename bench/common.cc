@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <numeric>
 
 #include "isa/builder.hh"
 #include "kernels/bp_kernel.hh"
@@ -13,10 +12,10 @@
 #include "kernels/hier_kernel.hh"
 #include "kernels/layout.hh"
 #include "kernels/pool_kernel.hh"
-#include "kernels/runner.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/sweep.hh"
+#include "system/simulation.hh"
 #include "tools/cli.hh"
 
 namespace vip {
@@ -29,28 +28,13 @@ bool g_fast_forward = true;
 /** Set by --no-fast-path; read by every run* helper below. */
 bool g_fast_path = true;
 
-/** Set by --islands; clamped per machine shape via islandsFor(). */
-unsigned g_islands = 1;
-
-/**
- * Island count a bench machine actually runs with: the largest count
- * dividing both the request and the NoC X dimension. Single-vault
- * helpers (nocX == 1) stay serial no matter what --islands asks for;
- * the 32-vault machine (nocX == 8) shards for --islands 2/4/8.
- */
-unsigned
-islandsFor(unsigned noc_x)
-{
-    return std::gcd(g_islands, noc_x);
-}
-
 } // namespace
 
 BenchOptions
 parseBenchOptions(int argc, char **argv, double default_frac)
 {
-    constexpr unsigned kFlags = cli::kJobs | cli::kFastForward |
-                                cli::kIslands | cli::kFastPath;
+    constexpr unsigned kFlags =
+        cli::kJobs | cli::kFastForward | cli::kFastPath;
     BenchOptions opts;
     opts.frac = default_frac;
     cli::CommonOptions common;
@@ -71,20 +55,8 @@ parseBenchOptions(int argc, char **argv, double default_frac)
     opts.jobs = common.jobs;
     opts.fastForward = common.fastForward;
     opts.fastPath = common.fastPath;
-    opts.islands = common.islands;
     g_fast_forward = common.fastForward;
     g_fast_path = common.fastPath;
-    g_islands = common.islands;
-    bool oversubscribed = false;
-    const unsigned budget =
-        hostThreadBudget(opts.jobs, opts.islands, &oversubscribed);
-    if (oversubscribed) {
-        std::fprintf(stderr,
-                     "%s: warning: --jobs x --islands wants %u host "
-                     "threads but the host has %u; timings will show "
-                     "contention, not speedup\n",
-                     argv[0], budget, SweepEngine::hardwareJobs());
-    }
     return opts;
 }
 
@@ -156,7 +128,6 @@ runBpTilePhase(unsigned tile_w, unsigned tile_h, unsigned labels,
     SystemConfig cfg = makeSystemConfig(1, 4);
     cfg.fastForward = g_fast_forward;
     cfg.fastPath = g_fast_path;
-    cfg.islands = islandsFor(cfg.nocX);
     applyKnobs(cfg.mem, knobs);
     Simulation sim(cfg);
 
@@ -206,7 +177,6 @@ runBpSweepVariant(unsigned tile_w, unsigned tile_h, unsigned labels,
     SystemConfig cfg = makeSystemConfig(1, 4);
     cfg.fastForward = g_fast_forward;
     cfg.fastPath = g_fast_path;
-    cfg.islands = islandsFor(cfg.nocX);
     Simulation sim(cfg);
     MrfDramLayout layout(sim.vaultBase(), tile_w, tile_h, labels);
 
@@ -237,7 +207,6 @@ runConvShare(const LayerDesc &layer, unsigned vaults_active,
     SystemConfig cfg = makeSystemConfig(1, 4);
     cfg.fastForward = g_fast_forward;
     cfg.fastPath = g_fast_path;
-    cfg.islands = islandsFor(cfg.nocX);
     applyKnobs(cfg.mem, knobs);
 
     const unsigned in_c = layer.inChannels;
@@ -339,7 +308,6 @@ runPoolShare(const LayerDesc &layer, unsigned vaults_active,
     SystemConfig cfg = makeSystemConfig(1, 4);
     cfg.fastForward = g_fast_forward;
     cfg.fastPath = g_fast_path;
-    cfg.islands = islandsFor(cfg.nocX);
     applyKnobs(cfg.mem, knobs);
     Simulation sim(cfg);
 
@@ -382,7 +350,6 @@ runFcLayer(unsigned inputs, unsigned outputs, double row_fraction,
     SystemConfig cfg = makeSystemConfig(32, 4);
     cfg.fastForward = g_fast_forward;
     cfg.fastPath = g_fast_path;
-    cfg.islands = islandsFor(cfg.nocX);
     applyKnobs(cfg.mem, knobs);
     Simulation sim(cfg);
     VipSystem &sys = sim.system();
@@ -471,7 +438,6 @@ runConstructPhase(unsigned fine_w, unsigned fine_h, unsigned labels,
     SystemConfig cfg = makeSystemConfig(1, 4);
     cfg.fastForward = g_fast_forward;
     cfg.fastPath = g_fast_path;
-    cfg.islands = islandsFor(cfg.nocX);
     Simulation sim(cfg);
     MrfDramLayout fine(sim.vaultBase(), fine_w, fine_h, labels);
     MrfDramLayout coarse(fine.end() + 64, fine_w / 2, fine_h / 2,
@@ -498,7 +464,6 @@ runCopyPhase(unsigned fine_w, unsigned fine_h, unsigned labels,
     SystemConfig cfg = makeSystemConfig(1, 4);
     cfg.fastForward = g_fast_forward;
     cfg.fastPath = g_fast_path;
-    cfg.islands = islandsFor(cfg.nocX);
     Simulation sim(cfg);
     MrfDramLayout fine(sim.vaultBase(), fine_w, fine_h, labels);
     MrfDramLayout coarse(fine.end() + 64, fine_w / 2, fine_h / 2,
@@ -524,7 +489,6 @@ runStreamCopy(std::uint64_t bytes_per_pe, const MemKnobs &knobs)
     SystemConfig cfg = makeSystemConfig(1, 4);
     cfg.fastForward = g_fast_forward;
     cfg.fastPath = g_fast_path;
-    cfg.islands = islandsFor(cfg.nocX);
     applyKnobs(cfg.mem, knobs);
     Simulation sim(cfg);
 

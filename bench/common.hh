@@ -77,21 +77,14 @@ struct BenchOptions
     /** False after --no-fast-path: interpret every instruction
      *  instead of replaying decoded µops. */
     bool fastPath = true;
-
-    /** Requested island count (1 = serial tick loop). Each run*
-     *  helper clamps this to what its machine can shard: the applied
-     *  count is gcd(islands, nocX), so single-vault benches stay
-     *  serial while the 32-vault ones split into column bands. */
-    unsigned islands = 1;
 };
 
 /**
- * Parse `[FRAC] [--jobs N] [--islands N] [--no-fast-forward]
- * [--no-fast-path]`; exits with usage on bad arguments.
- * `--no-fast-forward`, `--no-fast-path`, and `--islands` also apply
- * globally: every subsequent run* helper in this translation unit
- * builds its systems with those execution-strategy settings and the
- * (clamped) island count. Results are identical either way; the
+ * Parse `[FRAC] [--jobs N] [--no-fast-forward] [--no-fast-path]`;
+ * exits with usage on bad arguments. `--no-fast-forward` and
+ * `--no-fast-path` also apply globally: every subsequent run* helper
+ * in this translation unit builds its systems with those
+ * execution-strategy settings. Results are identical either way; the
  * flags exist to measure and regression-test exactly that.
  */
 BenchOptions parseBenchOptions(int argc, char **argv,

@@ -15,10 +15,10 @@
 #include "isa/builder.hh"
 #include "kernels/bp_kernel.hh"
 #include "kernels/layout.hh"
-#include "kernels/runner.hh"
 #include "mem/hmc.hh"
 #include "noc/torus.hh"
 #include "sim/rng.hh"
+#include "system/simulation.hh"
 #include "tools/cli.hh"
 #include "workloads/mrf.hh"
 #include "workloads/nn.hh"
@@ -225,53 +225,6 @@ BM_FastForwardStreamCopy(benchmark::State &state)
                   : 0.0;
 }
 BENCHMARK(BM_FastForwardStreamCopy)->Arg(0)->Arg(1);
-
-void
-BM_IslandStreamCopy(benchmark::State &state)
-{
-    // Host-parallel speedup probe: 16 vaults (a 4x4 torus), one PE
-    // each, every PE streaming a copy inside its own vault. All
-    // traffic is island-local, so Arg = island count just shards the
-    // same machine across host threads. Simulated cycles are
-    // bit-identical for every Arg; the wall-clock gap between Arg(1)
-    // and Arg(4) is the island win this bench tracks.
-    const unsigned islands = static_cast<unsigned>(state.range(0));
-    Cycles simulated = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        SystemConfig cfg = makeSystemConfig(16, 1);
-        cfg.islands = islands;
-        cfg.fastPath = g_fast_path;
-        VipSystem sys(cfg);
-        for (unsigned v = 0; v < 16; ++v) {
-            AsmBuilder b;
-            const Addr src = sys.vaultBase(v);
-            const Addr dst = src + (8ull << 20);
-            b.movImm(1, 0);
-            b.movImm(2, 64);     // chunks to copy
-            b.movImm(3, static_cast<std::int64_t>(src));
-            b.movImm(4, static_cast<std::int64_t>(dst));
-            b.movImm(5, 1024);   // chunk stride (bytes)
-            b.movImm(6, 512);    // elements per chunk
-            b.movImm(7, 0);      // scratchpad buffer
-            const auto loop = b.newLabel();
-            b.bind(loop);
-            b.ldSram(7, 3, 6);
-            b.stSram(7, 4, 6);
-            b.scalar(ScalarOp::Add, 3, 3, 5);
-            b.scalar(ScalarOp::Add, 4, 4, 5);
-            b.addImm(1, 1, 1);
-            b.branch(BranchCond::Lt, 1, 2, loop);
-            b.memfence();
-            b.halt();
-            sys.pe(v).loadProgram(b.finish());
-        }
-        state.ResumeTiming();
-        simulated += sys.run();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(simulated));
-}
-BENCHMARK(BM_IslandStreamCopy)->Arg(1)->Arg(2)->Arg(4);
 
 void
 BM_ReferenceBpIteration(benchmark::State &state)

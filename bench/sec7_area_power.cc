@@ -11,9 +11,9 @@
 #include "kernels/bp_kernel.hh"
 #include "kernels/conv_kernel.hh"
 #include "kernels/layout.hh"
-#include "kernels/runner.hh"
 #include "model/power.hh"
 #include "sim/rng.hh"
+#include "system/simulation.hh"
 
 using namespace vip;
 

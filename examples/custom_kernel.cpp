@@ -21,8 +21,8 @@
 #include <cstdio>
 
 #include "isa/builder.hh"
-#include "kernels/runner.hh"
 #include "sim/rng.hh"
+#include "system/simulation.hh"
 #include "workloads/fixed.hh"
 
 using namespace vip;

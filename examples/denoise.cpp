@@ -15,8 +15,8 @@
 
 #include "kernels/bp_kernel.hh"
 #include "kernels/layout.hh"
-#include "kernels/runner.hh"
 #include "sim/rng.hh"
+#include "system/simulation.hh"
 #include "workloads/mrf.hh"
 
 using namespace vip;

@@ -19,8 +19,8 @@
 #include "kernels/fc_kernel.hh"
 #include "kernels/layout.hh"
 #include "kernels/pool_kernel.hh"
-#include "kernels/runner.hh"
 #include "sim/rng.hh"
+#include "system/simulation.hh"
 #include "workloads/nn.hh"
 
 using namespace vip;

@@ -6,28 +6,14 @@
 
 namespace vip {
 
-DramStorage::~DramStorage()
-{
-    for (auto &slot : root_) {
-        Leaf *leaf = slot.load(std::memory_order_relaxed);
-        if (!leaf)
-            continue;
-        for (auto &page : leaf->pages)
-            delete[] page.load(std::memory_order_relaxed);
-        delete leaf;
-    }
-}
-
 const std::uint8_t *
 DramStorage::pageFor(Addr addr) const
 {
     const Addr page_no = addr / kPageBytes;
-    const Leaf *leaf =
-        root_[page_no >> kLeafBits].load(std::memory_order_acquire);
+    const Leaf *leaf = root_[page_no >> kLeafBits].get();
     if (!leaf)
         return nullptr;
-    return leaf->pages[page_no & (kLeafSlots - 1)].load(
-        std::memory_order_acquire);
+    return leaf->pages[page_no & (kLeafSlots - 1)].get();
 }
 
 std::uint8_t *
@@ -37,34 +23,15 @@ DramStorage::pageForWrite(Addr addr)
     vip_assert(page_no >> (kRootBits + kLeafBits) == 0,
                "DRAM address past the 64 GiB radix span");
 
-    auto &root_slot = root_[page_no >> kLeafBits];
-    Leaf *leaf = root_slot.load(std::memory_order_acquire);
-    if (!leaf) {
-        // First-touch CAS race: the loser frees its candidate and
-        // adopts the winner's, so exactly one leaf is ever published.
-        Leaf *fresh = new Leaf();
-        if (root_slot.compare_exchange_strong(leaf, fresh,
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_acquire))
-            leaf = fresh;
-        else
-            delete fresh;
-    }
-
-    auto &page_slot = leaf->pages[page_no & (kLeafSlots - 1)];
-    std::uint8_t *page = page_slot.load(std::memory_order_acquire);
+    auto &leaf = root_[page_no >> kLeafBits];
+    if (!leaf)
+        leaf = std::make_unique<Leaf>();
+    auto &page = leaf->pages[page_no & (kLeafSlots - 1)];
     if (!page) {
-        std::uint8_t *fresh = new std::uint8_t[kPageBytes]();
-        if (page_slot.compare_exchange_strong(page, fresh,
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_acquire)) {
-            page = fresh;
-            touched_.fetch_add(1, std::memory_order_acq_rel);
-        } else {
-            delete[] fresh;
-        }
+        page = std::make_unique<std::uint8_t[]>(kPageBytes);
+        ++touched_;
     }
-    return page;
+    return page.get();
 }
 
 void
@@ -105,11 +72,11 @@ DramStorage::touchedPageNumbers() const
     std::vector<Addr> numbers;
     numbers.reserve(touchedPages());
     for (std::size_t r = 0; r < kRootSlots; ++r) {
-        const Leaf *leaf = root_[r].load(std::memory_order_acquire);
+        const Leaf *leaf = root_[r].get();
         if (!leaf)
             continue;
         for (std::size_t l = 0; l < kLeafSlots; ++l)
-            if (leaf->pages[l].load(std::memory_order_acquire))
+            if (leaf->pages[l])
                 numbers.push_back((Addr{r} << kLeafBits) | l);
     }
     return numbers;
@@ -124,12 +91,11 @@ DramStorage::fingerprint() const
     // twice over.
     std::uint64_t digest = 0;
     for (std::size_t r = 0; r < kRootSlots; ++r) {
-        const Leaf *leaf = root_[r].load(std::memory_order_acquire);
+        const Leaf *leaf = root_[r].get();
         if (!leaf)
             continue;
         for (std::size_t l = 0; l < kLeafSlots; ++l) {
-            const std::uint8_t *bytes =
-                leaf->pages[l].load(std::memory_order_acquire);
+            const std::uint8_t *bytes = leaf->pages[l].get();
             if (!bytes)
                 continue;
             const bool all_zero = std::all_of(bytes, bytes + kPageBytes,

@@ -7,27 +7,16 @@
  * access is serviced. Pages are allocated on first touch and zero-filled
  * so untouched DRAM reads as zero.
  *
- * ## Concurrency
- *
- * One store backs the whole machine, and in island mode (see
- * sim/island.hh) several island threads touch it in the same quantum.
- * The page *table* is therefore a fixed two-level radix tree of atomic
- * pointers — lookup is two lock-free acquire-loads, first-touch
- * allocation is a CAS race whose loser frees its page and takes the
- * winner's — while the page *bytes* stay plain memory: simultaneous
- * access to the same byte from two islands would be a data race in the
- * *simulated* program (two PEs racing on one DRAM word), which the
- * workloads this supports do not do, and which TSan in the island test
- * suite would catch if one did. This replaced an unordered_map when
- * islands landed: a hash map cannot take concurrent first-touch
- * inserts, and rehashing invalidates every concurrent reader.
+ * The page table is a fixed two-level radix tree: a lookup is two
+ * array indexings, and walking it visits pages in ascending order, so
+ * no consumer can observe allocation order. Like the rest of the
+ * machine, a store is confined to the thread running its system.
  */
 
 #ifndef VIP_MEM_STORAGE_HH
 #define VIP_MEM_STORAGE_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -43,10 +32,9 @@ class DramStorage
     static constexpr std::size_t kPageBytes = 4096;
 
     DramStorage() = default;
-    ~DramStorage();
 
-    /** The table holds raw owning pointers; copying or moving a
-     *  machine-sized backing store is never meaningful. */
+    /** Copying or moving a machine-sized backing store is never
+     *  meaningful. */
     DramStorage(const DramStorage &) = delete;
     DramStorage &operator=(const DramStorage &) = delete;
 
@@ -94,11 +82,7 @@ class DramStorage
     }
 
     /** Number of pages touched so far (footprint proxy). */
-    std::size_t
-    touchedPages() const
-    {
-        return touched_.load(std::memory_order_acquire);
-    }
+    std::size_t touchedPages() const { return touched_; }
 
     /**
      * Page numbers of every touched page, in ascending order — the
@@ -115,9 +99,8 @@ class DramStorage
      * touched but never written differs in nothing from an untouched
      * one — two runs of the same program are content-equal iff their
      * fingerprints match, regardless of which pages each happened to
-     * allocate (or which island allocated them). Used by the
-     * fast-forward and island equivalence tests to assert
-     * architectural state is identical.
+     * allocate. Used by the fast-forward and fast-path equivalence
+     * tests to assert architectural state is identical.
      */
     std::uint64_t fingerprint() const;
 
@@ -132,14 +115,14 @@ class DramStorage
 
     struct Leaf
     {
-        std::array<std::atomic<std::uint8_t *>, kLeafSlots> pages{};
+        std::array<std::unique_ptr<std::uint8_t[]>, kLeafSlots> pages;
     };
 
     const std::uint8_t *pageFor(Addr addr) const;
     std::uint8_t *pageForWrite(Addr addr);
 
-    std::array<std::atomic<Leaf *>, kRootSlots> root_{};
-    std::atomic<std::size_t> touched_{0};
+    std::array<std::unique_ptr<Leaf>, kRootSlots> root_;
+    std::size_t touched_ = 0;
 };
 
 } // namespace vip

@@ -192,16 +192,6 @@ VaultController::beginRefresh(Cycles now)
 }
 
 void
-VaultController::catchUpRefreshes(Cycles until)
-{
-    // beginRefresh(deadline) — not (now) — so bank timing windows,
-    // stats_.refreshes, and the (vault, refreshIndex_) retention draw
-    // are byte-identical to a run that ticked through the deadline.
-    while (nextRefreshAt_ < until)
-        beginRefresh(nextRefreshAt_);
-}
-
-void
 VaultController::deactivateBank(unsigned bank_idx)
 {
     auto it = std::find(activeBanks_.begin(), activeBanks_.end(),

@@ -78,19 +78,6 @@ class VaultController final : public Clocked
 
     bool idle() const;
 
-    /**
-     * Replay every refresh whose deadline lies strictly before
-     * @p until, each at its exact deadline cycle. Island-mode support
-     * (see sim/island.hh): a workload-idle vault on a skipped island
-     * is never ticked, but its refresh timer — and the deterministic
-     * retention-error draw each refresh makes — must fire exactly as
-     * a serial run's per-cycle ticks (or clamped warps) would fire
-     * them. A vault that has been ticked through cycle until - 1 owes
-     * nothing and this is a no-op, so the scheduler may call it
-     * unconditionally at every quantum boundary.
-     */
-    void catchUpRefreshes(Cycles until);
-
     /** Live (incomplete) transactions currently in the queue. */
     unsigned pendingTransactions() const;
 

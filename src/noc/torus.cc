@@ -12,8 +12,6 @@ TorusNoc::TorusNoc(unsigned xdim, unsigned ydim, StatGroup *parent)
     : xdim_(xdim), ydim_(ydim),
       linkFreeAt_(static_cast<std::size_t>(xdim) * ydim * NumPorts, 0),
       laneSeq_(static_cast<std::size_t>(xdim) * ydim * kLanes, 0),
-      islandOf_(static_cast<std::size_t>(xdim) * ydim, 0),
-      shards_(1),
       statGroup_("noc", parent),
       statDelivered_(&statGroup_, "delivered", "packets delivered"),
       statBytes_(&statGroup_, "bytes", "payload bytes delivered"),
@@ -22,27 +20,6 @@ TorusNoc::TorusNoc(unsigned xdim, unsigned ydim, StatGroup *parent)
       statHops_(&statGroup_, "hops_total", "torus hops traversed")
 {
     vip_assert(xdim_ > 0 && ydim_ > 0, "degenerate torus");
-    shards_[0].outbox.resize(1);
-}
-
-void
-TorusNoc::setPartition(const std::vector<unsigned> &island_of_node,
-                       unsigned islands)
-{
-    vip_assert(islands >= 1, "need at least one island");
-    vip_assert(island_of_node.size() == numNodes(),
-               "partition map does not cover the torus");
-    for (Shard &sh : shards_)
-        vip_assert(sh.events.empty() && sh.packets.size() ==
-                                            sh.freeSlots.size(),
-                   "repartitioning a network with traffic in flight");
-    for (const unsigned i : island_of_node)
-        vip_assert(i < islands, "node mapped past the last island");
-    islandOf_ = island_of_node;
-    shards_.clear();
-    shards_.resize(islands);
-    for (Shard &sh : shards_)
-        sh.outbox.resize(islands);
 }
 
 unsigned
@@ -85,16 +62,16 @@ TorusNoc::occupy(std::size_t link, Cycles ready, unsigned bytes)
 }
 
 std::size_t
-TorusNoc::allocSlot(Shard &sh, Packet pkt)
+TorusNoc::allocSlot(Packet pkt)
 {
-    if (!sh.freeSlots.empty()) {
-        const std::size_t slot = sh.freeSlots.back();
-        sh.freeSlots.pop_back();
-        sh.packets[slot] = std::move(pkt);
+    if (!freeSlots_.empty()) {
+        const std::size_t slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        packets_[slot] = std::move(pkt);
         return slot;
     }
-    sh.packets.push_back(std::move(pkt));
-    return sh.packets.size() - 1;
+    packets_.push_back(std::move(pkt));
+    return packets_.size() - 1;
 }
 
 void
@@ -107,27 +84,23 @@ TorusNoc::send(Packet pkt, Cycles now)
     pkt.injectedAt = now;
     pkt.seq = laneSeq_[pkt.src * kLanes + pkt.srcLane]++;
 
-    Shard &sh = shards_[islandOf_[pkt.src]];
-    const std::size_t slot = allocSlot(sh, std::move(pkt));
-    Packet &p = sh.packets[slot];
+    const std::size_t slot = allocSlot(std::move(pkt));
+    Packet &p = packets_[slot];
 
     const unsigned bytes = p.payloadBytes + kHeaderBytes;
     const Cycles start = occupy(
         linkId(p.src, static_cast<Port>(InjectBase + p.srcLane)), now,
         bytes);
     const Cycles ser = (bytes + kBytesPerCycle - 1) / kBytesPerCycle;
-    sh.events.push({start + ser, slot, p.src, laneKeyOf(p)});
+    events_.push({start + ser, slot, p.src, laneKeyOf(p)});
 }
 
 void
-TorusNoc::advance(unsigned island, std::size_t packet_index,
-                  unsigned node, Cycles now)
+TorusNoc::advance(std::size_t packet_index, unsigned node, Cycles now)
 {
-    Shard &sh = shards_[island];
-    Packet &pkt = sh.packets[packet_index];
+    Packet &pkt = packets_[packet_index];
     const unsigned bytes = pkt.payloadBytes + kHeaderBytes;
     const Cycles ser = (bytes + kBytesPerCycle - 1) / kBytesPerCycle;
-    const bool serial = shards_.size() == 1;
 
     if (node == pkt.dst) {
         if (!pkt.ejected) {
@@ -141,25 +114,11 @@ TorusNoc::advance(unsigned island, std::size_t packet_index,
                 // preserved so latency statistics absorb the retry.
                 if (pkt.attempts < UINT16_MAX)
                     ++pkt.attempts;
-                const unsigned home = islandOf_[pkt.src];
-                if (home != island) {
-                    // Cross-island retry: the verdict lands on the
-                    // destination island but the injection link lives
-                    // on the source island, so hand the packet back by
-                    // mail; the source re-occupies its lane when it
-                    // drains (documented timing divergence for faulty
-                    // cross-island traffic, see docs/INTERNALS.md).
-                    Packet moved = std::move(pkt);
-                    sh.freeSlots.push_back(packet_index);
-                    sh.outbox[home].push_back(
-                        {now, moved.src, true, std::move(moved)});
-                    return;
-                }
                 const Cycles start = occupy(
                     linkId(pkt.src,
                            static_cast<Port>(InjectBase + pkt.srcLane)),
                     now, bytes);
-                sh.events.push(
+                events_.push(
                     {start + ser, packet_index, pkt.src, laneKeyOf(pkt)});
                 return;
             }
@@ -169,194 +128,50 @@ TorusNoc::advance(unsigned island, std::size_t packet_index,
                 now, bytes);
             pkt.ejected = true;
             pkt.deliveredAt = start + ser;
-            sh.events.push(
+            events_.push(
                 {pkt.deliveredAt, packet_index, node, laneKeyOf(pkt)});
             return;
         }
         const Cycles latency = pkt.deliveredAt - pkt.injectedAt;
-        if (serial) {
-            statDelivered_ += 1;
-            statBytes_ += pkt.payloadBytes;
-            statLatency_ += latency;
-            latencyHist_.sample(latency);
-        } else {
-            sh.delivered += 1;
-            sh.bytes += pkt.payloadBytes;
-            sh.latencyTotal += latency;
-            sh.hist.sample(latency);
-        }
+        statDelivered_ += 1;
+        statBytes_ += pkt.payloadBytes;
+        statLatency_ += latency;
+        latencyHist_.sample(latency);
         if (pkt.onArrive)
             pkt.onArrive(pkt);
-        sh.freeSlots.push_back(packet_index);
+        freeSlots_.push_back(packet_index);
         return;
     }
 
     const auto [next, port] = route(node, pkt.dst);
     const Cycles start = occupy(linkId(node, port), now, bytes);
-    if (serial)
-        statHops_ += 1;
-    else
-        sh.hops += 1;
-    const Cycles at = start + kHopLatency + ser;
-    const unsigned dst_island = islandOf_[next];
-    if (dst_island != island) {
-        // Handing the packet over at the island boundary: the event
-        // resumes on the neighbor's heap after its next inbox drain.
-        // Conservative-quantum guarantee: at >= now + kHopLatency + 1
-        // (ser >= 1 for the 8-byte header), so with quanta of
-        // kHopLatency + 1 cycles the event is never already overdue
-        // when the neighbor picks it up.
-        Packet moved = std::move(pkt);
-        sh.freeSlots.push_back(packet_index);
-        sh.outbox[dst_island].push_back(
-            {at, next, false, std::move(moved)});
-        return;
-    }
-    sh.events.push({at, packet_index, next, laneKeyOf(pkt)});
+    statHops_ += 1;
+    events_.push(
+        {start + kHopLatency + ser, packet_index, next, laneKeyOf(pkt)});
 }
 
 void
 TorusNoc::tick(Cycles now)
 {
-    vip_assert(shards_.size() == 1,
-               "tick() is the serial path; islands use tickIsland()");
-    tickIsland(0, now);
-}
-
-void
-TorusNoc::tickIsland(unsigned island, Cycles now)
-{
-    auto &events = shards_[island].events;
-    while (!events.empty() && events.top().at <= now) {
-        const Event ev = events.top();
-        events.pop();
-        advance(island, ev.packetIndex, ev.node, ev.at);
+    while (!events_.empty() && events_.top().at <= now) {
+        const Event ev = events_.top();
+        events_.pop();
+        advance(ev.packetIndex, ev.node, ev.at);
     }
 }
 
 Cycles
 TorusNoc::nextEventAt(Cycles now) const
 {
-    Cycles next = kIdleForever;
-    for (unsigned i = 0; i < shards_.size(); ++i)
-        next = std::min(next, islandNextEventAt(i, now));
-    return next;
-}
-
-Cycles
-TorusNoc::islandNextEventAt(unsigned island, Cycles now) const
-{
-    const auto &events = shards_[island].events;
-    if (events.empty())
+    if (events_.empty())
         return kIdleForever;
-    return std::max(events.top().at, now);
-}
-
-bool
-TorusNoc::islandIdle(unsigned island) const
-{
-    const Shard &sh = shards_[island];
-    if (!sh.events.empty())
-        return false;
-    for (const auto &box : sh.outbox)
-        if (!box.empty())
-            return false;
-    return true;
+    return std::max(events_.top().at, now);
 }
 
 bool
 TorusNoc::idle() const
 {
-    for (unsigned i = 0; i < shards_.size(); ++i)
-        if (!islandIdle(i))
-            return false;
-    return true;
-}
-
-bool
-TorusNoc::drainInboxes(unsigned island)
-{
-    bool any = false;
-    Shard &mine = shards_[island];
-    for (Shard &src : shards_) {
-        auto &box = src.outbox[island];
-        for (Mail &m : box) {
-            const Cycles at = m.at;
-            const unsigned node = m.node;
-            const bool reinject = m.reinject;
-            const std::size_t slot = allocSlot(mine, std::move(m.pkt));
-            Packet &p = mine.packets[slot];
-            if (reinject) {
-                // Retransmission handed back by the destination
-                // island: occupy our injection lane now that we own
-                // the packet again.
-                const unsigned bytes = p.payloadBytes + kHeaderBytes;
-                const Cycles start = occupy(
-                    linkId(p.src,
-                           static_cast<Port>(InjectBase + p.srcLane)),
-                    at, bytes);
-                const Cycles ser =
-                    (bytes + kBytesPerCycle - 1) / kBytesPerCycle;
-                mine.events.push(
-                    {start + ser, slot, p.src, laneKeyOf(p)});
-            } else {
-                mine.events.push({at, slot, node, laneKeyOf(p)});
-            }
-            any = true;
-        }
-        box.clear();
-    }
-    return any;
-}
-
-std::uint64_t
-TorusNoc::islandDelivered(unsigned island) const
-{
-    return shards_[island].delivered;
-}
-
-std::uint64_t
-TorusNoc::delivered() const
-{
-    std::uint64_t n = statDelivered_.value();
-    for (const Shard &sh : shards_)
-        n += sh.delivered;
-    return n;
-}
-
-std::uint64_t
-TorusNoc::talliedLatency() const
-{
-    std::uint64_t lat = 0;
-    for (const Shard &sh : shards_)
-        lat += sh.latencyTotal;
-    return lat;
-}
-
-std::size_t
-TorusNoc::inFlight() const
-{
-    std::size_t n = 0;
-    for (const Shard &sh : shards_) {
-        n += sh.packets.size() - sh.freeSlots.size();
-        for (const auto &box : sh.outbox)
-            n += box.size();
-    }
-    return n;
-}
-
-void
-TorusNoc::flushIslandStats()
-{
-    for (Shard &sh : shards_) {
-        statDelivered_ += sh.delivered;
-        statBytes_ += sh.bytes;
-        statLatency_ += sh.latencyTotal;
-        statHops_ += sh.hops;
-        latencyHist_.merge(sh.hist);
-        sh.delivered = sh.bytes = sh.latencyTotal = sh.hops = 0;
-        sh.hist.reset();
-    }
+    return events_.empty();
 }
 
 } // namespace vip

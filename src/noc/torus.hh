@@ -12,21 +12,8 @@
  * Intra-vault traffic (a PE talking to its own vault controller) uses
  * only the star's injection and ejection ports, never a torus link.
  *
- * ## Island partitioning
- *
- * The network can be split into islands (setPartition) so one run can
- * shard across host threads (see sim/island.hh and system/partition.hh).
- * Each island owns the packets, events, and link state of its nodes and
- * is ticked by exactly one thread; a packet hopping onto a node of
- * another island is handed over through a per-island-pair SPSC mailbox
- * that the receiving island drains only at quantum boundaries, so
- * intra-quantum execution is lock-free and thread-confined. Events are
- * processed in a canonical total order — (cycle, node, lane key) — in
- * both the serial and the island paths, which is what makes the two
- * bit-identical: same-cycle events at *different* nodes commute (they
- * touch disjoint link, slot, and vault state), and same-cycle events at
- * the *same* node are ordered the same way regardless of how many
- * islands processed the rest of the machine.
+ * Events are processed in a canonical total order — (cycle, node, lane
+ * key) — so same-cycle events resolve the same way on every run.
  */
 
 #ifndef VIP_NOC_TORUS_HH
@@ -52,9 +39,8 @@ class FaultInjector;
  * Owned, type-erased cargo riding inside a packet (the system parks
  * the in-flight MemRequest here). Travelling *inside* the packet —
  * instead of in a side table indexed by a slot captured in onArrive —
- * is what lets a packet cross island threads: the payload is always
- * owned by whichever island currently holds the packet, and is freed
- * with it if the machine is torn down mid-flight.
+ * means it is freed with the packet if the machine is torn down
+ * mid-flight.
  */
 using PacketPayload = std::unique_ptr<void, void (*)(void *)>;
 
@@ -75,9 +61,7 @@ struct Packet
     unsigned srcLane = 4;
     unsigned dstLane = 4;
 
-    /** Called at the cycle the packet is fully delivered at dst. In
-     *  island mode this runs on the destination island's thread; the
-     *  closure must only touch destination-island state. */
+    /** Called at the cycle the packet is fully delivered at dst. */
     std::function<void(Packet &)> onArrive;
 
     /** Owned cargo (see PacketPayload). */
@@ -98,11 +82,9 @@ struct Packet
      * Per-source-lane sequence number, assigned by send(). Stable
      * across retransmissions. Together with the source lane it forms
      * the packet's canonical identity (TorusNoc::laneKeyOf): the event
-     * tie-break and the deterministic fault-injection key. Per-lane —
-     * not a global injection stamp — because each lane's send order is
-     * island-local and deterministic, so the identity is the same for
-     * any island count (a deterministic wrap after 2^32 packets per
-     * lane keeps runs reproducible).
+     * tie-break and the deterministic fault-injection key (a
+     * deterministic wrap after 2^32 packets per lane keeps runs
+     * reproducible).
      */
     std::uint32_t seq = 0;
 };
@@ -110,9 +92,7 @@ struct Packet
 class TorusNoc : public Clocked
 {
   public:
-    /** Per-hop router+link latency (cycles). Also the conservative
-     *  lookahead islands rely on: a cross-island packet launched at
-     *  cycle t cannot arrive before t + kHopLatency + 1. */
+    /** Per-hop router+link latency (cycles). */
     static constexpr Cycles kHopLatency = 3;
     /** Link width: 64 bit per direction per cycle. */
     static constexpr unsigned kBytesPerCycle = 8;
@@ -129,12 +109,10 @@ class TorusNoc : public Clocked
     /** Minimal hop count between two nodes on the torus. */
     unsigned hopCount(unsigned src, unsigned dst) const;
 
-    /** Inject a packet at its source node at cycle @p now. In island
-     *  mode, must be called from the source node's island thread. */
+    /** Inject a packet at its source node at cycle @p now. */
     void send(Packet pkt, Cycles now);
 
-    /** Deliver every packet whose arrival time has been reached.
-     *  Serial (single-island) entry point. */
+    /** Deliver every packet whose arrival time has been reached. */
     void tick(Cycles now) override;
 
     /** The network is purely event-driven: its next state change is
@@ -143,12 +121,15 @@ class TorusNoc : public Clocked
 
     bool idle() const;
 
-    /** Packets delivered so far (merged counter plus any island
-     *  tallies not yet flushed). */
-    std::uint64_t delivered() const;
+    /** Packets delivered so far. */
+    std::uint64_t delivered() const { return statDelivered_.value(); }
 
     /** Packets currently in flight (injected, not yet delivered). */
-    std::size_t inFlight() const;
+    std::size_t
+    inFlight() const
+    {
+        return packets_.size() - freeSlots_.size();
+    }
 
     /**
      * Attach a fault injector: each packet reaching its ejection port
@@ -164,16 +145,15 @@ class TorusNoc : public Clocked
     avgLatency() const
     {
         const auto n = delivered();
-        const auto lat = statLatency_.value() + talliedLatency();
         return n == 0 ? 0.0
-                      : static_cast<double>(lat) /
+                      : static_cast<double>(statLatency_.value()) /
                             static_cast<double>(n);
     }
 
     /** Star lanes per node: four PEs plus the vault controller. */
     static constexpr unsigned kLanes = 5;
 
-    /** Canonical, placement-independent packet identity:
+    /** Canonical packet identity:
      *  (source lane id << 32) | per-lane sequence number. */
     std::uint64_t
     laneKeyOf(const Packet &pkt) const
@@ -183,53 +163,6 @@ class TorusNoc : public Clocked
                 << 32) |
                pkt.seq;
     }
-
-    // ---- Island partition API (see file comment) -------------------
-
-    /**
-     * Split the network into islands: @p island_of_node maps every
-     * node to its island in [0, islands). Must be called before any
-     * traffic. islands == 1 (the construction default) is the serial
-     * path and is byte-identical to the pre-partition network.
-     */
-    void setPartition(const std::vector<unsigned> &island_of_node,
-                      unsigned islands);
-
-    unsigned islands() const
-    {
-        return static_cast<unsigned>(shards_.size());
-    }
-
-    /** Deliver island-local events due by @p now. Island-mode analogue
-     *  of tick(); call only from @p island's thread. */
-    void tickIsland(unsigned island, Cycles now);
-
-    /** Earliest event queued on @p island's nodes (mailboxes are the
-     *  scheduler's job: undrained mail is not visible here). */
-    Cycles islandNextEventAt(unsigned island, Cycles now) const;
-
-    /** No events pending on @p island's nodes and nothing waiting in
-     *  its outboxes. */
-    bool islandIdle(unsigned island) const;
-
-    /**
-     * Move every packet mailed to @p island into its event queue
-     * (quantum-boundary handover; the island barrier provides the
-     * cross-thread ordering). Returns true if anything arrived.
-     */
-    bool drainInboxes(unsigned island);
-
-    /** Packets delivered so far by @p island alone (thread-confined:
-     *  the island's own progress report). */
-    std::uint64_t islandDelivered(unsigned island) const;
-
-    /**
-     * Fold every island's deferred stat tallies into the shared
-     * counters, in fixed island order (0, 1, ...). Called once per
-     * run, from one thread, after the islands have joined. The serial
-     * path updates the counters directly and never needs this.
-     */
-    void flushIslandStats();
 
   private:
     /** Link classes out of a router: four torus directions, then
@@ -253,8 +186,7 @@ class TorusNoc : public Clocked
         std::uint64_t key;  ///< laneKeyOf() — canonical tie-break
 
         /** Canonical total order (min-heap via std::greater): cycle,
-         *  then node, then packet identity. Identical in the serial
-         *  and island paths — the determinism linchpin. */
+         *  then node, then packet identity. */
         bool
         operator>(const Event &o) const
         {
@@ -264,45 +196,6 @@ class TorusNoc : public Clocked
                 return node > o.node;
             return key > o.key;
         }
-    };
-
-    /**
-     * One unit of cross-island handover, exchanged at quantum
-     * boundaries. Plain data, written by exactly one producer island
-     * during a quantum and consumed by exactly one receiver island
-     * after the barrier — an SPSC mailbox whose synchronization is the
-     * barrier itself, so the hot path needs no locks or atomics.
-     * vip-lint knows this type is cross-thread by design; it is the
-     * sanctioned way to move simulation state between islands.
-     */
-    struct Mail
-    {
-        Cycles at;      ///< when the event resumes at @c node
-        unsigned node;  ///< node (in the receiving island) to resume at
-        /** Retransmission handover: re-occupy @c node's injection lane
-         *  from @c at instead of resuming a routed hop. */
-        bool reinject;
-        Packet pkt;
-    };
-
-    /** Everything one island owns: slot table, event heap, deferred
-     *  stat tallies, and one outbox per destination island. */
-    struct Shard
-    {
-        std::vector<Packet> packets;
-        std::vector<std::size_t> freeSlots;
-        std::priority_queue<Event, std::vector<Event>, std::greater<>>
-            events;
-
-        /** Deferred stats (multi-island mode only): merged into the
-         *  shared counters by flushIslandStats() in island order. */
-        std::uint64_t delivered = 0;
-        std::uint64_t bytes = 0;
-        std::uint64_t latencyTotal = 0;
-        std::uint64_t hops = 0;
-        Histogram hist;
-
-        std::vector<std::vector<Mail>> outbox;  ///< one per island
     };
 
     std::size_t linkId(unsigned node, Port port) const
@@ -319,34 +212,26 @@ class TorusNoc : public Clocked
      */
     Cycles occupy(std::size_t link, Cycles ready, unsigned bytes);
 
-    std::size_t allocSlot(Shard &sh, Packet pkt);
+    std::size_t allocSlot(Packet pkt);
 
-    void advance(unsigned island, std::size_t packet_index,
-                 unsigned node, Cycles now);
+    void advance(std::size_t packet_index, unsigned node, Cycles now);
 
     unsigned xdim_;
     unsigned ydim_;
 
-    /**
-     * Per-link next-free cycles, indexed node * NumPorts + port. One
-     * flat vector even in island mode: an event at node n only ever
-     * occupies links *out of* n, and n belongs to exactly one island,
-     * so the entries are naturally partitioned by island (disjoint
-     * index ranges, no sharing).
-     */
+    /** Per-link next-free cycles, indexed node * NumPorts + port. */
     std::vector<Cycles> linkFreeAt_;
 
-    /** Per-source-lane sequence counters (node * kLanes + lane); each
-     *  lane injects from one island only, so these partition the same
-     *  way linkFreeAt_ does. */
+    /** Per-source-lane sequence counters (node * kLanes + lane). */
     std::vector<std::uint32_t> laneSeq_;
 
-    std::vector<unsigned> islandOf_;  ///< node -> owning island
-    std::vector<Shard> shards_;       ///< size 1 = serial path
+    /** In-flight packets by slot; delivered slots are reused. */
+    std::vector<Packet> packets_;
+    std::vector<std::size_t> freeSlots_;
+    std::priority_queue<Event, std::vector<Event>, std::greater<>>
+        events_;
 
     FaultInjector *injector_ = nullptr;
-
-    std::uint64_t talliedLatency() const;
 
     StatGroup statGroup_;
     Counter statDelivered_;

@@ -163,13 +163,6 @@ class Pe final : public Clocked
     }
 
     /**
-     * Replicate the per-cycle stall accounting for skipped cycles
-     * [from, to): the stall reason recorded at the last tick cannot
-     * change while the PE is not due, so the same counter is charged.
-     */
-    void fastForward(Cycles from, Cycles to);
-
-    /**
      * Charge every cycle before @p now since the last tick (or the
      * last charge) that no tick accounted for. tick() does this first;
      * a run loop that skips PEs calls it on each one as it returns, so
@@ -305,6 +298,13 @@ class Pe final : public Clocked
 
     /** Functionally execute one fast block entered at cycle @p at. */
     void execFastBlock(const FastBlock &b, Cycles at);
+
+    /**
+     * Replicate the per-cycle stall accounting for skipped cycles
+     * [from, to): the stall reason recorded at the last tick cannot
+     * change while the PE is not due, so the same counter is charged.
+     */
+    void fastForward(Cycles from, Cycles to);
 
     /** Earliest vector-pipeline ARC retirement (kIdleForever if none). */
     Cycles earliestVecArcRetireAt() const;

@@ -180,11 +180,9 @@ VipServer::dispatchRun(const Json &spec_json)
 {
     RunSpec spec = RunSpec::fromJson(spec_json);
     const std::uint64_t key = spec.fingerprint();
-    // Host execution defaults, applied after fingerprinting: island
-    // count and the µop fast path never change the result bytes,
-    // only how they are computed.
-    if (spec.config.islands == 1)
-        spec.config.islands = opts_.defaultIslands;
+    // Host execution default, applied after fingerprinting: the µop
+    // fast path never changes the result bytes, only how they are
+    // computed.
     if (spec.config.fastPath)
         spec.config.fastPath = opts_.defaultFastPath;
 

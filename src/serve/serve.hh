@@ -126,18 +126,9 @@ struct ServeOptions
     std::size_t cacheEntries = 256;
 
     /**
-     * Island count applied to run requests that don't set one
-     * (config.islands == 1). A host-side execution knob, not part of
-     * the request: results are bit-identical for any island count, so
-     * the cache key is computed before the default is applied and a
-     * cached response stays valid across default changes.
-     */
-    unsigned defaultIslands = 1;
-
-    /**
      * Fast-path default for run requests that don't turn it off
-     * (config.fastPath == true). The same host-side knob shape as
-     * defaultIslands: the decoded-µop replay is bit-identical to the
+     * (config.fastPath == true). A host-side execution knob, not part
+     * of the request: the decoded-µop replay is bit-identical to the
      * interpreter, so the cache key is computed before this default
      * is applied and cached responses stay valid across it.
      */

@@ -5,10 +5,8 @@
  * A CancelToken is the one-way stop signal for a simulation in
  * flight: the owner (a serve connection handling {"cmd":"cancel"}, a
  * SIGINT handler in vip-run, a test) flips it from any thread, and
- * the run loop polls it at fast-forward/quantum boundaries —
- * VipSystem::run() every kCancelPollCycles simulated cycles on the
- * serial path, IslandScheduler::decideNextRound() between quanta —
- * and surfaces the stop as a structured CancelledError or
+ * the run loop polls it — VipSystem::run() every kCancelPollCycles
+ * simulated cycles and after every fast-forward warp — and surfaces the stop as a structured CancelledError or
  * TimeoutError (sim/error.hh) on the calling thread.
  *
  * Two independent triggers share the token:
@@ -24,8 +22,8 @@
  *    cached responses stay valid for any budget.
  *
  * Polling cost: cancelled() is one relaxed atomic load; expired()
- * reads the clock, so run loops rate-limit it (every
- * kCancelPollCycles cycles / kCancelPollRounds quanta), bounding
+ * reads the clock, so the run loop rate-limits it (every
+ * kCancelPollCycles cycles), bounding
  * cancellation latency to a few host milliseconds without taxing the
  * tick loop.
  */
@@ -133,10 +131,6 @@ class CancelToken
 /** Serial-loop poll cadence: check the token every this many
  *  simulated cycles (and after every fast-forward warp). */
 constexpr std::uint64_t kCancelPollCycles = 65'536;
-
-/** Island-scheduler poll cadence for the clock-reading expired()
- *  check; the cancelled() flag is checked every round. */
-constexpr unsigned kCancelPollRounds = 1'024;
 
 } // namespace vip
 

@@ -46,7 +46,7 @@
  *    `Pe::loadProgram`, `VipSystem::tick()`) bypass these, so `run()`
  *    recomputes every entry when it starts; the components' own
  *    wake-ups (`Pe::wake`, a vault's dirty gates) keep `nextEventAt`
- *    honest for that and for the island path.
+ *    honest for that.
  *  - A component whose per-cycle behaviour is observable even when
  *    "nothing happens" (the PE's per-cycle stall counters) accounts
  *    for skipped cycles itself: a PE charges the stall recorded at

@@ -167,7 +167,6 @@ void
 FaultInjector::record(FaultSite::Kind kind, std::uint64_t a,
                       std::uint64_t b)
 {
-    // Caller holds mu_ (VIP_REQUIRES in the header).
     if (sites_.size() >= kMaxRecordedSites) {
         sitesTruncated_ = true;
         return;
@@ -216,7 +215,6 @@ FaultInjector::onDramRead(Addr addr, std::uint64_t bytes, unsigned src)
 {
     if (bytes == 0)
         return;
-    LockGuard lock(mu_);
     const Addr first = addr & ~Addr{7};
     const Addr last = (addr + bytes - 1) & ~Addr{7};
     const bool roll = plan_.dramReadBitFlipRate > 0.0;
@@ -227,7 +225,7 @@ FaultInjector::onDramRead(Addr addr, std::uint64_t bytes, unsigned src)
         if (roll) {
             // The event identity is (word, reader, how many times this
             // reader has read this word): program order per reader, so
-            // deterministic under any host-thread interleaving. The
+            // independent of the cycle the read lands in. The
             // reader id shares the low 12 bits of the map key and the
             // dice's b operand with the ordinal shifted above it.
             const std::uint64_t key =
@@ -257,7 +255,6 @@ FaultInjector::onDramWrite(Addr addr, std::uint64_t bytes)
 {
     if (bytes == 0)
         return;
-    LockGuard lock(mu_);
     if (flipped_.empty())
         return;
     const Addr first = addr & ~Addr{7};
@@ -287,7 +284,6 @@ bool
 FaultInjector::retentionStrike(unsigned vault, std::uint64_t refreshIndex,
                                std::uint64_t *entropy)
 {
-    // Pure hash of immutable state (plan_); no lock needed.
     const std::uint64_t dice =
         diceFor(FaultSite::Kind::Retention, vault, refreshIndex);
     if (!hit(dice, plan_.retentionErrorRate))
@@ -299,7 +295,6 @@ FaultInjector::retentionStrike(unsigned vault, std::uint64_t refreshIndex,
 void
 FaultInjector::plantRetentionFlip(Addr addr, unsigned bit)
 {
-    LockGuard lock(mu_);
     toggleAndRecord(addr, bit);
     ++stats_.retentionErrors;
     record(FaultSite::Kind::Retention, addr, bit);
@@ -310,7 +305,6 @@ FaultInjector::onNocArrival(std::uint64_t seq, unsigned attempts)
 {
     if (hit(diceFor(FaultSite::Kind::NocDrop, seq, attempts),
             plan_.nocDropRate)) {
-        LockGuard lock(mu_);
         ++stats_.nocDropped;
         ++stats_.nocRetransmits;
         record(FaultSite::Kind::NocDrop, seq, attempts);
@@ -318,7 +312,6 @@ FaultInjector::onNocArrival(std::uint64_t seq, unsigned attempts)
     }
     if (hit(diceFor(FaultSite::Kind::NocCorrupt, seq, attempts),
             plan_.nocCorruptRate)) {
-        LockGuard lock(mu_);
         ++stats_.nocCorrupted;
         ++stats_.nocRetransmits;
         record(FaultSite::Kind::NocCorrupt, seq, attempts);
@@ -336,7 +329,6 @@ FaultInjector::spFlip(unsigned peId, std::uint64_t instIndex,
     if (!hit(dice, plan_.spBitFlipRate))
         return -1;
     const auto bit = static_cast<long>(mix64(dice) % bitSpace);
-    LockGuard lock(mu_);
     ++stats_.spBitFlips;
     record(FaultSite::Kind::SpFlip, peId,
            static_cast<std::uint64_t>(bit));
@@ -346,7 +338,6 @@ FaultInjector::spFlip(unsigned peId, std::uint64_t instIndex,
 std::vector<std::pair<Addr, std::uint64_t>>
 FaultInjector::outstandingFlips() const
 {
-    LockGuard lock(mu_);
     std::vector<std::pair<Addr, std::uint64_t>> flips;
     flips.reserve(flipped_.size());
     // Hash-order scan only collects entries; callers see the sorted
@@ -360,7 +351,6 @@ FaultInjector::outstandingFlips() const
 void
 FaultInjector::plantBitFlip(Addr addr, unsigned bit)
 {
-    LockGuard lock(mu_);
     toggleAndRecord(addr, bit);
     ++stats_.dramBitFlips;
     record(FaultSite::Kind::Planted, addr, bit);

@@ -17,27 +17,12 @@
  * refresh index, an instruction count. Decisions are *never* keyed by
  * the current cycle: event-horizon fast-forward (sim/clocked.hh) warps
  * over dead cycles, so cycle-keyed sampling would inject differently
- * with and without the warp. Nor are they keyed by any *global*
- * running count: island partitioning (sim/island.hh) interleaves
- * reads from different host threads, so a machine-wide counter would
- * inject differently per interleaving and per island count. Keyed by
- * event identity, a fast-forwarded or island-partitioned run injects
- * bit-identically to a serial ticked run, and two runs with the same
- * seed and plan strike the same sites (fault_injection_test and
- * island_equivalence_test pin this).
- *
- * ## Concurrency
- *
- * One injector serves the whole machine; in island mode several host
- * threads call the hooks in the same quantum. All mutable state
- * (counters, the outstanding-flip record, recorded sites, read
- * ordinals) sits behind one annotated vip::Mutex — injection is a
- * rare, cold path, so a plain lock beats anything clever. Residual
- * limitation, by contract: when two islands read the *same* DRAM word
- * while flips on it are outstanding, the ECC scrub order follows host
- * scheduling; campaigns combining dram-read faults with cross-island
- * shared words are therefore outside the bit-identity guarantee
- * (docs/INTERNALS.md spells this out).
+ * with and without the warp. Keyed by event identity, a
+ * fast-forwarded run injects bit-identically to a ticked run, and two
+ * runs with the same seed and plan strike the same sites
+ * (fault_injection_test and ff_equivalence_test pin this). Like the
+ * rest of the machine, an injector is confined to the thread running
+ * its system.
  *
  * ## Layering
  *
@@ -69,7 +54,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/mutex.hh"
 #include "sim/types.hh"
 
 namespace vip {
@@ -138,6 +122,8 @@ struct FaultStats
     std::uint64_t nocCorrupted = 0;    ///< packets failing link CRC
     std::uint64_t nocRetransmits = 0;  ///< re-injections (drop+corrupt)
     std::uint64_t spBitFlips = 0;      ///< scratchpad upsets
+
+    bool operator==(const FaultStats &) const = default;
 };
 
 /** One injected fault, recorded for reproducibility checks. */
@@ -182,10 +168,9 @@ class FaultInjector
      * word touched, then (when ECC is on) scrub each word against the
      * outstanding-flip record. Call *before* the data is consumed so
      * corruption and correction are architecturally visible. The roll
-     * is keyed by (word, src, per-(word, src) read ordinal) — each
-     * reader issues its reads in program order from one thread, so
-     * the identity is independent of island count and host
-     * interleaving.
+     * is keyed by (word, src, per-(word, src) read ordinal): each
+     * reader issues its reads in program order, so the identity is
+     * independent of the cycle a read lands in.
      */
     void onDramRead(Addr addr, std::uint64_t bytes, unsigned src);
 
@@ -225,12 +210,7 @@ class FaultInjector
     void plantBitFlip(Addr addr, unsigned bit);
 
     /** Outstanding (uncorrected, unoverwritten) flipped bits. */
-    std::size_t
-    outstandingFlippedWords() const
-    {
-        LockGuard lock(mu_);
-        return flipped_.size();
-    }
+    std::size_t outstandingFlippedWords() const { return flipped_.size(); }
 
     /**
      * Snapshot of the outstanding flips as (word address, flipped-bit
@@ -244,30 +224,13 @@ class FaultInjector
 
     const FaultPlan &plan() const { return plan_; }
 
-    /** Snapshot of the counters. By value: the injector is shared
-     *  across island threads, so references into it would race. */
-    FaultStats
-    stats() const
-    {
-        LockGuard lock(mu_);
-        return stats_;
-    }
+    const FaultStats &stats() const { return stats_; }
 
-    /** Snapshot of recorded injection sites, in strike order (capped;
-     *  see sitesTruncated()). By value, as stats(). */
-    std::vector<FaultSite>
-    sites() const
-    {
-        LockGuard lock(mu_);
-        return sites_;
-    }
+    /** Recorded injection sites, in strike order (capped; see
+     *  sitesTruncated()). */
+    const std::vector<FaultSite> &sites() const { return sites_; }
 
-    bool
-    sitesTruncated() const
-    {
-        LockGuard lock(mu_);
-        return sitesTruncated_;
-    }
+    bool sitesTruncated() const { return sitesTruncated_; }
 
   private:
     static constexpr std::size_t kMaxRecordedSites = 4096;
@@ -279,37 +242,29 @@ class FaultInjector
     /** True with probability @p rate, from the dice's top 53 bits. */
     static bool hit(std::uint64_t dice, double rate);
 
-    void toggleAndRecord(Addr addr, unsigned bit) VIP_REQUIRES(mu_);
-    void scrubWord(Addr word) VIP_REQUIRES(mu_);
-    void record(FaultSite::Kind kind, std::uint64_t a, std::uint64_t b)
-        VIP_REQUIRES(mu_);
+    void toggleAndRecord(Addr addr, unsigned bit);
+    void scrubWord(Addr word);
+    void record(FaultSite::Kind kind, std::uint64_t a, std::uint64_t b);
 
     FaultPlan plan_;
     ToggleFn toggle_;
 
-    /** One lock over all mutable state: injection is a rare cold
-     *  path, and a single lock keeps the roll/scrub/record sequence
-     *  for one read atomic against concurrent islands. */
-    mutable Mutex mu_;
-
-    FaultStats stats_ VIP_GUARDED_BY(mu_);
+    FaultStats stats_;
 
     /** Word-aligned address -> mask of flipped bits in that word. */
-    std::unordered_map<Addr, std::uint64_t> flipped_ VIP_GUARDED_BY(mu_);
+    std::unordered_map<Addr, std::uint64_t> flipped_;
 
     /**
      * ((word index) << 12 | reader id) -> how many times that reader
      * has read that word: the event identity keying read-disturb
-     * rolls. Cycle-independent *and* placement-independent — a global
-     * counter would depend on how island threads interleave. Only
-     * populated when the plan can actually roll (dram-read rate > 0),
-     * so fault-free and ECC-only runs pay no memory for it.
+     * rolls, independent of the cycle. Only populated when the plan
+     * can actually roll (dram-read rate > 0), so fault-free and
+     * ECC-only runs pay no memory for it.
      */
-    std::unordered_map<std::uint64_t, std::uint64_t> readOrdinal_
-        VIP_GUARDED_BY(mu_);
+    std::unordered_map<std::uint64_t, std::uint64_t> readOrdinal_;
 
-    std::vector<FaultSite> sites_ VIP_GUARDED_BY(mu_);
-    bool sitesTruncated_ VIP_GUARDED_BY(mu_) = false;
+    std::vector<FaultSite> sites_;
+    bool sitesTruncated_ = false;
 };
 
 } // namespace vip

@@ -60,20 +60,6 @@ class Histogram
         return max_;
     }
 
-    /** Fold another histogram in (bucket-wise sum). Used to merge
-     *  per-island tallies after a partitioned run; commutative, but
-     *  callers still merge in fixed island order by convention. */
-    void
-    merge(const Histogram &o)
-    {
-        for (unsigned b = 0; b < kBuckets; ++b)
-            buckets_[b] += o.buckets_[b];
-        sum_ += o.sum_;
-        count_ += o.count_;
-        if (o.max_ > max_)
-            max_ = o.max_;
-    }
-
     void
     reset()
     {

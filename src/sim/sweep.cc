@@ -16,17 +16,6 @@ SweepEngine::hardwareJobs()
     return hw ? hw : 1;
 }
 
-unsigned
-hostThreadBudget(unsigned jobs, unsigned islands, bool *oversubscribed)
-{
-    const unsigned j = jobs ? jobs : SweepEngine::hardwareJobs();
-    const unsigned i = islands ? islands : 1;
-    const unsigned total = j * i;
-    if (oversubscribed)
-        *oversubscribed = total > SweepEngine::hardwareJobs();
-    return total;
-}
-
 SweepEngine::SweepEngine(unsigned jobs)
     : jobs_(jobs ? jobs : hardwareJobs())
 {

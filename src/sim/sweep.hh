@@ -87,19 +87,6 @@ jobSeed(std::size_t index, std::uint64_t base = 0x9e3779b97f4a7c15ull)
     return z ^ (z >> 31);
 }
 
-/**
- * The host-thread budget for a composed run: @p jobs sweep workers,
- * each potentially driving an island-partitioned system on @p islands
- * threads (system/partition.hh), multiply. Zero for either argument
- * means "the default" (hardware concurrency for jobs, serial for
- * islands). Returns the product, and sets *oversubscribed when the
- * product exceeds the host's hardware concurrency — callers warn
- * (vip-run, vip-serve, the benches) so a 16-job x 8-island footgun is
- * visible before the machine starts thrashing.
- */
-unsigned hostThreadBudget(unsigned jobs, unsigned islands,
-                          bool *oversubscribed = nullptr);
-
 class SweepEngine
 {
   public:

@@ -173,13 +173,9 @@ SystemConfig::toJson() const
     j.set("nocY", nocY);
     j.set("watchdogCycles", static_cast<std::uint64_t>(watchdogCycles));
     j.set("fastForward", fastForward);
-    // Only serialize a non-default island count: the serial default
-    // stays absent so pre-island RunSpec fingerprints are unchanged.
-    if (islands != 1)
-        j.set("islands", islands);
-    // Same treatment for the µop fast path: absent when on (the
-    // default), so pre-fast-path fingerprints — and cached serve
-    // responses — stay valid.
+    // The µop fast path is absent when on (the default), so
+    // pre-fast-path fingerprints — and cached serve responses — stay
+    // valid.
     if (!fastPath)
         j.set("fastPath", fastPath);
     if (faults.enabled)
@@ -259,7 +255,15 @@ SystemConfig::fromJson(const Json &j)
     });
     root.key("watchdogCycles", intoUnsigned(cfg.watchdogCycles));
     root.key("fastForward", intoBool(cfg.fastForward));
-    root.key("islands", intoUnsigned(cfg.islands));
+    // Accepted and ignored (see SystemConfig::islands), but a
+    // malformed value is still an error, not a silent no-op.
+    root.key("islands", [](const Json &v) {
+        try {
+            v.asU64();
+        } catch (const JsonError &e) {
+            throw ConfigError("islands: " + e.message());
+        }
+    });
     root.key("fastPath", intoBool(cfg.fastPath));
     root.key("faults", [&cfg](const Json &v) {
         cfg.faults = FaultPlan::parse(v.asString());

@@ -85,11 +85,11 @@ RunResult::toJson() const
     j.set("haltedCleanly", haltedCleanly);
     // fastForwardedCycles and the fastpath counter map stay on the
     // struct (tools/logs read them) but out of the JSON: they are
-    // host-side tuning observables — fast-forward's per-island
-    // aggregate differs from the serial value, and the fastpath
-    // counters differ with the fast path on vs. off — and keeping
-    // either here would break the bit-identical-RunResult contract
-    // island_equivalence_test and fastpath_equivalence_test pin.
+    // host-side tuning observables — fast-forward's skip count differs
+    // with fast-forward on vs. off, and so do the fastpath counters
+    // with the fast path — and keeping either here would break the
+    // bit-identical-RunResult contract ff_equivalence_test and
+    // fastpath_equivalence_test pin.
     j.set("memRequestPoolHighWater", memRequestPoolHighWater);
     Json allocs = Json::array();
     for (const std::uint64_t a : peRequestAllocations)

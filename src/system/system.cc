@@ -5,7 +5,6 @@
 
 #include "sim/cancel.hh"
 #include "sim/error.hh"
-#include "sim/island.hh"
 #include "sim/logging.hh"
 
 namespace vip {
@@ -39,10 +38,7 @@ validated(const SystemConfig &cfg)
  * a side table indexed by a slot captured in onArrive — owns the
  * descriptor while it is in flight. This keeps teardown leak-free
  * when the machine is destroyed with packets still in flight (a
- * deadlock throw or an expired cycle budget), and it is what lets a
- * packet cross island threads: ownership travels with the packet, so
- * the request needs no shared table and no lock (the pre-island slot
- * table would have been cross-thread state).
+ * deadlock throw or an expired cycle budget).
  */
 PacketPayload
 parkRequest(std::unique_ptr<MemRequest> req)
@@ -118,8 +114,6 @@ validateSystemConfig(const SystemConfig &cfg)
                 " vaults (use makeSystemConfig() or set nocX*nocY to "
                 "the vault count)");
 
-    validateIslandCount(cfg.islands, cfg.nocX);
-
     require(cfg.pesPerVault >= 1 &&
                 cfg.pesPerVault <= TorusNoc::kLanes - 1,
             "pesPerVault = " + std::to_string(cfg.pesPerVault) +
@@ -144,14 +138,8 @@ validateSystemConfig(const SystemConfig &cfg)
 VipSystem::VipSystem(const SystemConfig &cfg)
     : cfg_(validated(cfg)), statGroup_("system"),
       hmc_(cfg.mem, &statGroup_), noc_(cfg.nocX, cfg.nocY, &statGroup_),
-      partition_(IslandPartition::make(cfg.islands, cfg.nocX, cfg.nocY)),
       ingress_(cfg.mem.geom.vaults), vaultDue_(cfg.mem.geom.vaults)
 {
-    if (cfg_.islands > 1)
-        noc_.setPartition(partition_.islandOfNode, cfg_.islands);
-    islandNow_.resize(cfg_.islands);
-    ffIsland_.resize(cfg_.islands);
-
     const unsigned num_pes = cfg_.mem.geom.vaults * cfg_.pesPerVault;
     pes_.reserve(num_pes);
     peDue_.resize(num_pes);
@@ -161,9 +149,8 @@ VipSystem::VipSystem(const SystemConfig &cfg)
         pe_cfg.vault = id / cfg_.pesPerVault;
         pe_cfg.fastPath = cfg_.fastPath;
         // Half the watchdog period bounds a bulk charge, so a progress
-        // bump always lands inside every watchdog window (serial and
-        // island) and a natively-executed mega-loop can't be mistaken
-        // for a hang.
+        // bump always lands inside every watchdog window and a
+        // natively-executed mega-loop can't be mistaken for a hang.
         pe_cfg.fastPathChunk =
             std::min<Cycles>(pe_cfg.fastPathChunk,
                              std::max<Cycles>(1, cfg_.watchdogCycles / 2));
@@ -187,8 +174,6 @@ VipSystem::VipSystem(const SystemConfig &cfg)
     // complete PE transactions and park requests at full vaults), then
     // the vault controllers, then the ingress drains (a completion this
     // cycle frees a slot this cycle), then the PE front ends.
-    // tickIsland() ticks the same classes in the same per-node order,
-    // restricted to one island's nodes.
     clocked_.reserve(3 + pes_.size());
     clocked_.push_back(&noc_);
     clocked_.push_back(&hmc_);
@@ -225,12 +210,10 @@ VipSystem::routeRequest(std::unique_ptr<MemRequest> req, unsigned src_vault)
     // 8-byte NoC header covers the address/command fields).
     pkt.payloadBytes = req->isWrite ? req->bytes : 0;
     pkt.payload = parkRequest(std::move(req));
-    // Runs on the *destination* island's thread; everything it touches
-    // (the packet, the home vault, its ingress queue) lives there.
     pkt.onArrive = [this](Packet &p) {
         deliverToVault(p.dst, unparkRequest(p.payload));
     };
-    noc_.send(std::move(pkt), localNow(src_vault));
+    noc_.send(std::move(pkt), now_);
     noteSend();
 }
 
@@ -248,8 +231,7 @@ VipSystem::deliverToVault(unsigned vault, std::unique_ptr<MemRequest> req)
         return;
     }
     ingress_[vault].push_back(std::move(req));
-    if (cfg_.islands == 1)
-        ++parked_;
+    ++parked_;
 }
 
 void
@@ -262,9 +244,6 @@ VipSystem::onVaultComplete(unsigned vault, std::unique_ptr<MemRequest> req)
     pkt.dstLane = req->sourcePe % cfg_.pesPerVault;
     pkt.payloadBytes = req->isWrite ? 0 : req->bytes;
     pkt.payload = parkRequest(std::move(req));
-    // Runs on the issuing PE's island thread (the response's dst is
-    // the PE's own vault router), so the completion callback and the
-    // per-PE request pool stay island-confined.
     pkt.onArrive = [this](Packet &p) {
         std::unique_ptr<MemRequest> owned = unparkRequest(p.payload);
         owned->completedAt = p.deliveredAt;
@@ -277,7 +256,7 @@ VipSystem::onVaultComplete(unsigned vault, std::unique_ptr<MemRequest> req)
         if (owned->pool)
             owned->pool->release(std::move(owned));
     };
-    noc_.send(std::move(pkt), localNow(vault));
+    noc_.send(std::move(pkt), now_);
     noteSend();
 }
 
@@ -285,10 +264,8 @@ void
 VipSystem::noteSend()
 {
     // Wake point: the packet's first event may come before the NoC's
-    // cached due cycle. Island threads send concurrently and never
-    // read the entry, so they leave it alone.
-    if (cfg_.islands == 1)
-        nocDue_ = std::min(nocDue_, noc_.nextEventAt(now_));
+    // cached due cycle.
+    nocDue_ = std::min(nocDue_, noc_.nextEventAt(now_));
 }
 
 bool
@@ -300,8 +277,7 @@ VipSystem::drainIngress(unsigned v)
             hmc_.vault(v).enqueue(std::move(ingress_[v].front()));
         vip_assert(ok, "vault rejected a request it could accept");
         ingress_[v].pop_front();
-        if (cfg_.islands == 1)
-            --parked_;
+        --parked_;
         drained = true;
     }
     return drained;
@@ -333,9 +309,6 @@ VipSystem::IngressDrain::nextEventAt(Cycles now) const
 void
 VipSystem::tick()
 {
-    vip_assert(cfg_.islands == 1,
-               "tick() drives the serial path; an island machine is "
-               "driven by run()");
     for (Clocked *c : clocked_)
         c->tick(now_);
     ++now_;
@@ -455,8 +428,6 @@ VipSystem::run(Cycles max_cycles, const CancelToken *cancel)
     // cycle-by-cycle run would (the partial block re-executes per-µop).
     for (auto &pe : pes_)
         pe->setRunDeadline(deadline);
-    if (cfg_.islands > 1)
-        return islandRun(deadline, cancel);
     return serialRun(deadline, cancel);
 }
 
@@ -535,162 +506,6 @@ VipSystem::serialRun(Cycles deadline, const CancelToken *cancel)
         }
     }
     return now_;
-}
-
-Cycles
-VipSystem::islandRun(Cycles deadline, const CancelToken *cancel)
-{
-    const unsigned n = cfg_.islands;
-    for (unsigned i = 0; i < n; ++i) {
-        islandNow_[i].v = now_;
-        ffIsland_[i].reset();
-    }
-
-    IslandHooks hooks;
-    hooks.tick = [this](unsigned i, Cycles now) { tickIsland(i, now); };
-    hooks.idle = [this](unsigned i) { return islandIdle(i); };
-    hooks.nextEventAt = [this](unsigned i, Cycles now) {
-        return islandNextEventAt(i, now);
-    };
-    hooks.drainInboxes = [this](unsigned i) {
-        return noc_.drainInboxes(i);
-    };
-    hooks.progress = [this](unsigned i) { return islandProgress(i); };
-    hooks.fastForward = [this](unsigned i, Cycles from, Cycles to) {
-        fastForwardIsland(i, from, to);
-    };
-    hooks.catchUp = [this](unsigned i, Cycles until) {
-        catchUpIsland(i, until);
-    };
-
-    IslandScheduler::Options opt;
-    // The conservative quantum: a cross-island packet sent at cycle t
-    // is next visible at t + kHopLatency + serialization (>= 1 cycle
-    // for the 8-byte header), so within kHopLatency + 1 cycles no
-    // island can affect another and quantum-boundary mail exchange
-    // loses nothing.
-    opt.quantum = TorusNoc::kHopLatency + 1;
-    opt.watchdogCycles = cfg_.watchdogCycles;
-    opt.fastForward = cfg_.fastForward;
-    opt.cancel = cancel;
-
-    IslandScheduler sched(n, std::move(hooks), opt);
-    IslandScheduler::Outcome out;
-    try {
-        out = sched.run(now_, deadline);
-    } catch (...) {
-        noc_.flushIslandStats();
-        throw;
-    }
-
-    now_ = out.finalCycle;
-    // Merge layer: fold per-island state into the shared aggregates in
-    // fixed island order, after the threads have joined.
-    for (unsigned i = 0; i < n; ++i) {
-        ff_.skippedCycles += ffIsland_[i].skippedCycles;
-        ff_.warps += ffIsland_[i].warps;
-    }
-    noc_.flushIslandStats();
-
-    if (out.deadlocked) {
-        throw DeadlockError("system deadlocked at cycle " +
-                                std::to_string(now_),
-                            deadlockDiagnosis());
-    }
-    if (out.cancelStopped) {
-        vip_assert(cancel, "scheduler stopped on a token it was "
-                           "never given");
-        cancel->check();
-        // check() is throw-by-trigger; both triggers are sticky
-        // (cancelled is a flag, the clock only moves forward), so
-        // this line is unreachable — but keep control flow total.
-        throw CancelledError("run cancelled");
-    }
-    return now_;
-}
-
-void
-VipSystem::tickIsland(unsigned island, Cycles now)
-{
-    islandNow_[island].v = now;
-    noc_.tickIsland(island, now);
-    const std::vector<unsigned> &nodes = partition_.nodesOf[island];
-    for (const unsigned v : nodes)
-        hmc_.vault(v).tick(now);
-    for (const unsigned v : nodes)
-        drainIngress(v);
-    for (const unsigned v : nodes) {
-        const unsigned base = v * cfg_.pesPerVault;
-        for (unsigned k = 0; k < cfg_.pesPerVault; ++k)
-            pes_[base + k]->tick(now);
-    }
-}
-
-bool
-VipSystem::islandIdle(unsigned island) const
-{
-    for (const unsigned v : partition_.nodesOf[island]) {
-        if (!ingress_[v].empty() || !hmc_.vault(v).idle())
-            return false;
-        const unsigned base = v * cfg_.pesPerVault;
-        for (unsigned k = 0; k < cfg_.pesPerVault; ++k)
-            if (!pes_[base + k]->idle())
-                return false;
-    }
-    return noc_.islandIdle(island);
-}
-
-Cycles
-VipSystem::islandNextEventAt(unsigned island, Cycles now) const
-{
-    Cycles next = noc_.islandNextEventAt(island, now);
-    for (const unsigned v : partition_.nodesOf[island]) {
-        if (next <= now)
-            return now;
-        // Vault nextEventAt includes its refresh deadline, which is
-        // what clamps island-local warps so refreshes fire on time.
-        next = std::min(next, hmc_.vault(v).nextEventAt(now));
-        if (!ingress_[v].empty())
-            next = std::min(next, hmc_.vault(v).nextCompletionAt());
-        const unsigned base = v * cfg_.pesPerVault;
-        for (unsigned k = 0; k < cfg_.pesPerVault; ++k)
-            next = std::min(next, pes_[base + k]->nextEventAt(now));
-    }
-    return std::max(next, now);
-}
-
-std::uint64_t
-VipSystem::islandProgress(unsigned island) const
-{
-    std::uint64_t p = noc_.islandDelivered(island);
-    for (const unsigned v : partition_.nodesOf[island]) {
-        const unsigned base = v * cfg_.pesPerVault;
-        for (unsigned k = 0; k < cfg_.pesPerVault; ++k)
-            p += pes_[base + k]->stats().instructions.value();
-    }
-    return p;
-}
-
-void
-VipSystem::fastForwardIsland(unsigned island, Cycles from, Cycles to)
-{
-    for (const unsigned v : partition_.nodesOf[island]) {
-        const unsigned base = v * cfg_.pesPerVault;
-        for (unsigned k = 0; k < cfg_.pesPerVault; ++k)
-            pes_[base + k]->fastForward(from, to);
-    }
-    ffIsland_[island].skippedCycles += to - from;
-    ffIsland_[island].warps += 1;
-    islandNow_[island].v = to;
-}
-
-void
-VipSystem::catchUpIsland(unsigned island, Cycles until)
-{
-    if (islandNow_[island].v < until)
-        islandNow_[island].v = until;
-    for (const unsigned v : partition_.nodesOf[island])
-        hmc_.vault(v).catchUpRefreshes(until);
 }
 
 std::string

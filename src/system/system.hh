@@ -9,13 +9,6 @@
  * torus hops if remote, ejection port), queues at the vault, is
  * serviced by the DRAM model, and a response travels back before the
  * PE observes completion.
- *
- * With cfg.islands > 1 a run shards across host threads: the machine
- * is cut into islands of NoC columns (system/partition.hh), each
- * island's components tick on their own thread in conservative quanta
- * (sim/island.hh), and per-island state merges in fixed island order
- * after the join — producing bit-identical results to islands == 1
- * (see docs/INTERNALS.md "Island partitioning & conservative quanta").
  */
 
 #ifndef VIP_SYSTEM_SYSTEM_HH
@@ -32,7 +25,6 @@
 #include "sim/clocked.hh"
 #include "sim/fault.hh"
 #include "sim/stats.hh"
-#include "system/partition.hh"
 
 namespace vip {
 
@@ -62,21 +54,18 @@ struct SystemConfig
     bool fastForward = true;
 
     /**
-     * Host threads one run may use: the machine is cut into this many
-     * islands of NoC columns that tick concurrently (see file
-     * comment). Must divide nocX. 1 (the default) is the serial path
-     * and is byte-identical to every other value — islands changes
-     * host time, never the simulation — so it is a host knob like
-     * fastForward, not part of the machine being modelled.
+     * Accepted and ignored. Older specs set this to shard one run
+     * across host threads; that strategy is gone (one run is one
+     * thread, and sweeps parallelise across runs), so the value never
+     * changes the simulation and is neither validated nor encoded.
      */
     unsigned islands = 1;
 
     /**
      * Replay each PE's decoded-µop stream and execute stall-free basic
      * blocks functionally in bulk (pe/decode.hh). Bit-identical to the
-     * per-cycle interpreter — a host knob like fastForward and islands
-     * — and false (--no-fast-path) keeps the interpreter as the
-     * oracle. Omitted from the JSON wire form when true, so existing
+     * per-cycle interpreter — a host knob like fastForward — and
+     * false (--no-fast-path) keeps the interpreter as the oracle. Omitted from the JSON wire form when true, so existing
      * RunSpec fingerprints are unchanged.
      */
     bool fastPath = true;
@@ -88,9 +77,8 @@ struct SystemConfig
      * The wire form: every knob above as a JSON object (nested
      * "mem"/"pe" sections mirroring the struct layout; the fault
      * plan as its canonical spec string under "faults", omitted when
-     * injection is disabled; "islands" likewise omitted when 1, so
-     * pre-island RunSpec fingerprints are unchanged).
-     * fromJson(toJson(cfg)) reproduces the config exactly.
+     * injection is disabled; "islands" is never emitted).
+     * fromJson(toJson(cfg)) reproduces every field but islands.
      */
     Json toJson() const;
 
@@ -100,7 +88,8 @@ struct SystemConfig
      * "mem.geom.vaults" is given without "nocX"/"nocY" the NoC grid
      * is derived with nocDimsFor(). Unknown keys anywhere in the
      * object throw ConfigError naming the offending key — a typo'd
-     * knob must not silently fall back to the default. Does not
+     * knob must not silently fall back to the default. "islands" is
+     * type-checked (a non-negative integer) and dropped. Does not
      * validate the result; VipSystem's constructor does.
      */
     static SystemConfig fromJson(const Json &j);
@@ -136,9 +125,6 @@ class VipSystem
     TorusNoc &noc() { return noc_; }
     const SystemConfig &config() const { return cfg_; }
 
-    /** The machine's island cut (islands == 1: one island, all nodes). */
-    const IslandPartition &partition() const { return partition_; }
-
     /** Start address of vault @p v's local DRAM region. */
     Addr
     vaultBase(unsigned v) const
@@ -147,7 +133,7 @@ class VipSystem
     }
 
     /** Advance the whole machine one cycle, ticking every component
-     *  (serial path only; the per-cycle oracle for fast-forward). */
+     *  (the per-cycle oracle for fast-forward). */
     void tick();
 
     /**
@@ -155,21 +141,15 @@ class VipSystem
      * the memory system has drained, or @p max_cycles elapse.
      * @return total cycles simulated so far.
      *
-     * With cfg.islands == 1 the run is confined to the calling host
-     * thread: nothing in the machine is synchronized, so concurrent
-     * run()/tick() calls on the same instance are a caller bug
-     * (parallel sweeps must build one system per job — see
-     * sim/sweep.hh). run() asserts this. With islands > 1 the run
-     * *internally* spawns islands - 1 worker threads, but the
-     * confinement contract for callers is unchanged: one run() at a
-     * time, and the per-island state is thread-confined to each
-     * island's thread between barriers.
+     * The run is confined to the calling host thread: nothing in the
+     * machine is synchronized, so concurrent run()/tick() calls on the
+     * same instance are a caller bug (parallel sweeps must build one
+     * system per job — see sim/sweep.hh). run() asserts this.
      *
      * @p cancel, when given, is polled cooperatively (every
-     * kCancelPollCycles on the serial path, between quanta on the
-     * island path): a tripped token stops the run at the next
-     * boundary and throws CancelledError / TimeoutError
-     * (sim/cancel.hh). The machine is left mid-flight but
+     * kCancelPollCycles, and after every warp): a tripped token stops
+     * the run at the next boundary and throws CancelledError /
+     * TimeoutError (sim/cancel.hh). The machine is left mid-flight but
      * destructible; the run's partial results are discarded.
      */
     Cycles run(Cycles max_cycles = 0,
@@ -179,12 +159,7 @@ class VipSystem
 
     bool allIdle() const;
 
-    /**
-     * What the event-horizon fast-forward skipped so far. In island
-     * mode the numbers aggregate per-island horizons (an island
-     * warping 100 cycles counts 100 regardless of what the others
-     * did), so they measure work saved, not wall-clock cycles.
-     */
+    /** What the event-horizon fast-forward skipped so far. */
     const FastForwardStats &fastForwardStats() const { return ff_; }
 
     /**
@@ -219,7 +194,7 @@ class VipSystem
     double achievedBandwidthGBs() const;
 
   private:
-    /** The serial run loop (cfg.islands == 1). */
+    /** The run loop. */
     Cycles serialRun(Cycles deadline, const CancelToken *cancel);
 
     /**
@@ -238,8 +213,7 @@ class VipSystem
      *  components. */
     void refreshDue();
 
-    /** Lower nocDue_ to the NoC's next event after a send (serial
-     *  path only). */
+    /** Lower nocDue_ to the NoC's next event after a send. */
     void noteSend();
 
     void routeRequest(std::unique_ptr<MemRequest> req, unsigned src_vault);
@@ -249,29 +223,6 @@ class VipSystem
     /** Drain vault @p v's parked ingress queue into freed slots.
      *  @return true when at least one request reached the vault. */
     bool drainIngress(unsigned v);
-
-    // ---- island mode (cfg_.islands > 1) ----------------------------
-    Cycles islandRun(Cycles deadline, const CancelToken *cancel);
-    void tickIsland(unsigned island, Cycles now);
-    bool islandIdle(unsigned island) const;
-    Cycles islandNextEventAt(unsigned island, Cycles now) const;
-    std::uint64_t islandProgress(unsigned island) const;
-    void fastForwardIsland(unsigned island, Cycles from, Cycles to);
-    void catchUpIsland(unsigned island, Cycles until);
-
-    /**
-     * The current cycle as seen by @p vault's island: the per-island
-     * tick cursor while that island's thread is inside a quantum, the
-     * global clock otherwise. Request/response routing runs on island
-     * threads and must timestamp packets with *its* island's time.
-     */
-    Cycles
-    localNow(unsigned vault) const
-    {
-        if (cfg_.islands == 1)
-            return now_;
-        return islandNow_[partition_.islandOf(vault)].v;
-    }
 
     /**
      * The per-vault queues of requests that reached their home vault
@@ -298,18 +249,12 @@ class VipSystem
     std::vector<std::unique_ptr<Pe>> pes_;
     std::unique_ptr<FaultInjector> injector_;
 
-    /** The island cut (a single all-nodes island when islands == 1). */
-    IslandPartition partition_;
-
-    /** Requests that reached their vault but found its queue full.
-     *  Per-vault, hence island-confined like the vaults themselves. */
+    /** Requests that reached their vault but found its queue full. */
     std::vector<std::deque<std::unique_ptr<MemRequest>>> ingress_;
     IngressDrain ingressDrain_{*this};
 
     /** Requests parked across all of ingress_, so the fast-forward
-     *  loop skips the drain and its horizon term when none are.
-     *  Serial path only: island threads park concurrently, so they
-     *  leave it alone and nothing reads it there. */
+     *  loop skips the drain and its horizon term when none are. */
     std::size_t parked_ = 0;
 
     /**
@@ -319,43 +264,26 @@ class VipSystem
      * (deliverToVault's enqueue, a response landing at its PE) and
      * recomputed by tickDue() for a vault the ingress drain fed and by
      * refreshDue() when run() starts. An early entry only costs a
-     * tick; a late one would be wrong. Only serialRun() reads them;
-     * the island path writes just its own vaults' and PEs' entries.
-     * nocDue_ is the NoC's: its nextEventAt(now + 1) after its last
-     * tick, lowered by every send (noteSend), and never touched by
-     * the island path.
+     * tick; a late one would be wrong. nocDue_ is the NoC's: its
+     * nextEventAt(now + 1) after its last tick, lowered by every send
+     * (noteSend).
      */
     std::vector<Cycles> vaultDue_;
     std::vector<Cycles> peDue_;
     Cycles nocDue_ = 0;
 
-    /** Every tickable unit, in the machine's tick order (serial path;
-     *  island threads tick the same components in the same per-node
-     *  order, restricted to their own island). */
+    /** Every tickable unit, in the machine's tick order. */
     std::vector<Clocked *> clocked_;
 
     FastForwardStats ff_;
 
-    /** Per-island fast-forward tallies, merged into ff_ (in island
-     *  order) after the threads join. */
-    std::vector<FastForwardStats> ffIsland_;
-
-    /** Per-island tick cursors for localNow(); cache-line padded —
-     *  each island's thread rewrites its own entry every tick. */
-    struct alignas(64) PaddedCycles
-    {
-        Cycles v = 0;
-    };
-    std::vector<PaddedCycles> islandNow_;
-
     Cycles now_ = 0;
 
     /** Runtime check of the one-run-at-a-time invariant (see run()):
-     *  the machine's state is confined (per thread, or per island
-     *  between barriers), not synchronized, so concurrent entry is a
-     *  caller bug, caught here instead of as a silent race. TSan
-     *  builds (-DVIP_SANITIZE=thread) verify the confinement holds in
-     *  the sweep, serve, and island paths. */
+     *  the machine's state is confined to one thread, not
+     *  synchronized, so concurrent entry is a caller bug, caught here
+     *  instead of as a silent race. TSan builds (-DVIP_SANITIZE=thread)
+     *  verify the confinement holds in the sweep and serve paths. */
     std::atomic<bool> running_{false};
 };
 

@@ -15,10 +15,10 @@
 #include "kernels/bp_kernel.hh"
 #include "kernels/conv_kernel.hh"
 #include "kernels/layout.hh"
-#include "kernels/runner.hh"
 #include "pe/arc.hh"
 #include "pe/scratchpad.hh"
 #include "sim/rng.hh"
+#include "system/simulation.hh"
 #include "workloads/nn.hh"
 
 namespace vip {

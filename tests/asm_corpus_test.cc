@@ -11,7 +11,7 @@
 #include <sstream>
 
 #include "isa/assembler.hh"
-#include "kernels/runner.hh"
+#include "system/simulation.hh"
 #include "workloads/fixed.hh"
 
 namespace vip {

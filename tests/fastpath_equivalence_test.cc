@@ -9,7 +9,7 @@
  * prove the fast path actually ran. Scenarios cover a tight scalar
  * loop (the fast path's best case), the BP and CNN kernels (vector /
  * memory heavy, mostly fallback), a fault campaign (per-µop ordinal
- * keys must not shift), and an island-sharded run.
+ * keys must not shift), and a 16-vault BP run.
  *
  * Four scenarios additionally pin the seed goldens from
  * hotpath_equivalence_test with the fast path on AND off, so the two
@@ -27,10 +27,10 @@
 #include "kernels/fc_kernel.hh"
 #include "kernels/layout.hh"
 #include "kernels/pool_kernel.hh"
-#include "kernels/runner.hh"
 #include "sim/fault.hh"
 #include "sim/json.hh"
 #include "sim/rng.hh"
+#include "system/simulation.hh"
 #include "workloads/mrf.hh"
 #include "workloads/nn.hh"
 
@@ -51,11 +51,10 @@ struct Observed
 };
 
 Observed
-observe(SystemConfig cfg, bool fast, unsigned islands,
+observe(SystemConfig cfg, bool fast,
         const std::function<void(Simulation &)> &drive)
 {
     cfg.fastPath = fast;
-    cfg.islands = islands;
     Simulation sim(cfg);
     drive(sim);
     const RunResult result = sim.run(50'000'000);
@@ -75,43 +74,28 @@ observe(SystemConfig cfg, bool fast, unsigned islands,
 }
 
 /**
- * The core assertion: with the fast path on and off (and across the
- * given island counts), runs are indistinguishable in every
- * deterministic observable. Returns the fast-path-on observation so
- * scenarios can additionally pin goldens or require coverage.
+ * The core assertion: with the fast path on and off, runs are
+ * indistinguishable in every deterministic observable. Returns the
+ * fast-path-on observation so scenarios can additionally pin goldens
+ * or require coverage.
  */
 Observed
 expectFastPathEquivalent(const SystemConfig &cfg,
-                         const std::function<void(Simulation &)> &drive,
-                         std::initializer_list<unsigned> island_counts = {1u})
+                         const std::function<void(Simulation &)> &drive)
 {
-    Observed first_on;
-    bool have_first = false;
-    for (const unsigned islands : island_counts) {
-        const Observed off = observe(cfg, false, islands, drive);
-        const Observed on = observe(cfg, true, islands, drive);
-        EXPECT_TRUE(off.halted) << "islands=" << islands;
-        EXPECT_TRUE(on.halted) << "islands=" << islands;
-        EXPECT_EQ(off.cycles, on.cycles) << "islands=" << islands;
-        EXPECT_EQ(off.resultJson, on.resultJson)
-            << "islands=" << islands;
-        EXPECT_EQ(off.dramDigest, on.dramDigest)
-            << "islands=" << islands;
-        EXPECT_EQ(off.faults.dramBitFlips, on.faults.dramBitFlips);
-        EXPECT_EQ(off.faults.retentionErrors, on.faults.retentionErrors);
-        EXPECT_EQ(off.faults.eccCorrected, on.faults.eccCorrected);
-        EXPECT_EQ(off.faults.eccSilent, on.faults.eccSilent);
-        EXPECT_EQ(off.faults.spBitFlips, on.faults.spBitFlips);
-        // The interpreter must not touch the µop machinery at all;
-        // the replay must account every issued µop.
-        EXPECT_EQ(off.fastUops, 0u);
-        EXPECT_EQ(off.blockRuns, 0u);
-        if (!have_first) {
-            first_on = on;
-            have_first = true;
-        }
-    }
-    return first_on;
+    const Observed off = observe(cfg, false, drive);
+    const Observed on = observe(cfg, true, drive);
+    EXPECT_TRUE(off.halted);
+    EXPECT_TRUE(on.halted);
+    EXPECT_EQ(off.cycles, on.cycles);
+    EXPECT_EQ(off.resultJson, on.resultJson);
+    EXPECT_EQ(off.dramDigest, on.dramDigest);
+    EXPECT_TRUE(off.faults == on.faults);
+    // The interpreter must not touch the µop machinery at all;
+    // the replay must account every issued µop.
+    EXPECT_EQ(off.fastUops, 0u);
+    EXPECT_EQ(off.blockRuns, 0u);
+    return on;
 }
 
 MrfProblem
@@ -175,7 +159,7 @@ TEST(FastPathEquivalence, BpSweepFourPes)
     };
     const Observed on = expectFastPathEquivalent(cfg, drive);
     EXPECT_EQ(on.cycles, 2048u);
-    EXPECT_EQ(observe(cfg, false, 1, drive).dramDigest,
+    EXPECT_EQ(observe(cfg, false, drive).dramDigest,
               8335395983873963827ull);
     EXPECT_EQ(on.dramDigest, 8335395983873963827ull);
 }
@@ -344,17 +328,16 @@ TEST(FastPathEquivalence, FaultCampaign)
 
     // The campaign must actually fire for the equivalence to mean
     // anything.
-    const Observed on = observe(cfg, true, 1, drive);
+    const Observed on = observe(cfg, true, drive);
     EXPECT_GT(on.faults.dramBitFlips + on.faults.retentionErrors +
                   on.faults.spBitFlips,
               0u);
 }
 
-TEST(FastPathEquivalence, IslandShardedBp)
+TEST(FastPathEquivalence, SixteenVaultBp)
 {
     // Every vault of a 16-vault machine runs the BP sweep; the fast
-    // path must compose with the island scheduler (2 and 4 cuts) and
-    // still match the serial interpreter bit for bit.
+    // path must still match the interpreter bit for bit.
     const unsigned W = 12, H = 8, L = 8;
     const MrfProblem problem = makeProblem(W, H, L, 42);
     SystemConfig cfg = makeSystemConfig(16, 4);
@@ -373,7 +356,7 @@ TEST(FastPathEquivalence, IslandShardedBp)
                                (pe + 1) * per}));
             }
         }
-    }, {1u, 2u, 4u});
+    });
 }
 
 } // namespace

@@ -3,7 +3,8 @@
  * Fast-forward equivalence harness: the event-horizon warp in
  * VipSystem::run() (sim/clocked.hh) must be invisible in every
  * observable — final cycle count, the complete dumped statistics tree
- * (JSON, stable key order), and DRAM contents — across representative
+ * (JSON, stable key order), DRAM contents, and the fault counters of
+ * an injection campaign — across representative
  * kernels. Each scenario drives the same program on two machines, one
  * warping and one ticking every cycle, and requires bit-identical
  * results.
@@ -21,8 +22,9 @@
 #include "kernels/conv_kernel.hh"
 #include "kernels/fc_kernel.hh"
 #include "kernels/layout.hh"
-#include "kernels/runner.hh"
+#include "sim/fault.hh"
 #include "sim/rng.hh"
+#include "system/simulation.hh"
 #include "workloads/mrf.hh"
 #include "workloads/nn.hh"
 
@@ -35,6 +37,7 @@ struct Observed
     Cycles cycles = 0;
     std::string statsJson;
     std::uint64_t dramDigest = 0;
+    FaultStats faults;
     Cycles skipped = 0;
     std::uint64_t warps = 0;
 };
@@ -58,6 +61,8 @@ observe(SystemConfig cfg, bool ff,
     sys.stats().dumpJson(os);
     o.statsJson = os.str();
     o.dramDigest = sys.dram().fingerprint();
+    if (const FaultInjector *inj = sys.faultInjector())
+        o.faults = inj->stats();
     o.skipped = sys.fastForwardStats().skippedCycles;
     o.warps = sys.fastForwardStats().warps;
     return o;
@@ -79,6 +84,7 @@ expectEquivalent(const SystemConfig &cfg,
     EXPECT_EQ(warped.cycles, ticked.cycles);
     EXPECT_EQ(warped.statsJson, ticked.statsJson);
     EXPECT_EQ(warped.dramDigest, ticked.dramDigest);
+    EXPECT_TRUE(warped.faults == ticked.faults);
 
     EXPECT_EQ(ticked.skipped, 0u);
     EXPECT_EQ(ticked.warps, 0u);
@@ -101,6 +107,32 @@ makeProblem(unsigned w, unsigned h, unsigned labels, std::uint64_t seed)
     for (auto &c : p.dataCost)
         c = static_cast<Fx16>(rng.nextBelow(25));
     return p;
+}
+
+/** A fenced DRAM copy of @p chunks 1 KiB chunks from @p src to
+ *  @p dst. */
+std::vector<Instruction>
+copyProgram(Addr src, Addr dst, unsigned chunks)
+{
+    AsmBuilder b;
+    b.movImm(1, 0);
+    b.movImm(2, chunks);
+    b.movImm(3, static_cast<std::int64_t>(src));
+    b.movImm(4, static_cast<std::int64_t>(dst));
+    b.movImm(5, 1024);  // chunk stride (bytes)
+    b.movImm(6, 512);   // elements per chunk
+    b.movImm(7, 0);     // scratchpad buffer
+    const auto loop = b.newLabel();
+    b.bind(loop);
+    b.ldSram(7, 3, 6);
+    b.stSram(7, 4, 6);
+    b.memfence();
+    b.scalar(ScalarOp::Add, 3, 3, 5);
+    b.scalar(ScalarOp::Add, 4, 4, 5);
+    b.addImm(1, 1, 1);
+    b.branch(BranchCond::Lt, 1, 2, loop);
+    b.halt();
+    return b.finish();
 }
 
 TEST(FfEquivalence, BpSweepFourPes)
@@ -417,6 +449,40 @@ TEST(FfEquivalence, HostInterventionsBetweenRuns)
     ASSERT_EQ(cuts[0].size(), cuts[1].size());
     for (std::size_t i = 0; i < cuts[0].size(); ++i)
         ASSERT_EQ(cuts[0][i], cuts[1][i]) << "phase " << i;
+}
+
+TEST(FfEquivalence, SixteenVaultFaultCampaign)
+{
+    // A vault-tiled copy on a 16-vault machine under a campaign of
+    // read-disturb, retention, and scratchpad faults: every draw is
+    // keyed by event identity, never by cycle, so the warp must not
+    // move a single fault, counter, or scrubbed DRAM byte.
+    SystemConfig cfg = makeSystemConfig(16, 1);
+    cfg.faults = FaultPlan::parse(
+        "seed=7,dram-read=1e-3,retention=1e-4,sp-flip=1e-4,ecc=on");
+
+    auto drive = [](VipSystem &sys) {
+        Rng rng(11);
+        for (unsigned v = 0; v < 16; ++v) {
+            std::vector<std::int16_t> data(4096);
+            for (auto &d : data)
+                d = static_cast<std::int16_t>(rng.nextRange(-99, 99));
+            sys.dram().write(sys.vaultBase(v), data.data(),
+                             data.size() * 2);
+            sys.pe(v).loadProgram(
+                copyProgram(sys.vaultBase(v),
+                            sys.vaultBase(v) + (4ull << 20), 8));
+        }
+        sys.run(50'000'000);
+    };
+    expectEquivalent(cfg, drive);
+
+    // The campaign must actually fire for the equivalence above to
+    // mean anything.
+    const Observed o = observe(cfg, true, drive);
+    EXPECT_GT(o.faults.dramBitFlips + o.faults.retentionErrors +
+                  o.faults.spBitFlips,
+              0u);
 }
 
 TEST(FfEquivalence, MemoryBoundCopySkipsMostCycles)

@@ -22,8 +22,8 @@
 #include "kernels/fc_kernel.hh"
 #include "kernels/layout.hh"
 #include "kernels/pool_kernel.hh"
-#include "kernels/runner.hh"
 #include "sim/rng.hh"
+#include "system/simulation.hh"
 #include "workloads/mrf.hh"
 #include "workloads/nn.hh"
 
@@ -87,10 +87,10 @@ TEST(HotpathEquivalence, BpSweepFourPes)
         }
         sys.run(50'000'000);
         // Cycles re-pinned (2043 -> 2048) when NoC events gained the
-        // canonical (cycle, node, lane key) total order for island
-        // determinism: same-cycle deliveries at one router now tie-break
-        // by packet identity instead of heap happenstance, which shifts
-        // link-contention timing slightly. Instructions and the DRAM
+        // canonical (cycle, node, lane key) total order: same-cycle
+        // deliveries at one router now tie-break by packet identity
+        // instead of heap happenstance, which shifts link-contention
+        // timing slightly. Instructions and the DRAM
         // digest are order-invariant and did not move.
     }, Golden{2048, 3064, 8335395983873963827ull});
 }

@@ -240,9 +240,11 @@ enum class Outcome
 };
 
 /// Decode one request line the way the daemon does. Any exception
-/// other than the two structured kinds escapes and fails the test.
+/// other than the two structured kinds escapes and fails the test;
+/// @p error receives a structured error's message.
 Outcome
-decode(const std::string &line, RunSpec *out = nullptr)
+decode(const std::string &line, RunSpec *out = nullptr,
+       std::string *error = nullptr)
 {
     try {
         const Json req = Json::parse(line);
@@ -250,9 +252,13 @@ decode(const std::string &line, RunSpec *out = nullptr)
         if (out)
             *out = std::move(spec);
         return Outcome::Ok;
-    } catch (const JsonError &) {
+    } catch (const JsonError &e) {
+        if (error)
+            *error = e.message();
         return Outcome::JsonErr;
-    } catch (const ConfigError &) {
+    } catch (const ConfigError &e) {
+        if (error)
+            *error = e.message();
         return Outcome::ConfigErr;
     }
 }
@@ -320,10 +326,16 @@ TEST(RunSpecMalformed, HostileRequestsAreStructuredErrors)
 {
     const std::string deep = std::string(kMaxDepth + 1, '[') +
                              std::string(kMaxDepth + 1, ']');
+    // "islands" is a retired host knob: accepted and ignored, so a
+    // spec that sets it is the spec without it (same re-encoding,
+    // same fingerprint), but a malformed value is still an error.
+    const std::string no_islands = "{\"run\": {\"config\": {}}}";
     const struct
     {
         std::string line;
         Outcome outcome;
+        std::string errorNames = {};  ///< substring of the message
+        std::string sameSpecAs = {};  ///< line decoding to an equal spec
     } cases[] = {
         {"{\"run\": {\"pokes\": " + deep + "}}", Outcome::JsonErr},
         {"{\"run\": {\"maxCycles\": 18446744073709551616}}",
@@ -358,13 +370,31 @@ TEST(RunSpecMalformed, HostileRequestsAreStructuredErrors)
          "\"source\": \"\\ud83d\\ude00\"}]}}",
          Outcome::Ok},
         {"{\"run\": {\"bogus\": 1}}", Outcome::ConfigErr},
-        {"{\"run\": {\"config\": {\"bogus\": 1}}}", Outcome::ConfigErr},
+        {"{\"run\": {\"config\": {\"bogus\": 1}}}", Outcome::ConfigErr,
+         "bogus"},
+        {"{\"run\": {\"config\": {\"islands\": 4}}}", Outcome::Ok, "",
+         no_islands},
+        {"{\"run\": {\"config\": {\"islands\": \"x\"}}}",
+         Outcome::ConfigErr, "islands"},
+        {"{\"run\": {\"config\": {\"islands\": -1}}}",
+         Outcome::ConfigErr, "islands"},
         {"{\"run\": []}", Outcome::JsonErr},
         {"{\"cmd\": \"stats\"}", Outcome::JsonErr},
         {"", Outcome::JsonErr},
     };
-    for (const auto &c : cases)
-        EXPECT_EQ(decode(c.line), c.outcome) << c.line;
+    for (const auto &c : cases) {
+        RunSpec spec;
+        std::string error;
+        EXPECT_EQ(decode(c.line, &spec, &error), c.outcome) << c.line;
+        EXPECT_NE(error.find(c.errorNames), std::string::npos)
+            << c.line << ": " << error;
+        if (c.sameSpecAs.empty())
+            continue;
+        RunSpec same;
+        ASSERT_EQ(decode(c.sameSpecAs, &same), Outcome::Ok);
+        EXPECT_EQ(spec.toJson().str(), same.toJson().str()) << c.line;
+        EXPECT_EQ(spec.fingerprint(), same.fingerprint()) << c.line;
+    }
 }
 
 } // namespace

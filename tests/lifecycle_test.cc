@@ -187,15 +187,6 @@ TEST(Cancel, SerialRunStopsOnCancelledToken)
     EXPECT_THROW(runSpec(spinSpec(), &tok), CancelledError);
 }
 
-TEST(Cancel, IslandRunStopsOnCancelledToken)
-{
-    RunSpec spec = spinSpec();
-    spec.config.islands = 2;
-    CancelToken tok;
-    tok.cancel();
-    EXPECT_THROW(runSpec(spec, &tok), CancelledError);
-}
-
 TEST(Cancel, CancelFromAnotherThreadStopsTheRun)
 {
     CancelToken tok;
@@ -217,14 +208,6 @@ TEST(Budget, SerialRunTimesOut)
     } catch (const TimeoutError &e) {
         EXPECT_EQ(e.kind(), "timeout");
     }
-}
-
-TEST(Budget, IslandRunTimesOut)
-{
-    RunSpec spec = spinSpec();
-    spec.config.islands = 2;
-    spec.budgetMs = 30;
-    EXPECT_THROW(runSpec(spec), TimeoutError);
 }
 
 TEST(Budget, RunWithinBudgetMatchesUnbudgetedRun)

@@ -7,14 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include "isa/builder.hh"
 #include "kernels/bp_kernel.hh"
 #include "kernels/layout.hh"
-#include "kernels/runner.hh"
 #include "model/baselines.hh"
 #include "model/gpu_model.hh"
 #include "model/power.hh"
-#include "isa/builder.hh"
 #include "model/roofline.hh"
+#include "system/simulation.hh"
 
 namespace vip {
 namespace {

@@ -10,8 +10,8 @@
 #include "kernels/conv_kernel.hh"
 #include "kernels/fc_kernel.hh"
 #include "kernels/pool_kernel.hh"
-#include "kernels/runner.hh"
 #include "sim/rng.hh"
+#include "system/simulation.hh"
 #include "workloads/nn.hh"
 
 namespace vip {

@@ -11,8 +11,8 @@
 #include <limits>
 
 #include "isa/builder.hh"
-#include "kernels/runner.hh"
 #include "sim/rng.hh"
+#include "system/simulation.hh"
 #include "system/system.hh"
 #include "workloads/fixed.hh"
 

@@ -17,8 +17,8 @@
 #include "kernels/fc_kernel.hh"
 #include "kernels/layout.hh"
 #include "kernels/pool_kernel.hh"
-#include "kernels/runner.hh"
 #include "sim/rng.hh"
+#include "system/simulation.hh"
 #include "workloads/flow.hh"
 #include "workloads/nn.hh"
 

@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "isa/builder.hh"
-#include "kernels/runner.hh"
+#include "system/simulation.hh"
 #include "workloads/fixed.hh"
 
 namespace vip {

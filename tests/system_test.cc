@@ -8,11 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "isa/builder.hh"
-#include "kernels/runner.hh"
 #include "kernels/sync.hh"
 #include "sim/error.hh"
-#include "workloads/fixed.hh"
+#include "system/simulation.hh"
 #include "system/system.hh"
+#include "workloads/fixed.hh"
 
 namespace vip {
 namespace {

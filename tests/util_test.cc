@@ -9,8 +9,8 @@
 
 #include "isa/builder.hh"
 #include "kernels/emit_util.hh"
-#include "kernels/runner.hh"
 #include "noc/torus.hh"
+#include "system/simulation.hh"
 
 namespace vip {
 namespace {

@@ -44,8 +44,7 @@ enum Flag : unsigned
     kJsonStats = 1u << 1,    ///< --json-stats FILE
     kFastForward = 1u << 2,  ///< --no-fast-forward
     kInject = 1u << 3,       ///< --inject SPEC
-    kIslands = 1u << 4,      ///< --islands N
-    kFastPath = 1u << 5,     ///< --no-fast-path
+    kFastPath = 1u << 4,     ///< --no-fast-path
 };
 
 /** Values of the shared flags, pre-set to their defaults. */
@@ -55,7 +54,6 @@ struct CommonOptions
     std::string jsonStatsPath;  ///< empty = no JSON dump; "-" = stdout
     bool fastForward = true;    ///< false after --no-fast-forward
     std::string injectSpec;     ///< empty = no fault campaign
-    unsigned islands = 1;       ///< 1 = serial tick loop
     bool fastPath = true;       ///< false after --no-fast-path
 };
 
@@ -113,14 +111,6 @@ consumeCommon(int argc, char **argv, int &i, unsigned flags,
         out.fastPath = false;
         return true;
     }
-    if ((flags & kIslands) && std::strcmp(arg, "--islands") == 0) {
-        // Range/divisibility validation lives with the rest of config
-        // validation (validateIslandCount, dotted-path ConfigError);
-        // here we only require a number.
-        out.islands = static_cast<unsigned>(
-            parseNum(argv[0], "--islands", value("--islands")));
-        return true;
-    }
     return false;
 }
 
@@ -140,8 +130,6 @@ commonUsage(unsigned flags)
         add("[--json-stats FILE]");
     if (flags & kInject)
         add("[--inject SPEC]");
-    if (flags & kIslands)
-        add("[--islands N]");
     if (flags & kFastForward)
         add("[--no-fast-forward]");
     if (flags & kFastPath)
@@ -165,12 +153,6 @@ commonHelp(unsigned flags)
     if (flags & kInject) {
         out += "  --inject SPEC       fault campaign, e.g. "
                "seed=7,dram-read=1e-7,ecc=on\n";
-    }
-    if (flags & kIslands) {
-        out += "  --islands N         shard the run across N host "
-               "threads (must divide the\n"
-               "                      NoC X dimension; 1 = serial, "
-               "output is bit-identical)\n";
     }
     if (flags & kFastForward) {
         out += "  --no-fast-forward   tick every cycle instead of "

@@ -30,9 +30,6 @@
  *                          structured "timeout" error (exit 1)
  *     --vaults N           machine size (default 1 vault; the torus
  *                          shape is derived with nocDimsFor)
- *     --islands N          shard the run across N host threads
- *                          (bit-identical results; N must divide the
- *                          NoC X dimension)
  *     --no-fast-forward    tick every cycle instead of warping over
  *                          provably dead ones (same results, slower)
  *     --no-fast-path       interpret every instruction instead of
@@ -81,7 +78,6 @@
 #include "sim/error.hh"
 #include "sim/fault.hh"
 #include "sim/json.hh"
-#include "sim/sweep.hh"
 #include "system/runspec.hh"
 
 using namespace vip;
@@ -121,12 +117,10 @@ usage()
         "       | vip-run --resume JOURNAL "
         "%s\n%s",
         cli::commonUsage(cli::kJsonStats | cli::kInject |
-                         cli::kIslands | cli::kFastForward |
-                         cli::kFastPath)
+                         cli::kFastForward | cli::kFastPath)
             .c_str(),
         cli::commonHelp(cli::kJsonStats | cli::kInject |
-                        cli::kIslands | cli::kFastForward |
-                        cli::kFastPath)
+                        cli::kFastForward | cli::kFastPath)
             .c_str());
     return 2;
 }
@@ -185,7 +179,6 @@ specFromOptions(const Options &opt, const std::string &source)
     spec.config = makeSystemConfig(opt.vaults, 1);
     spec.config.pe.strictHazards = opt.strict;
     spec.config.fastForward = opt.common.fastForward;
-    spec.config.islands = opt.common.islands;
     spec.config.fastPath = opt.common.fastPath;
     if (!opt.common.injectSpec.empty())
         spec.config.faults = FaultPlan::parse(opt.common.injectSpec);
@@ -359,8 +352,7 @@ int
 main(int argc, char **argv)
 {
     constexpr unsigned kFlags = cli::kJsonStats | cli::kInject |
-                                cli::kIslands | cli::kFastForward |
-                                cli::kFastPath;
+                                cli::kFastForward | cli::kFastPath;
     Options opt;
     for (int i = 1; i < argc; ++i) {
         if (cli::consumeCommon(argc, argv, i, kFlags, opt.common))
@@ -432,16 +424,6 @@ main(int argc, char **argv)
     }
     if (opt.sourcePath.empty())
         return usage();
-
-    bool oversubscribed = false;
-    hostThreadBudget(1, opt.common.islands, &oversubscribed);
-    if (oversubscribed) {
-        std::fprintf(stderr,
-                     "vip-run: warning: --islands %u exceeds the "
-                     "host's %u hardware threads; expect slowdown, "
-                     "not speedup\n",
-                     opt.common.islands, SweepEngine::hardwareJobs());
-    }
 
     try {
         return run(opt);

@@ -22,9 +22,6 @@
  * Options:
  *   --jobs N     worker pool size (default 1: inline, deterministic
  *                response order timing; 0 = hardware concurrency)
- *   --islands N  island count applied to run requests that don't set
- *                one (default 1 = serial; results are bit-identical
- *                either way, see system/partition.hh)
  *   --no-fast-path
  *                interpret every instruction on requests that don't
  *                ask otherwise (default: replay decoded µops; results
@@ -63,7 +60,6 @@
 
 #include "cli.hh"
 #include "serve/serve.hh"
-#include "sim/sweep.hh"
 
 #ifdef __unix__
 #include <cerrno>
@@ -131,11 +127,9 @@ usage()
                  "(crash recovery)\n"
                  "  --max-queue N       shed run requests beyond N in "
                  "flight (default 4*jobs+4)\n",
-                 cli::commonUsage(cli::kJobs | cli::kIslands |
-                                  cli::kFastPath)
+                 cli::commonUsage(cli::kJobs | cli::kFastPath)
                      .c_str(),
-                 cli::commonHelp(cli::kJobs | cli::kIslands |
-                                 cli::kFastPath)
+                 cli::commonHelp(cli::kJobs | cli::kFastPath)
                      .c_str());
     return 2;
 }
@@ -328,9 +322,7 @@ main(int argc, char **argv)
     bool useStdin = true;
 
     for (int i = 1; i < argc; ++i) {
-        if (cli::consumeCommon(argc, argv, i,
-                               cli::kJobs | cli::kIslands |
-                                   cli::kFastPath,
+        if (cli::consumeCommon(argc, argv, i, cli::kJobs | cli::kFastPath,
                                common))
             continue;
         const std::string arg = argv[i];
@@ -363,22 +355,10 @@ main(int argc, char **argv)
     installSignalHandlers();
 
     opts.jobs = common.jobs;
-    opts.defaultIslands = common.islands;
     opts.defaultFastPath = common.fastPath;
     // Drain-then-exit on SIGINT/SIGTERM: serve() polls this between
     // request lines and returns after finishing in-flight work.
     opts.stopRequested = [] { return g_signal != 0; };
-    bool oversubscribed = false;
-    const unsigned budget =
-        hostThreadBudget(common.jobs, common.islands, &oversubscribed);
-    if (oversubscribed) {
-        std::fprintf(stderr,
-                     "vip-serve: warning: --jobs x --islands wants %u "
-                     "host threads but the host has %u; expect "
-                     "thrashing, not throughput\n",
-                     budget, SweepEngine::hardwareJobs());
-    }
-
     try {
         VipServer server(opts);
         if (useStdin) {
