@@ -116,6 +116,10 @@
 
 namespace vip {
 
+/** The request reader copies a line out of its stream in pieces of at
+ *  most this many bytes: one stream sentry and one bulk copy each. */
+inline constexpr std::size_t kServeReadChunk = 8192;
+
 struct ServeOptions
 {
     /** Worker pool size; 1 (default) runs requests inline, 0 picks

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <streambuf>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +24,7 @@
 #include <ext/stdio_filebuf.h>
 #endif
 
+#include "serve/journal.hh"
 #include "serve/serve.hh"
 #include "sim/json.hh"
 #include "sim/rng.hh"
@@ -457,6 +460,232 @@ TEST(VipServer, LruEvictsAndCountsWhenBounded)
     EXPECT_EQ(server.cacheMisses(), 3u);  // a evicted by b, re-ran
     EXPECT_EQ(server.cacheHits(), 0u);
     EXPECT_EQ(server.cacheEvictions(), 2u);
+}
+
+// ---- Framing: how the reader splits a stream into request lines ------
+
+/// The smallest useful run request.
+const std::string kHaltRequest =
+    "{\"run\":{\"maxCycles\":1000,\"programs\":[{\"pe\":0,"
+    "\"source\":\"halt\\n\"}]}}";
+
+/// kHaltRequest padded with trailing JSON whitespace to exactly
+/// @p bytes.
+std::string
+paddedRequest(std::size_t bytes)
+{
+    std::string line = kHaltRequest;
+    EXPECT_LE(line.size(), bytes);
+    line.resize(bytes, ' ');
+    return line;
+}
+
+struct Served
+{
+    std::vector<std::string> responses;
+    std::uint64_t requests = 0;
+    std::uint64_t errors = 0;
+};
+
+Served
+serveStream(const std::string &stream, const ServeOptions &opts = {})
+{
+    VipServer server(opts);
+    std::istringstream in(stream);
+    std::ostringstream out;
+    server.serve(in, out);
+    return {lines(out.str()), server.requests(), server.errors()};
+}
+
+/// The response every spelling of kHaltRequest must get.
+std::string
+haltResponse()
+{
+    const Served s = serveStream(kHaltRequest + "\n");
+    EXPECT_EQ(s.responses.size(), 1u);
+    return s.responses.empty() ? "" : s.responses[0];
+}
+
+std::string
+jsonError(const std::string &message)
+{
+    return "{\"error\":{\"detail\":\"\",\"kind\":\"json\",\"message\":\"" +
+           message + "\"}}";
+}
+
+TEST(ServeFraming, LinesAroundTheReadChunkAreServedWhole)
+{
+    const std::size_t c = kServeReadChunk;
+    const std::string want = haltResponse();
+    ASSERT_NE(want.find("\"key\""), std::string::npos) << want;
+    // Chunk - 1 and chunk bytes (the newline lands right after the
+    // first chunk: on the boundary), one over, and lines spanning two
+    // and three chunks.
+    const std::vector<std::size_t> sizes = {
+        c - 1, c, c + 1, 2 * c - 1, 2 * c, 2 * c + 1, 3 * c + 17};
+    std::string stream;
+    for (const std::size_t n : sizes)
+        stream += paddedRequest(n) + "\n";
+    ServeOptions opts;
+    opts.cacheEntries = 0;  // every line must decode and run itself
+    const Served s = serveStream(stream, opts);
+    ASSERT_EQ(s.responses.size(), sizes.size());
+    for (std::size_t i = 0; i < sizes.size(); ++i)
+        EXPECT_EQ(s.responses[i], want) << sizes[i] << "-byte line";
+    EXPECT_EQ(s.requests, sizes.size());
+    EXPECT_EQ(s.errors, 0u);
+}
+
+/// A stream buffer that hands out at most @p step bytes per refill, the
+/// way a pipe or socket delivers a long line in pieces.
+class TrickleBuf : public std::streambuf
+{
+  public:
+    TrickleBuf(std::string data, std::size_t step)
+        : data_(std::move(data)), step_(step)
+    {}
+
+  protected:
+    int_type
+    underflow() override
+    {
+        if (gptr() < egptr())
+            return traits_type::to_int_type(*gptr());
+        if (pos_ == data_.size())
+            return traits_type::eof();
+        const std::size_t n = std::min(step_, data_.size() - pos_);
+        char *base = data_.data() + pos_;
+        setg(base, base, base + n);
+        pos_ += n;
+        return traits_type::to_int_type(*base);
+    }
+
+  private:
+    std::string data_;
+    std::size_t step_;
+    std::size_t pos_ = 0;
+};
+
+TEST(ServeFraming, LinesSplitAcrossStreamRefillsAreServedWhole)
+{
+    const std::size_t c = kServeReadChunk;
+    const std::string want = haltResponse();
+    const std::string stream = paddedRequest(c) + "\n\n" +
+                               paddedRequest(2 * c + 1) + "\n" +
+                               kHaltRequest;
+    for (const std::size_t step : {std::size_t{1}, std::size_t{7},
+                                   c - 1, c + 3}) {
+        TrickleBuf buf(stream, step);
+        std::istream in(&buf);
+        std::ostringstream out;
+        VipServer server;
+        server.serve(in, out);
+        const std::vector<std::string> rsp = lines(out.str());
+        ASSERT_EQ(rsp.size(), 3u) << step;
+        for (const std::string &r : rsp)
+            EXPECT_EQ(r, want) << step;
+        EXPECT_EQ(server.requests(), 3u);
+    }
+}
+
+TEST(ServeFraming, MaxLineBytesIsInclusiveAndOversizedLinesAreNotJournaled)
+{
+    const std::string want = haltResponse();
+    for (const std::size_t max : {std::size_t{100},
+                                  2 * kServeReadChunk + 5}) {
+        const std::string path =
+            ::testing::TempDir() + "serve_framing_journal.jsonl";
+        std::remove(path.c_str());
+        ServeOptions opts;
+        opts.maxLineBytes = max;
+        opts.journalPath = path;
+        const std::string exact = paddedRequest(max);
+        const std::string stream =
+            exact + "\n" + paddedRequest(max + 1) + "\n" + kHaltRequest +
+            "\n" + std::string(3 * kServeReadChunk, 'x') + "\n" +
+            kHaltRequest + "\n";
+        const Served s = serveStream(stream, opts);
+        const std::string protocol =
+            "{\"error\":{\"detail\":\"\",\"kind\":\"protocol\","
+            "\"message\":\"request line exceeds " +
+            std::to_string(max) + " bytes\"}}";
+        ASSERT_EQ(s.responses.size(), 5u) << max;
+        EXPECT_EQ(s.responses[0], want) << max;
+        EXPECT_EQ(s.responses[1], protocol) << max;
+        EXPECT_EQ(s.responses[2], want) << max;
+        EXPECT_EQ(s.responses[3], protocol) << max;
+        EXPECT_EQ(s.responses[4], want) << max;
+        EXPECT_EQ(s.requests, 5u);
+        EXPECT_EQ(s.errors, 2u);
+
+        // Only the served lines reached the write-ahead journal.
+        const auto entries = CampaignJournal::load(path);
+        ASSERT_EQ(entries.size(), 3u) << max;
+        EXPECT_EQ(entries[0].request, exact);
+        EXPECT_EQ(entries[1].request, kHaltRequest);
+        EXPECT_EQ(entries[2].request, kHaltRequest);
+        for (const auto &e : entries)
+            EXPECT_EQ(e.response, want);
+        std::remove(path.c_str());
+    }
+}
+
+TEST(ServeFraming, UnterminatedFinalLineIsServed)
+{
+    const std::string want = haltResponse();
+    for (const std::size_t n : {kHaltRequest.size(),
+                                2 * kServeReadChunk + 3}) {
+        const Served s =
+            serveStream(kHaltRequest + "\n" + paddedRequest(n));
+        ASSERT_EQ(s.responses.size(), 2u) << n;
+        EXPECT_EQ(s.responses[0], want);
+        EXPECT_EQ(s.responses[1], want);
+        EXPECT_EQ(s.requests, 2u);
+    }
+}
+
+TEST(ServeFraming, EmptyAndWhitespaceOnlyLinesAreSkipped)
+{
+    const Served s = serveStream("\n\n \t \r\n\r\n" + kHaltRequest +
+                                 "\n\n" + std::string(kServeReadChunk, ' ') +
+                                 "\n   \t");
+    ASSERT_EQ(s.responses.size(), 1u);
+    EXPECT_EQ(s.responses[0], haltResponse());
+    EXPECT_EQ(s.requests, 1u);
+    EXPECT_EQ(s.errors, 0u);
+}
+
+TEST(ServeFraming, EmbeddedNulAndCarriageReturnAreRequestBytes)
+{
+    const std::string nul(1, '\0');
+    // A NUL inside the padding of a line longer than one chunk, right
+    // on the chunk boundary.
+    std::string boundary = paddedRequest(kServeReadChunk + 10);
+    boundary[kServeReadChunk] = '\0';
+    const std::string stream =
+        kHaltRequest + "\r\n" +                       // \r is whitespace
+        "\r\n" +                                      // blank
+        nul + "\n" +                                  // not blank
+        kHaltRequest + nul + "\n" +                   // trailing NUL
+        "{\"cmd\":\"st" + nul + "ats\"}\n" +          // NUL in a string
+        boundary + "\n";
+    const Served s = serveStream(stream);
+    ASSERT_EQ(s.responses.size(), 5u);
+    EXPECT_EQ(s.responses[0], haltResponse());
+    EXPECT_EQ(s.responses[1], jsonError("invalid JSON number at offset 0"));
+    EXPECT_EQ(s.responses[2],
+              jsonError("trailing characters after JSON document at "
+                        "offset " +
+                        std::to_string(kHaltRequest.size())));
+    EXPECT_EQ(s.responses[3],
+              "{\"error\":{\"detail\":\"\",\"kind\":\"config\","
+              "\"message\":\"unknown command \\\"st\\u0000ats\\\"\"}}");
+    EXPECT_EQ(s.responses[4],
+              jsonError("trailing characters after JSON document at "
+                        "offset " +
+                        std::to_string(kServeReadChunk)));
+    EXPECT_EQ(s.requests, 5u);
+    EXPECT_EQ(s.errors, 4u);
 }
 
 TEST(VipServer, ShutdownStopsTheLoop)
