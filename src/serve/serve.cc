@@ -1,5 +1,6 @@
 #include "serve/serve.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -37,6 +38,10 @@ isBlank(const std::string &line)
  * caller answers with a structured protocol error instead of letting
  * a runaway client balloon the daemon. Returns false only at EOF with
  * nothing read; an unterminated final line is still delivered.
+ *
+ * Copies in kServeReadChunk pieces through istream::getline, which
+ * moves whole runs out of the stream buffer: one sentry per piece,
+ * not per byte.
  */
 bool
 readLineBounded(std::istream &in, std::size_t max_bytes,
@@ -44,18 +49,25 @@ readLineBounded(std::istream &in, std::size_t max_bytes,
 {
     line->clear();
     *overflow = false;
+    char piece[kServeReadChunk + 1];  // getline stores a trailing NUL
     bool any = false;
-    std::istream::int_type c;
-    while ((c = in.get()) != std::istream::traits_type::eof()) {
-        any = true;
-        if (c == '\n')
-            return true;
-        if (line->size() < max_bytes)
-            line->push_back(static_cast<char>(c));
-        else
+    for (;;) {
+        in.getline(piece, sizeof(piece));
+        const auto got = static_cast<std::size_t>(in.gcount());
+        any = any || got != 0;
+        // getline counts an extracted newline but does not store it.
+        const bool newline = in.good();
+        const std::size_t stored = newline ? got - 1 : got;
+        const std::size_t room = max_bytes - line->size();
+        if (stored > room)
             *overflow = true;
+        line->append(piece, std::min(stored, room));
+        // A full piece without a newline sets failbit alone: the line
+        // goes on.
+        if (newline || in.eof() || in.bad() || got != kServeReadChunk)
+            return any;
+        in.clear();
     }
-    return any;
 }
 
 } // namespace
