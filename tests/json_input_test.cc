@@ -134,6 +134,35 @@ TEST(JsonGenerated, NestingLimitIsExact)
         objects += "{\"k\":";
     objects += "1" + std::string(kMaxDepth + 1, '}');
     EXPECT_THROW(Json::parse(objects), JsonError);
+
+    // Documents cut off at the limit: which of the two errors wins.
+    const std::string deeper =
+        "JSON nesting deeper than " + std::to_string(kMaxDepth);
+    const std::string end = "unexpected end of JSON input";
+    std::string keys;
+    for (int k = 0; k < kMaxDepth; ++k)
+        keys += "{\"k\":";
+    const struct
+    {
+        std::string text;
+        std::string message;
+    } truncated[] = {
+        {std::string(kMaxDepth, '['), end},
+        {std::string(kMaxDepth, '[') + " ", end},
+        {std::string(kMaxDepth + 1, '['), deeper},
+        {std::string(kMaxDepth, '[') + "1", deeper},
+        {std::string(kMaxDepth - 1, '[') + "1", end},
+        {keys, deeper},
+        {keys.substr(5), end},
+    };
+    for (const auto &t : truncated) {
+        try {
+            Json::parse(t.text);
+            ADD_FAILURE() << t.text << " parsed";
+        } catch (const JsonError &e) {
+            EXPECT_EQ(e.message(), t.message) << t.text;
+        }
+    }
 }
 
 TEST(JsonGenerated, MovedFromValueIsNull)
