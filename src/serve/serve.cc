@@ -72,7 +72,7 @@ readLineBounded(std::istream &in, std::size_t max_bytes,
 
 } // namespace
 
-std::string
+Json
 errorResponse(const SimError &e)
 {
     Json err = Json::object();
@@ -81,7 +81,7 @@ errorResponse(const SimError &e)
     err.set("detail", e.detail());
     Json body = Json::object();
     body.set("error", std::move(err));
-    return body.str();
+    return body;
 }
 
 VipServer::VipServer(const ServeOptions &opts)
@@ -103,7 +103,6 @@ VipServer::VipServer(const ServeOptions &opts)
             "run requests rejected by the admission bound"),
       engine_(opts.jobs)
 {
-    engine_.setRetryPolicy(opts_.retry);
     if (opts_.journalPath.empty())
         return;
     // Recovery: every completed run response in the journal becomes a
@@ -224,7 +223,8 @@ VipServer::dispatchRun(const Json &spec_json)
                     "daemon at capacity (" +
                         std::to_string(inFlight_) +
                         " runs in flight, bound " +
-                        std::to_string(bound) + "); retry later")),
+                        std::to_string(bound) + "); retry later"))
+                    .str(),
                 true);
         }
         ++cacheMisses_;
@@ -234,13 +234,7 @@ VipServer::dispatchRun(const Json &spec_json)
     }
 
     auto p = std::make_shared<Pending>();
-    // Invocation count across the engine's transient retries; only
-    // the worker running this job touches it (retries re-invoke on
-    // the same thread, sequentially).
-    auto attempts = std::make_shared<unsigned>(0);
-    engine_.submit([this, spec = std::move(spec), key, p, token, run_id,
-                    attempts] {
-        const unsigned attempt = (*attempts)++;
+    engine_.submit([this, spec = std::move(spec), key, p, token, run_id] {
         std::string response;
         bool is_error = false;
         bool timed_out = false;
@@ -253,30 +247,16 @@ VipServer::dispatchRun(const Json &spec_json)
             body.set("result", result.toJson());
             response = body.str();
             fp = result.fastpath;
-        } catch (const TransientError &) {
-            // Let the engine's retry policy re-run us from the spec
-            // (byte-identical on success); answer only once retries
-            // are exhausted — an unfinished slot would wedge the
-            // window.
-            if (attempt < opts_.retry.maxRetries)
-                throw;
-            response = errorResponse(SimError(
-                "transient",
-                "run failed after " + std::to_string(attempt + 1) +
-                    " attempts"));
-            is_error = true;
         } catch (const std::bad_alloc &e) {
-            if (attempt < opts_.retry.maxRetries)
-                throw;
-            response = errorResponse(SimError("transient", e.what()));
+            response = errorResponse(SimError("transient", e.what())).str();
             is_error = true;
         } catch (const SimError &e) {
-            response = errorResponse(e);
+            response = errorResponse(e).str();
             is_error = true;
             timed_out = e.kind() == "timeout";
             was_cancelled = e.kind() == "cancelled";
         } catch (const std::exception &e) {
-            response = errorResponse(SimError("exception", e.what()));
+            response = errorResponse(SimError("exception", e.what())).str();
             is_error = true;
         }
         LockGuard lock(mutex_);
@@ -324,7 +304,6 @@ VipServer::statsResponse()
         for (const auto &[name, value] : fastpath_)
             fp.set(name, value);
     }
-    serve.set("retries", engine_.retries());
     serve.set("cacheCapacity", opts_.cacheEntries);
     serve.set("jobs", engine_.jobs());
     serve.set("fastpath", std::move(fp));
@@ -378,10 +357,10 @@ VipServer::dispatch(const std::string &line, bool *shutdown)
         throw ConfigError(
             "request must be {\"run\": {...}} or {\"cmd\": \"...\"}");
     } catch (const SimError &e) {
-        return immediate(errorResponse(e), true);
+        return immediate(errorResponse(e).str(), true);
     } catch (const std::exception &e) {
-        return immediate(errorResponse(SimError("exception", e.what())),
-                         true);
+        return immediate(
+            errorResponse(SimError("exception", e.what())).str(), true);
     }
 }
 
@@ -393,21 +372,6 @@ VipServer::emit(const PendingPtr &p, std::ostream &out)
     // a completed entry answers resumes byte-identically.
     if (p->journaled && journal_)
         journal_->appendResponse(p->seq, p->response);
-}
-
-void
-VipServer::emitReady(Window &window, std::ostream &out)
-{
-    LockGuard lock(mutex_);
-    while (!window.slots.empty() && window.slots.front()->done) {
-        const PendingPtr p = window.slots.front();
-        window.slots.pop_front();
-        if (p->isError)
-            ++errors_;
-        lock.unlock();
-        emit(p, out);
-        lock.lock();
-    }
 }
 
 void
@@ -521,7 +485,8 @@ VipServer::readRequests(std::istream &in, std::ostream &out,
                 errorResponse(SimError(
                     "protocol",
                     "request line exceeds " +
-                        std::to_string(opts_.maxLineBytes) + " bytes")),
+                        std::to_string(opts_.maxLineBytes) + " bytes"))
+                    .str(),
                 true);
         } else {
             // Write-ahead: the request is journaled before anything
@@ -561,7 +526,7 @@ VipServer::readRequests(std::istream &in, std::ostream &out,
             LockGuard lock(mutex_);
             window.slots.push_back(std::move(p));
         }
-        emitReady(window, out);
+        drain(window, out);
         if (!out)
             break;  // client vanished; finish in-flight work and return
     }

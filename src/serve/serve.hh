@@ -85,9 +85,8 @@
  * the tests pin. serve() may be called concurrently from several
  * transport threads (one per socket connection): the window is local
  * to each call, and all shared state — cache, counters, journal, the
- * in-flight run registry — is mutex-guarded. Transient host failures
- * (TransientError, std::bad_alloc) are retried with exponential
- * backoff per the retry policy before a run is reported failed.
+ * in-flight run registry — is mutex-guarded. A run that exhausts host
+ * memory (std::bad_alloc) is answered once with a "transient" error.
  */
 
 #ifndef VIP_SERVE_SERVE_HH
@@ -148,9 +147,6 @@ struct ServeOptions
      *  "overloaded". 0 = auto (4 * jobs + 4). */
     std::size_t maxQueuedRuns = 0;
 
-    /** Transient host-failure retry policy (sim/sweep.hh). */
-    RetryPolicy retry{2, 10};
-
     /** Write-ahead campaign journal path; empty disables journaling
      *  (see file comment, "Journaling & recovery"). */
     std::string journalPath;
@@ -210,7 +206,6 @@ class VipServer
     std::uint64_t timeouts() const { return counter(timeouts_); }
     std::uint64_t cancelledRuns() const { return counter(cancelledRuns_); }
     std::uint64_t shed() const { return counter(shed_); }
-    std::uint64_t retries() const { return engine_.retries(); }
 
   private:
     /** One request's slot in a connection's in-order response window.
@@ -274,9 +269,6 @@ class VipServer
 
     /** Write (and journal) one popped slot's response. */
     void emit(const PendingPtr &p, std::ostream &out);
-
-    /** Inline mode: emit every completed slot at the window's head. */
-    void emitReady(Window &window, std::ostream &out);
 
     /** Block until the whole window has been emitted (by this thread
      *  inline, by the writer thread otherwise). */
@@ -343,8 +335,9 @@ class VipServer
     SweepEngine engine_;
 };
 
-/** {"error": {...}} response body for @p e (shared with vip-run). */
-std::string errorResponse(const SimError &e);
+/** The {"error": {kind, message, detail}} body for @p e: the daemon
+ *  writes it compact, vip-run's --json-stats writes it with str(0). */
+Json errorResponse(const SimError &e);
 
 } // namespace vip
 

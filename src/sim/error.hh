@@ -140,22 +140,6 @@ class CancelledError : public SimError
     {}
 };
 
-/**
- * A transient *host-level* failure (an allocation that may succeed
- * on retry, a worker that died and was replaced) — as opposed to a
- * deterministic simulation failure, which would recur identically.
- * The sweep engine's retry policy (sim/sweep.hh) re-runs jobs that
- * throw this (or std::bad_alloc) from their spec, so a retried
- * point's output is byte-identical to a first-try success.
- */
-class TransientError : public SimError
-{
-  public:
-    explicit TransientError(std::string message)
-        : SimError("transient", std::move(message))
-    {}
-};
-
 } // namespace vip
 
 #endif // VIP_SIM_ERROR_HH

@@ -20,9 +20,9 @@
  * with and without the warp. Keyed by event identity, a
  * fast-forwarded run injects bit-identically to a ticked run, and two
  * runs with the same seed and plan strike the same sites
- * (fault_injection_test and ff_equivalence_test pin this). Like the
- * rest of the machine, an injector is confined to the thread running
- * its system.
+ * (fault_injection_test and strategy_equivalence_test pin this). Like
+ * the rest of the machine, an injector is confined to the thread
+ * running its system.
  *
  * ## Layering
  *

@@ -1,7 +1,6 @@
 #include "sim/sweep.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <new>
 
 #include "sim/error.hh"
@@ -38,66 +37,33 @@ SweepEngine::~SweepEngine()
 }
 
 void
-SweepEngine::setRetryPolicy(const RetryPolicy &policy)
-{
-    LockGuard lock(mutex_);
-    retryPolicy_ = policy;
-}
-
-void
 SweepEngine::runJob(const Job &job)
 {
     setLogThreadLabel("job" + std::to_string(job.index));
-    RetryPolicy policy;
-    {
-        LockGuard lock(mutex_);
-        policy = retryPolicy_;
-    }
     SweepFailure failure;
     failure.index = job.index;
     std::exception_ptr eptr;
-    for (unsigned attempt = 0;; ++attempt) {
-        failure.attempts = attempt + 1;
-        eptr = nullptr;
-        bool transient = false;
-        try {
-            job.fn();
-        } catch (const TransientError &e) {
-            // A host-level hiccup the policy may retry; the job
-            // rebuilds its simulation from the spec, so a retried
-            // success is byte-identical to a first-try one.
-            eptr = std::current_exception();
-            failure.kind = e.kind();
-            failure.message = e.message();
-            failure.detail = e.detail();
-            transient = true;
-        } catch (const std::bad_alloc &e) {
-            eptr = std::current_exception();
-            failure.kind = "transient";
-            failure.message = e.what();
-            transient = true;
-        } catch (const SimError &e) {
-            // Deterministic simulation failure: retrying would recur
-            // identically. Fail fast.
-            eptr = std::current_exception();
-            failure.kind = e.kind();
-            failure.message = e.message();
-            failure.detail = e.detail();
-        } catch (const std::exception &e) {
-            eptr = std::current_exception();
-            failure.kind = "exception";
-            failure.message = e.what();
-        } catch (...) {
-            eptr = std::current_exception();
-            failure.kind = "unknown";
-            failure.message = "non-exception object thrown";
-        }
-        if (!eptr || !transient || attempt >= policy.maxRetries)
-            break;
-        retries_.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            std::uint64_t{policy.backoffBaseMs}
-            << std::min(attempt, 10u)));
+    try {
+        job.fn();
+    } catch (const std::bad_alloc &e) {
+        // The host ran out of memory: a property of the moment, not
+        // of the job, so it is reported apart from simulation errors.
+        eptr = std::current_exception();
+        failure.kind = "transient";
+        failure.message = e.what();
+    } catch (const SimError &e) {
+        eptr = std::current_exception();
+        failure.kind = e.kind();
+        failure.message = e.message();
+        failure.detail = e.detail();
+    } catch (const std::exception &e) {
+        eptr = std::current_exception();
+        failure.kind = "exception";
+        failure.message = e.what();
+    } catch (...) {
+        eptr = std::current_exception();
+        failure.kind = "unknown";
+        failure.message = "non-exception object thrown";
     }
     if (eptr) {
         LockGuard lock(mutex_);

@@ -29,7 +29,6 @@
 #ifndef VIP_SIM_SWEEP_HH
 #define VIP_SIM_SWEEP_HH
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <exception>
@@ -46,8 +45,9 @@ namespace vip {
  * What went wrong in one sweep job, captured structurally so a sweep
  * harness can attach the failure to its point instead of losing the
  * whole campaign. `kind` is SimError::kind() for simulator errors
- * ("config", "deadlock", ...), "exception" for other std::exceptions,
- * and "unknown" for anything else thrown.
+ * ("config", "deadlock", ...), "transient" for std::bad_alloc,
+ * "exception" for other std::exceptions, and "unknown" for anything
+ * else thrown.
  */
 struct SweepFailure
 {
@@ -56,25 +56,6 @@ struct SweepFailure
     std::string message;    ///< one-line summary (what()/message())
     std::string detail;     ///< multi-line report (e.g. deadlock
                             ///< diagnosis); empty when there is none
-    unsigned attempts = 1;  ///< executions including retries
-};
-
-/**
- * Bounded retry with exponential backoff for *transient host*
- * failures only — TransientError and std::bad_alloc. Deterministic
- * simulation failures (a bad config, a deadlock) recur identically
- * and are never retried. A retried job re-invokes the same callable,
- * which by the engine's contract rebuilds its simulation from the
- * spec, so a point that succeeds on attempt N is byte-identical to
- * one that succeeded on attempt 1.
- */
-struct RetryPolicy
-{
-    /** Extra attempts after the first (0 = fail fast). */
-    unsigned maxRetries = 0;
-
-    /** Backoff before retry k is base << min(k, 10) milliseconds. */
-    unsigned backoffBaseMs = 1;
 };
 
 /** Deterministic per-job RNG seed (SplitMix64 scramble of the index). */
@@ -107,17 +88,6 @@ class SweepEngine
 
     /** The default worker count for `jobs == 0` (>= 1). */
     static unsigned hardwareJobs();
-
-    /** Set the transient-failure retry policy for jobs submitted from
-     *  now on (default: no retries). */
-    void setRetryPolicy(const RetryPolicy &policy);
-
-    /** Total transient-failure retries performed so far. */
-    std::uint64_t
-    retries() const
-    {
-        return retries_.load(std::memory_order_relaxed);
-    }
 
     /**
      * Submit one job. Jobs may run on any worker thread, in any order;
@@ -219,8 +189,6 @@ class SweepEngine
     std::size_t nextIndex_ VIP_GUARDED_BY(mutex_) = 0;  ///< submissions
     std::size_t inFlight_ VIP_GUARDED_BY(mutex_) = 0;   ///< queued+running
     bool shuttingDown_ VIP_GUARDED_BY(mutex_) = false;
-    RetryPolicy retryPolicy_ VIP_GUARDED_BY(mutex_);
-    std::atomic<std::uint64_t> retries_{0};
 
     /** (submission index, exception) for failed jobs, kept for
      *  wait()'s rethrow; failures_ carries the structured capture. */

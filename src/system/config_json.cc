@@ -14,6 +14,7 @@
 
 #include <functional>
 #include <initializer_list>
+#include <limits>
 
 #include "sim/json.hh"
 #include "system/simulation.hh"
@@ -22,6 +23,21 @@
 namespace vip {
 
 namespace {
+
+/** @p v as a T, or a ConfigError naming @p key when it does not fit:
+ *  a wrapped value would silently decode to a different machine. */
+template <typename T>
+T
+fitting(const Json &v, const std::string &key)
+{
+    const std::uint64_t u = v.asU64();
+    if (u > std::numeric_limits<T>::max()) {
+        throw ConfigError(key + " = " + std::to_string(u) +
+                          " does not fit in " +
+                          std::to_string(8 * sizeof(T)) + " bits");
+    }
+    return static_cast<T>(u);
+}
 
 /**
  * Strict object decoder: the caller registers a handler per known
@@ -41,6 +57,16 @@ class StrictObject
     {
         handlers_.emplace_back(key, std::move(fn));
         return *this;
+    }
+
+    /** Register the unsigned @p field under @p name, range-checked. */
+    template <typename T>
+    StrictObject &
+    number(const std::string &name, T &field)
+    {
+        return key(name, [&field, dotted = path_ + name](const Json &v) {
+            field = fitting<T>(v, dotted);
+        });
     }
 
     /** Run every registered handler, then reject unknown keys. */
@@ -73,13 +99,6 @@ class StrictObject
     std::vector<std::pair<std::string,
                           std::function<void(const Json &)>>> handlers_;
 };
-
-template <typename T>
-std::function<void(const Json &)>
-intoUnsigned(T &field)
-{
-    return [&field](const Json &v) { field = static_cast<T>(v.asU64()); };
-}
 
 std::function<void(const Json &)>
 intoBool(bool &field)
@@ -195,15 +214,15 @@ SystemConfig::fromJson(const Json &j)
         memj.key("timing", [&cfg](const Json &t) {
             DramTiming &dt = cfg.mem.timing;
             StrictObject tj(t, "mem.timing.");
-            tj.key("tCL", intoUnsigned(dt.tCL))
-                .key("tRCD", intoUnsigned(dt.tRCD))
-                .key("tRP", intoUnsigned(dt.tRP))
-                .key("tRAS", intoUnsigned(dt.tRAS))
-                .key("tWR", intoUnsigned(dt.tWR))
-                .key("tCCD", intoUnsigned(dt.tCCD))
-                .key("tRFC", intoUnsigned(dt.tRFC))
-                .key("tREFI", intoUnsigned(dt.tREFI))
-                .key("tBurst", intoUnsigned(dt.tBurst))
+            tj.number("tCL", dt.tCL)
+                .number("tRCD", dt.tRCD)
+                .number("tRP", dt.tRP)
+                .number("tRAS", dt.tRAS)
+                .number("tWR", dt.tWR)
+                .number("tCCD", dt.tCCD)
+                .number("tRFC", dt.tRFC)
+                .number("tREFI", dt.tREFI)
+                .number("tBurst", dt.tBurst)
                 .decode();
         });
         memj.key("geom", [&cfg, &sawVaults](const Json &g) {
@@ -211,13 +230,14 @@ SystemConfig::fromJson(const Json &j)
             StrictObject gj(g, "mem.geom.");
             gj.key("vaults",
                    [&dg, &sawVaults](const Json &v) {
-                       dg.vaults = static_cast<unsigned>(v.asU64());
+                       dg.vaults =
+                           fitting<unsigned>(v, "mem.geom.vaults");
                        sawVaults = true;
                    })
-                .key("banksPerVault", intoUnsigned(dg.banksPerVault))
-                .key("rowsPerBank", intoUnsigned(dg.rowsPerBank))
-                .key("rowBytes", intoUnsigned(dg.rowBytes))
-                .key("colBytes", intoUnsigned(dg.colBytes))
+                .number("banksPerVault", dg.banksPerVault)
+                .number("rowsPerBank", dg.rowsPerBank)
+                .number("rowBytes", dg.rowBytes)
+                .number("colBytes", dg.colBytes)
                 .decode();
         });
         memj.key("pagePolicy", [&cfg](const Json &v) {
@@ -226,34 +246,33 @@ SystemConfig::fromJson(const Json &j)
         memj.key("addrMap", [&cfg](const Json &v) {
             cfg.mem.addrMap = addrMapFrom(v);
         });
-        memj.key("cmdQueueDepth", intoUnsigned(cfg.mem.cmdQueueDepth));
-        memj.key("transQueueDepth",
-                 intoUnsigned(cfg.mem.transQueueDepth));
+        memj.number("cmdQueueDepth", cfg.mem.cmdQueueDepth);
+        memj.number("transQueueDepth", cfg.mem.transQueueDepth);
         memj.decode();
     });
     root.key("pe", [&cfg](const Json &p) {
         PeConfig &pc = cfg.pe;
         StrictObject pj(p, "pe.");
-        pj.key("lsqEntries", intoUnsigned(pc.lsqEntries))
-            .key("arcEntries", intoUnsigned(pc.arcEntries))
-            .key("mulStages", intoUnsigned(pc.mulStages))
-            .key("aluStages", intoUnsigned(pc.aluStages))
-            .key("reduceStages", intoUnsigned(pc.reduceStages))
+        pj.number("lsqEntries", pc.lsqEntries)
+            .number("arcEntries", pc.arcEntries)
+            .number("mulStages", pc.mulStages)
+            .number("aluStages", pc.aluStages)
+            .number("reduceStages", pc.reduceStages)
             .key("strictHazards", intoBool(pc.strictHazards))
             .key("enableReduction", intoBool(pc.enableReduction))
             .key("arcCoversVector", intoBool(pc.arcCoversVector))
             .decode();
     });
-    root.key("pesPerVault", intoUnsigned(cfg.pesPerVault));
+    root.number("pesPerVault", cfg.pesPerVault);
     root.key("nocX", [&cfg, &sawNocX](const Json &v) {
-        cfg.nocX = static_cast<unsigned>(v.asU64());
+        cfg.nocX = fitting<unsigned>(v, "nocX");
         sawNocX = true;
     });
     root.key("nocY", [&cfg, &sawNocY](const Json &v) {
-        cfg.nocY = static_cast<unsigned>(v.asU64());
+        cfg.nocY = fitting<unsigned>(v, "nocY");
         sawNocY = true;
     });
-    root.key("watchdogCycles", intoUnsigned(cfg.watchdogCycles));
+    root.number("watchdogCycles", cfg.watchdogCycles);
     root.key("fastForward", intoBool(cfg.fastForward));
     // Accepted and ignored (see SystemConfig::islands), but a
     // malformed value is still an error, not a silent no-op.

@@ -88,8 +88,8 @@ RunResult::toJson() const
     // host-side tuning observables — fast-forward's skip count differs
     // with fast-forward on vs. off, and so do the fastpath counters
     // with the fast path — and keeping either here would break the
-    // bit-identical-RunResult contract ff_equivalence_test and
-    // fastpath_equivalence_test pin.
+    // bit-identical-RunResult contract strategy_equivalence_test
+    // pins.
     j.set("memRequestPoolHighWater", memRequestPoolHighWater);
     Json allocs = Json::array();
     for (const std::uint64_t a : peRequestAllocations)

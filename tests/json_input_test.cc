@@ -407,6 +407,18 @@ TEST(RunSpecMalformed, HostileRequestsAreStructuredErrors)
          Outcome::ConfigErr, "islands"},
         {"{\"run\": {\"config\": {\"islands\": -1}}}",
          Outcome::ConfigErr, "islands"},
+        // Values past their field's width are errors, never wrapped
+        // into a smaller machine that shares the smaller one's key.
+        {"{\"run\": {\"config\": {\"mem\": {\"geom\": "
+         "{\"vaults\": 4294967297}}}}}",
+         Outcome::ConfigErr, "mem.geom.vaults"},
+        {"{\"run\": {\"config\": {\"pesPerVault\": 4294967297}}}",
+         Outcome::ConfigErr, "pesPerVault"},
+        {"{\"run\": {\"config\": {\"nocX\": 4294967296}}}",
+         Outcome::ConfigErr, "nocX"},
+        {"{\"run\": {\"config\": {\"pe\": "
+         "{\"lsqEntries\": 4294967296}}}}",
+         Outcome::ConfigErr, "pe.lsqEntries"},
         {"{\"run\": []}", Outcome::JsonErr},
         {"{\"cmd\": \"stats\"}", Outcome::JsonErr},
         {"", Outcome::JsonErr},

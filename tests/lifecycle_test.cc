@@ -1,7 +1,7 @@
 /**
  * @file
  * Run-lifecycle hardening tests: cooperative cancellation, wall-clock
- * budgets, transient-failure retry, the write-ahead campaign journal,
+ * budgets, host-failure reporting, the write-ahead campaign journal,
  * and the protocol-abuse / overload behaviour of the serve loop. This
  * is the chaos suite: everything here is about a run (or a daemon)
  * being interrupted, starved, or fed garbage and the system degrading
@@ -384,85 +384,30 @@ TEST(ServeLifecycle, StopRequestedDrainsAndReturns)
     EXPECT_TRUE(out2.str().empty());
 }
 
-// ---- Retry ----------------------------------------------------------
+// ---- Host failures --------------------------------------------------
 
-TEST(Retry, TransientFailureRetriesUntilSuccess)
+TEST(HostFailure, BadAllocIsReportedOnceAsTransient)
 {
-    SweepEngine engine(1);
-    engine.setRetryPolicy({3, 1});
-    unsigned attempts = 0;
-    engine.submit([&attempts] {
-        if (++attempts <= 2)
-            throw TransientError("flaky host");
-    });
-    EXPECT_TRUE(engine.waitCollect().empty());
-    EXPECT_EQ(attempts, 3u);
-    EXPECT_EQ(engine.retries(), 2u);
-}
-
-TEST(Retry, BadAllocCountsAsTransient)
-{
-    SweepEngine engine(1);
-    engine.setRetryPolicy({2, 1});
-    unsigned attempts = 0;
-    engine.submit([&attempts] {
-        if (++attempts == 1)
-            throw std::bad_alloc();
-    });
-    EXPECT_TRUE(engine.waitCollect().empty());
-    EXPECT_EQ(attempts, 2u);
-    EXPECT_EQ(engine.retries(), 1u);
-}
-
-TEST(Retry, ExhaustedRetriesReportAttempts)
-{
-    SweepEngine engine(1);
-    engine.setRetryPolicy({2, 1});
-    unsigned attempts = 0;
-    engine.submit([&attempts] {
-        ++attempts;
-        throw TransientError("always down");
-    });
+    // Running out of host memory says nothing about the job's spec:
+    // it is reported once, as "transient", and its siblings complete.
+    SweepEngine engine(2);
+    std::atomic<unsigned> calls{0};
+    std::vector<int> done(3, 0);
+    for (unsigned i = 0; i < 3; ++i) {
+        engine.submit([&calls, &done, i] {
+            if (i == 1) {
+                ++calls;
+                throw std::bad_alloc();
+            }
+            done[i] = 1;
+        });
+    }
     const auto failures = engine.waitCollect();
     ASSERT_EQ(failures.size(), 1u);
+    EXPECT_EQ(failures[0].index, 1u);
     EXPECT_EQ(failures[0].kind, "transient");
-    EXPECT_EQ(failures[0].attempts, 3u);
-    EXPECT_EQ(attempts, 3u);
-    EXPECT_EQ(engine.retries(), 2u);
-}
-
-TEST(Retry, DeterministicFailuresAreNotRetried)
-{
-    SweepEngine engine(1);
-    engine.setRetryPolicy({5, 1});
-    unsigned attempts = 0;
-    engine.submit([&attempts] {
-        ++attempts;
-        throw ConfigError("bad knob");  // recurs identically
-    });
-    const auto failures = engine.waitCollect();
-    ASSERT_EQ(failures.size(), 1u);
-    EXPECT_EQ(failures[0].kind, "config");
-    EXPECT_EQ(failures[0].attempts, 1u);
-    EXPECT_EQ(attempts, 1u);
-    EXPECT_EQ(engine.retries(), 0u);
-}
-
-TEST(Retry, RetriedRunIsByteIdenticalToFirstTrySuccess)
-{
-    const RunSpec spec = dotSpec();
-    const std::string golden = runSpec(spec).toJson().str();
-    SweepEngine engine(1);
-    engine.setRetryPolicy({2, 1});
-    unsigned attempts = 0;
-    std::string retried;
-    engine.submit([&attempts, &retried, &spec] {
-        if (++attempts == 1)
-            throw TransientError("flaky host");
-        retried = runSpec(spec).toJson().str();
-    });
-    engine.wait();
-    EXPECT_EQ(retried, golden);
+    EXPECT_EQ(calls.load(), 1u);
+    EXPECT_EQ(done, (std::vector<int>{1, 0, 1}));
 }
 
 // ---- Journal --------------------------------------------------------

@@ -18,8 +18,14 @@ namespace vip {
 
 /**
  * Generate a structurally valid random program: bounded scratchpad
- * ranges, in-range DRAM addresses, forward-only branches, and a
- * terminal halt. The machine must never panic and must reach the halt.
+ * ranges, in-range DRAM addresses, forward branches, bounded backward
+ * loops, and a terminal halt. The machine must never panic and must
+ * reach the halt.
+ *
+ * A loop counts r30 up to r31, a trip count of at most 8; no other
+ * case writes either register. The counter only rises, so even a
+ * forward branch into a loop body (skipping its setup) leaves the
+ * loop after at most 8 more trips.
  */
 inline std::vector<Instruction>
 randomProgram(Rng &rng, Addr dram_base)
@@ -39,7 +45,17 @@ randomProgram(Rng &rng, Addr dram_base)
 
     const unsigned body = 20 + static_cast<unsigned>(rng.nextBelow(60));
     std::vector<std::pair<AsmBuilder::Label, unsigned>> pending;
+    // The open loop's head and the index its back-branch closes at.
+    AsmBuilder::Label loop_head = 0;
+    unsigned loop_end = 0;  // 0: no loop open
+    const auto closeLoop = [&] {
+        b.addImm(30, 30, 1);
+        b.branch(BranchCond::Lt, 30, 31, loop_head);
+        loop_end = 0;
+    };
     for (unsigned i = 0; i < body; ++i) {
+        if (loop_end != 0 && loop_end == i)
+            closeLoop();
         // Resolve any forward branch that lands here.
         for (auto it = pending.begin(); it != pending.end();) {
             if (it->second == i) {
@@ -52,7 +68,7 @@ randomProgram(Rng &rng, Addr dram_base)
         const auto sp_reg = [&] {
             return 1 + static_cast<unsigned>(rng.nextBelow(8));
         };
-        switch (rng.nextBelow(12)) {
+        switch (rng.nextBelow(13)) {
           case 0:
             b.vv(static_cast<VecOp>(rng.nextBelow(5)), sp_reg(),
                  sp_reg(), sp_reg());
@@ -108,8 +124,20 @@ randomProgram(Rng &rng, Addr dram_base)
             b.stReg(40 + static_cast<unsigned>(rng.nextBelow(8)), 10,
                     ElemWidth::W16);
             break;
+          case 12:
+            // Open a backward loop over the next few instructions.
+            if (loop_end != 0)
+                break;
+            b.movImm(30, 0);
+            b.movImm(31, 1 + static_cast<std::int64_t>(rng.nextBelow(8)));
+            loop_head = b.newLabel();
+            b.bind(loop_head);
+            loop_end = i + 1 + static_cast<unsigned>(rng.nextBelow(6));
+            break;
         }
     }
+    if (loop_end != 0)
+        closeLoop();
     // Bind any labels that point past the body.
     for (auto &[label, at] : pending)
         b.bind(label);

@@ -125,24 +125,11 @@ usage()
     return 2;
 }
 
-/** {"error": {kind, message, detail}} for the --json-stats target. */
-std::string
-errorResponseJson(const std::string &kind, const std::string &message,
-                  const std::string &detail)
-{
-    Json err = Json::object();
-    err.set("kind", kind);
-    err.set("message", message);
-    err.set("detail", detail);
-    Json doc = Json::object();
-    doc.set("error", std::move(err));
-    return doc.str(0) + "\n";
-}
-
-/** Write @p body to the --json-stats target ("-" = stdout). */
+/** Write @p doc, indented, to the --json-stats target ("-" = stdout). */
 bool
-emitJson(const std::string &path, const std::string &body)
+emitJson(const std::string &path, const Json &doc)
 {
+    const std::string body = doc.str(0) + "\n";
     if (path == "-") {
         std::cout << body;
         return true;
@@ -340,7 +327,7 @@ run(const Options &opt)
             f.set("plan", spec.config.faults.toString());
             doc.set("faults", std::move(f));
         }
-        if (!emitJson(opt.common.jsonStatsPath, doc.str(0) + "\n"))
+        if (!emitJson(opt.common.jsonStatsPath, doc))
             return 1;
     }
     return 0;
@@ -432,12 +419,12 @@ main(int argc, char **argv)
         std::fprintf(stderr, "%s:%u: error: %s\n",
                      opt.sourcePath.c_str(), e.line(), e.what());
         if (!opt.common.jsonStatsPath.empty()) {
-            emitJson(opt.common.jsonStatsPath,
-                     errorResponseJson(e.kind(),
-                                       opt.sourcePath + ":" +
-                                           std::to_string(e.line()) +
-                                           ": " + e.message(),
-                                       e.detail()));
+            const SimError anchored(e.kind(),
+                                    opt.sourcePath + ":" +
+                                        std::to_string(e.line()) + ": " +
+                                        e.message(),
+                                    e.detail());
+            emitJson(opt.common.jsonStatsPath, errorResponse(anchored));
         }
         return 1;
     } catch (const SimError &e) {
@@ -445,19 +432,16 @@ main(int argc, char **argv)
         if (e.kind() == "cancelled" || e.kind() == "timeout") {
             // The structured form on stdout: a scripted caller learns
             // *why* the run stopped without scraping stderr.
-            std::cout << errorResponse(e) << "\n" << std::flush;
+            std::cout << errorResponse(e).str() << "\n" << std::flush;
         }
-        if (!opt.common.jsonStatsPath.empty()) {
-            emitJson(opt.common.jsonStatsPath,
-                     errorResponseJson(e.kind(), e.message(),
-                                       e.detail()));
-        }
+        if (!opt.common.jsonStatsPath.empty())
+            emitJson(opt.common.jsonStatsPath, errorResponse(e));
         return 1;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "vip-run: error: %s\n", e.what());
         if (!opt.common.jsonStatsPath.empty()) {
             emitJson(opt.common.jsonStatsPath,
-                     errorResponseJson("exception", e.what(), ""));
+                     errorResponse(SimError("exception", e.what())));
         }
         return 1;
     }
