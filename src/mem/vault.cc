@@ -17,6 +17,7 @@ VaultController::VaultController(unsigned vaultId, const MemConfig &cfg,
       progGate_(cfg.geom.banksPerVault, kIdleForever),
       progKey_(cfg.geom.banksPerVault, 0),
       trans_(cfg.transQueueDepth),
+      completions_(cfg.transQueueDepth),
       nextRefreshAt_(cfg.timing.tREFI),
       statGroup_("vault" + std::to_string(vaultId), parent),
       stats_{Counter(&statGroup_, "read_bytes", "bytes read from DRAM"),
@@ -117,7 +118,7 @@ VaultController::retireCompletions(Cycles now)
 {
     while (!completions_.empty() && completions_.front().at <= now) {
         const CompletionEvent ev = completions_.front();
-        completions_.pop_front();
+        completions_.pop();
         finishTransaction(ev.transIndex, ev.at);
     }
 }
@@ -225,7 +226,7 @@ VaultController::issueColumn(unsigned bank_idx, Cycles now)
     // Only the last column's completion is observable: it is the
     // transaction's, and no earlier one frees anything.
     if (--trans_[trans_index].pendingColumns == 0)
-        completions_.push_back({done_at, trans_index});
+        completions_.push({done_at, trans_index});
 
     --totalColumns_;
     if (--bank.queued == 0)
@@ -235,7 +236,8 @@ VaultController::issueColumn(unsigned bank_idx, Cycles now)
         // The run's next column is the bank's oldest hit.
         bank.hitSeq = ++run.seq;
     } else {
-        bank.cols.popDead();
+        while (!bank.cols.empty() && bank.cols.front().left == 0)
+            bank.cols.pop();  // drop the tombstones at the front
         if (bank.hitQueued > 0) {
             // Only tombstones and non-hits lie between this run and
             // the next hit; the pop may have dropped leading
@@ -295,7 +297,7 @@ void
 VaultController::openRow(Bank &bank, Cycles now)
 {
     const DramTiming &t = cfg_.timing;
-    const ColumnAccess &oldest = bank.cols.at(bank.cols.head());
+    const ColumnAccess &oldest = bank.cols.front();
     bank.rowOpen = true;
     bank.openRow = oldest.row;
     bank.colAllowedAt = now + t.tRCD;
@@ -367,7 +369,7 @@ VaultController::updateBank(unsigned bank_idx)
     } else if (bank.queued > 0) {
         // Precharged: activates once tRP/tRFC allow.
         prog = bank.actAllowedAt;
-        prog_seq = bank.cols.at(bank.cols.head()).seq;
+        prog_seq = bank.cols.front().seq;
     }
     hitGate_[bank_idx] = hit;
     hitKey_[bank_idx] = bank.hitSeq << kBankBits | bank_idx;

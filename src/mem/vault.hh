@@ -9,7 +9,6 @@
 #define VIP_MEM_VAULT_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -18,6 +17,7 @@
 #include "mem/timing.hh"
 #include "sim/clocked.hh"
 #include "sim/histogram.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -131,44 +131,6 @@ class VaultController final : public Clocked
         bool isWrite;
     };
 
-    /**
-     * One bank's queued runs, oldest first, addressed by absolute
-     * position: positions never shift, so the scheduler can hold on to
-     * one. Finishing a run other than the oldest leaves a tombstone
-     * that is dropped once it reaches the front; the front is always
-     * live.
-     */
-    class ColumnQueue
-    {
-      public:
-        std::uint64_t head() const { return head_; }  ///< oldest live
-        std::uint64_t end() const { return head_ + slots_.size(); }
-
-        ColumnAccess &at(std::uint64_t pos) { return slots_[pos - head_]; }
-        const ColumnAccess &
-        at(std::uint64_t pos) const
-        {
-            return slots_[pos - head_];
-        }
-
-        void push(const ColumnAccess &c) { slots_.push_back(c); }
-        ColumnAccess &back() { return slots_.back(); }
-
-        /** Drop the tombstones at the front. */
-        void
-        popDead()
-        {
-            while (!slots_.empty() && slots_.front().left == 0) {
-                slots_.pop_front();
-                ++head_;
-            }
-        }
-
-      private:
-        std::deque<ColumnAccess> slots_;
-        std::uint64_t head_ = 0;  ///< absolute position of the front
-    };
-
     /** An in-flight transaction and its split bookkeeping. */
     struct Transaction
     {
@@ -218,7 +180,14 @@ class VaultController final : public Clocked
          */
         std::uint64_t missSeq = 0;
 
-        ColumnQueue cols;
+        /**
+         * Queued runs, oldest first, in a ring addressed by absolute
+         * position: positions never shift, so the scheduler can hold
+         * on to one (hitPos). Finishing a run other than the oldest
+         * leaves a tombstone (left == 0) that is dropped once it
+         * reaches the front; the front is always live.
+         */
+        Ring<ColumnAccess> cols;
     };
 
     struct CompletionEvent
@@ -290,9 +259,11 @@ class VaultController final : public Clocked
      * order. Only a transaction's last column pushes an entry: every
      * column completes a fixed tCL + tBurst after its issue and issue
      * cycles only grow, so the last column's completion is the
-     * transaction's, and arrival order is completion order.
+     * transaction's, and arrival order is completion order. At most
+     * one entry per live transaction, so a ring of transQueueDepth
+     * slots never grows.
      */
-    std::deque<CompletionEvent> completions_;
+    Ring<CompletionEvent> completions_;
 
     Cycles colIssueAllowedAt_ = 0;
 

@@ -4,9 +4,10 @@
 
 namespace vip {
 
-ArcTable::ArcTable(unsigned entries) : entries_(entries)
+ArcTable::ArcTable(unsigned entries) : posOf_(entries, -1)
 {
     vip_assert(entries > 0, "ARC needs at least one entry");
+    live_.reserve(entries);
 }
 
 int
@@ -15,34 +16,26 @@ ArcTable::allocate(SpAddr start, SpAddr end)
     vip_assert(start < end, "empty ARC range");
     if (full())
         return -1;
-    for (unsigned i = 0; i < entries_.size(); ++i) {
-        if (!entries_[i].live) {
-            entries_[i] = {start, end, true};
-            ++liveCount_;
-            return static_cast<int>(i);
-        }
-    }
-    return -1;
+    int id = 0;
+    while (posOf_[id] >= 0)
+        ++id;
+    posOf_[id] = static_cast<int>(live_.size());
+    live_.push_back({start, end, id});
+    return id;
 }
 
 void
 ArcTable::clear(int id)
 {
-    vip_assert(id >= 0 && id < static_cast<int>(entries_.size()),
+    vip_assert(id >= 0 && id < static_cast<int>(posOf_.size()),
                "bad ARC id");
-    vip_assert(entries_[id].live, "clearing a dead ARC entry");
-    entries_[id].live = false;
-    --liveCount_;
-}
-
-bool
-ArcTable::overlaps(SpAddr start, SpAddr end) const
-{
-    for (const auto &e : entries_) {
-        if (e.live && start < e.end && e.start < end)
-            return true;
-    }
-    return false;
+    const int pos = posOf_[id];
+    vip_assert(pos >= 0, "clearing a dead ARC entry");
+    // Swap-remove: the last live entry fills the hole.
+    live_[pos] = live_.back();
+    posOf_[live_[pos].id] = pos;
+    live_.pop_back();
+    posOf_[id] = -1;
 }
 
 } // namespace vip

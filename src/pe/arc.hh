@@ -44,26 +44,44 @@ class ArcTable
     /** Clear entry @p id when its load completes. */
     void clear(int id);
 
-    /** True if [start, end) overlaps any live entry. */
-    bool overlaps(SpAddr start, SpAddr end) const;
+    /** True if [start, end) overlaps any live entry. Scans only the
+     *  live ranges, so an empty table costs one compare. */
+    bool
+    overlaps(SpAddr start, SpAddr end) const
+    {
+        for (const Live &e : live_) {
+            if (start < e.end && e.start < end)
+                return true;
+        }
+        return false;
+    }
 
-    bool full() const { return liveCount_ == entries_.size(); }
-    unsigned liveCount() const { return liveCount_; }
+    bool full() const { return live_.size() == posOf_.size(); }
+    unsigned liveCount() const
+    {
+        return static_cast<unsigned>(live_.size());
+    }
     unsigned capacity() const
     {
-        return static_cast<unsigned>(entries_.size());
+        return static_cast<unsigned>(posOf_.size());
     }
 
   private:
-    struct Entry
+    struct Live
     {
-        SpAddr start = 0;
-        SpAddr end = 0;
-        bool live = false;
+        SpAddr start;
+        SpAddr end;
+        int id;
     };
 
-    std::vector<Entry> entries_;
-    unsigned liveCount_ = 0;
+    /**
+     * The live entries, packed in no particular order: clear() moves
+     * the last one into the hole. posOf_ maps an entry id to its
+     * position (-1 while the entry is free), so ids stay the lowest
+     * free slot index allocate() has always handed out.
+     */
+    std::vector<Live> live_;
+    std::vector<int> posOf_;
 };
 
 } // namespace vip

@@ -112,9 +112,6 @@ Pe::Pe(const PeConfig &cfg, DramStorage &dram, const AddressMapper &mapper,
                        "fast-path attempts stopped by an ineligible µop"),
                Counter(&fpGroup_, "fallback_regs",
                        "fast-path attempts stopped by a not-ready live-in"),
-               Counter(&fpGroup_, "fallback_pending_load",
-                       "fast-path attempts stopped by an outstanding "
-                       "ld.reg target"),
                Counter(&fpGroup_, "fallback_horizon",
                        "fast-path attempts cut by the chunk cap or run "
                        "deadline"),
@@ -455,11 +452,8 @@ Pe::completeTransferPiece(int slot, const MemRequest &done)
     if (--t.pending == 0) {
         if (t.arcId >= 0)
             arc_.clear(t.arcId);
-        if (t.destReg >= 0) {
+        if (t.destReg >= 0)
             regReadyAt_[t.destReg] = done.completedAt;
-            if (--pendingLoadCount_[t.destReg] == 0)
-                pendingLoadRegs_ &= ~(std::uint64_t{1} << t.destReg);
-        }
         t.nextFree = freeTransfer_;
         freeTransfer_ = slot;
     }
@@ -609,11 +603,6 @@ Pe::issueMemory(const Uop &u, Cycles now)
         }
         regs_[u.rd] = static_cast<std::uint64_t>(v);
         regReadyAt_[u.rd] = kNeverReady;  // valid bit cleared
-        // The completion event will set the valid bit; until then no
-        // fast block may write this register (the completion would
-        // overwrite the block's regReadyAt_ out of order).
-        pendingLoadRegs_ |= std::uint64_t{1} << u.rd;
-        ++pendingLoadCount_[u.rd];
         return true;
       }
       case Opcode::StReg: {
@@ -798,10 +787,18 @@ Pe::tryFastPath(Cycles now)
             cause = &fpStats_.fallbackHorizon;
             break;
         }
-        if ((b.writes & pendingLoadRegs_) != 0) {
-            cause = &fpStats_.fallbackPendingLoad;
-            break;
-        }
+        // A block may write a register whose ld.reg is still in flight.
+        // A read of it cannot run early: the load cleared its valid
+        // bit, so a block reading it before writing it fails the
+        // live-in check below. For a write at block µop i, the
+        // interpreter keeps the later of two stamps in regReadyAt_:
+        // the write's entry + i + 1, or the load completion's delivery
+        // cycle. The block stamps first, so a completion delivered at
+        // or before entry + i leaves its own, earlier stamp instead.
+        // Both stamps are at most entry + i + 1, and every reader after
+        // the write in program order issues at or after that cycle. So
+        // regsReady(), regsWakeAt() and this entry check answer the
+        // same either way.
         bool ready = true;
         for (std::uint64_t m = b.liveIn; m != 0; m &= m - 1) {
             // Live-ins checked at block entry (conservative: the

@@ -247,7 +247,6 @@ class Pe final : public Clocked
         Counter fastUops;         ///< µops retired via the fast path
         Counter fallbackIneligible; ///< block table says not eligible
         Counter fallbackRegs;     ///< live-in register not ready
-        Counter fallbackPendingLoad; ///< block writes an ld.reg target
         Counter fallbackHorizon;  ///< chunk/deadline cut the block
         Counter fallbackTracer;   ///< tracer attached (per-µop only)
     };
@@ -377,15 +376,6 @@ class Pe final : public Clocked
 
     /** Exclusive run bound fast blocks may not charge past. */
     Cycles runDeadline_ = ~Cycles{0};
-
-    /**
-     * Registers with an outstanding ld.reg: the completion event will
-     * overwrite regReadyAt_ later, so a fast block must not write them
-     * (reads are already fenced by the never-ready valid bit). Mask
-     * plus per-register depth — two loads to one register can overlap.
-     */
-    std::uint64_t pendingLoadRegs_ = 0;
-    std::array<std::uint8_t, kNumScalarRegs> pendingLoadCount_{};
 
     std::array<std::uint64_t, kNumScalarRegs> regs_{};
     std::array<Cycles, kNumScalarRegs> regReadyAt_{};

@@ -6,6 +6,7 @@
 #include "isa/assembler.hh"
 #include "sim/error.hh"
 #include "sim/json.hh"
+#include "sim/logging.hh"
 
 namespace vip {
 
@@ -118,6 +119,27 @@ RunResult::toJson() const
         j.set("faults", std::move(f));
     }
     return j;
+}
+
+Simulation &
+Simulation::pokeWords(Addr addr, const std::int16_t *values,
+                      std::size_t count)
+{
+    // The bound Pe::issueDramTransfer applies to a program's transfers,
+    // arranged so that neither 2 * count nor addr + 2 * count can wrap.
+    const std::uint64_t capacity = sys_.config().mem.geom.capacity();
+    if (count > capacity / 2 || addr > capacity - 2 * count) {
+        throw ConfigError(detail::formatArgs(
+            "pokes[].addr = 0x", std::hex, addr, std::dec,
+            ": a poke of ", count, " words ends past the DRAM capacity (0x",
+            std::hex, capacity, " bytes)"));
+    }
+    // One write: store<int16_t> copies native bytes too, so the staged
+    // bytes are the same as writing the values one at a time.
+    sys_.dram().write(addr, values, 2 * count);
+    if (FaultInjector *f = sys_.faultInjector())
+        f->onDramWrite(addr, 2 * count);
+    return *this;
 }
 
 std::vector<std::int16_t>

@@ -194,27 +194,21 @@ class Simulation
 
     /** Store one 16-bit value into DRAM before (or between) runs.
      *  Host writes overwrite any injected flips in the covered bytes
-     *  (the injector's ECC record is healed to match). */
+     *  (the injector's ECC record is healed to match). Throws
+     *  ConfigError (naming `pokes[].addr`) when the word does not lie
+     *  inside the DRAM capacity. */
     Simulation &
     pokeDram(Addr addr, std::int16_t value)
     {
-        sys_.dram().store<std::int16_t>(addr, value);
-        if (FaultInjector *f = sys_.faultInjector())
-            f->onDramWrite(addr, 2);
-        return *this;
+        return pokeWords(addr, &value, 1);
     }
 
-    /** Store consecutive 16-bit values starting at @p addr. */
+    /** Store consecutive 16-bit values starting at @p addr, under the
+     *  same rules. */
     Simulation &
     pokeDram(Addr addr, const std::vector<std::int16_t> &values)
     {
-        for (std::size_t i = 0; i < values.size(); ++i) {
-            sys_.dram().store<std::int16_t>(
-                addr + 2 * static_cast<Addr>(i), values[i]);
-        }
-        if (FaultInjector *f = sys_.faultInjector())
-            f->onDramWrite(addr, 2 * values.size());
-        return *this;
+        return pokeWords(addr, values.data(), values.size());
     }
 
     /** Attach a per-issue trace hook to PE @p pe. */
@@ -253,6 +247,9 @@ class Simulation
     const VipSystem &system() const { return sys_; }
 
   private:
+    Simulation &pokeWords(Addr addr, const std::int16_t *values,
+                          std::size_t count);
+
     VipSystem sys_;
 };
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "isa/builder.hh"
@@ -447,6 +448,135 @@ TEST(Arc, AllocateOverlapClear)
     EXPECT_FALSE(arc.overlaps(64, 128));
     EXPECT_FALSE(arc.full());
     EXPECT_EQ(arc.liveCount(), 2u);
+}
+
+/** The slot-array ARC the packed table replaced: every slot scanned on
+ *  every check, a new entry in the lowest free slot. */
+class NaiveArc
+{
+  public:
+    explicit NaiveArc(unsigned entries) : slots_(entries) {}
+
+    int
+    allocate(SpAddr start, SpAddr end)
+    {
+        for (unsigned i = 0; i < slots_.size(); ++i) {
+            if (!slots_[i].live) {
+                slots_[i] = {start, end, true};
+                return static_cast<int>(i);
+            }
+        }
+        return -1;
+    }
+
+    void clear(int id) { slots_[id].live = false; }
+
+    bool
+    overlaps(SpAddr start, SpAddr end) const
+    {
+        for (const Slot &e : slots_) {
+            if (e.live && start < e.end && e.start < end)
+                return true;
+        }
+        return false;
+    }
+
+    unsigned
+    liveCount() const
+    {
+        return static_cast<unsigned>(
+            std::count_if(slots_.begin(), slots_.end(),
+                          [](const Slot &e) { return e.live; }));
+    }
+
+  private:
+    struct Slot
+    {
+        SpAddr start = 0;
+        SpAddr end = 0;
+        bool live = false;
+    };
+    std::vector<Slot> slots_;
+};
+
+TEST(Arc, PackedTableMatchesSlotArray)
+{
+    // Random allocate/clear/overlaps against the slot array. Ranges sit
+    // on a coarse grid in a small window, so most ranges touch or
+    // overlap others and the [a, b) ends are exercised; clears pick a
+    // random live entry, so they come out of order; allocation
+    // pressure runs the table full.
+    for (const unsigned entries : {1u, 3u, ArcTable::kEntries}) {
+        for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+            SCOPED_TRACE("entries " + std::to_string(entries) + " seed " +
+                         std::to_string(seed));
+            ArcTable arc(entries);
+            NaiveArc ref(entries);
+            std::vector<int> live;
+            Rng rng(seed);
+            unsigned fulls = 0;
+            const auto range = [&rng](SpAddr *start, SpAddr *end) {
+                *start = static_cast<SpAddr>(8 * rng.nextBelow(32));
+                *end = *start +
+                       static_cast<SpAddr>(8 * (1 + rng.nextBelow(4)));
+            };
+            for (unsigned step = 0; step < 4000; ++step) {
+                SpAddr start, end;
+                range(&start, &end);
+                const std::uint64_t op = rng.nextBelow(8);
+                if (op < 3) {
+                    const int id = arc.allocate(start, end);
+                    ASSERT_EQ(id, ref.allocate(start, end)) << step;
+                    if (id >= 0)
+                        live.push_back(id);
+                    else
+                        ++fulls;
+                } else if (op < 5 && !live.empty()) {
+                    const std::size_t k = rng.nextBelow(live.size());
+                    arc.clear(live[k]);
+                    ref.clear(live[k]);
+                    live[k] = live.back();
+                    live.pop_back();
+                } else {
+                    ASSERT_EQ(arc.overlaps(start, end),
+                              ref.overlaps(start, end))
+                        << step << " [" << start << ", " << end << ")";
+                    // Ranges that only touch a live range's ends.
+                    ASSERT_EQ(arc.overlaps(end, end + 8),
+                              ref.overlaps(end, end + 8));
+                    if (start >= 8) {
+                        ASSERT_EQ(arc.overlaps(start - 8, start),
+                                  ref.overlaps(start - 8, start));
+                    }
+                }
+                ASSERT_EQ(arc.liveCount(), ref.liveCount());
+                ASSERT_EQ(arc.full(), ref.liveCount() == entries);
+            }
+            EXPECT_GT(fulls, 0u) << "the table never filled";
+        }
+    }
+}
+
+TEST(Arc, EmptyTableOverlapsNothingAndIdsAreLowestFree)
+{
+    ArcTable arc(4);
+    EXPECT_FALSE(arc.overlaps(0, ~SpAddr{0}));
+    EXPECT_EQ(arc.allocate(0, 8), 0);
+    EXPECT_EQ(arc.allocate(8, 16), 1);
+    EXPECT_EQ(arc.allocate(16, 24), 2);
+    arc.clear(0);
+    arc.clear(2);
+    // The packed ranges moved; ids did not.
+    EXPECT_TRUE(arc.overlaps(8, 9));
+    EXPECT_FALSE(arc.overlaps(0, 8));
+    EXPECT_FALSE(arc.overlaps(16, 24));
+    EXPECT_EQ(arc.allocate(32, 40), 0);
+    EXPECT_EQ(arc.allocate(40, 48), 2);
+    arc.clear(1);
+    arc.clear(0);
+    arc.clear(2);
+    EXPECT_EQ(arc.liveCount(), 0u);
+    EXPECT_FALSE(arc.overlaps(0, ~SpAddr{0}));
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "isa/builder.hh"
+#include "mem/storage.hh"
 #include "sim/error.hh"
 #include "sim/fault.hh"
 #include "sim/sweep.hh"
@@ -267,6 +268,103 @@ TEST(FaultInjectionEcc, HostWriteHealsTheRecord)
     const RunResult r = f.copyAndRun();
     EXPECT_EQ(f.sim->peekDram(f.dst), 100);
     EXPECT_EQ(r.faults.eccCorrected, 0u);
+}
+
+TEST(FaultInjectionEcc, OneWritePokesMatchPerValueStores)
+{
+    // A poke is staged with one DramStorage::write. The per-value
+    // stores it replaced must leave the same bytes, fingerprint, ECC
+    // records and, after a faulty run over the poked data, the same
+    // fault counters. The pokes cover an odd address, a page crossing,
+    // a single word, and an overlap where the later poke wins.
+    struct Poke
+    {
+        Addr offset;
+        std::vector<std::int16_t> values;
+    };
+    const std::vector<Poke> pokes = {
+        {1, {-1, 2, -3, 4, 0x1234}},
+        {DramStorage::kPageBytes - 5, {7, -8, 9, -10, 11, 0x7fff}},
+        {600, {-32768}},
+        {40, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
+        {47, {-11, -12, -13}},  // lands inside the previous poke
+    };
+    constexpr std::size_t kSpan = 2 * DramStorage::kPageBytes;
+
+    struct Staged
+    {
+        std::vector<std::uint8_t> bytes;
+        std::uint64_t fingerprint = 0;
+        std::size_t flippedAfterStaging = 0;
+        RunResult result;
+        std::uint64_t fingerprintAfterRun = 0;
+    };
+    const auto stage = [&](bool one_write) {
+        SystemConfig cfg = makeSystemConfig(1, 1);
+        cfg.faults = noisyPlan(9);
+        Simulation sim(cfg);
+        const Addr base = sim.vaultBase(0);
+        FaultInjector *inj = sim.system().faultInjector();
+        // Flips under the pokes give the heal records to drop; the
+        // last one lies outside every poke and must survive.
+        for (const Addr at : {Addr{2}, Addr{DramStorage::kPageBytes - 2},
+                              Addr{52}, Addr{3000}})
+            inj->plantBitFlip(base + at, 1);
+        for (const Poke &p : pokes) {
+            const Addr addr = base + p.offset;
+            if (one_write) {
+                if (p.values.size() == 1)
+                    sim.pokeDram(addr, p.values[0]);
+                else
+                    sim.pokeDram(addr, p.values);
+                continue;
+            }
+            for (std::size_t i = 0; i < p.values.size(); ++i) {
+                sim.system().dram().store<std::int16_t>(
+                    addr + 2 * static_cast<Addr>(i), p.values[i]);
+            }
+            inj->onDramWrite(addr, 2 * p.values.size());
+        }
+        Staged st;
+        st.bytes.resize(kSpan);
+        sim.system().dram().read(base, st.bytes.data(), kSpan);
+        st.fingerprint = sim.system().dram().fingerprint();
+        st.flippedAfterStaging = inj->outstandingFlippedWords();
+        sim.loadProgram(0, streamProgram(base, 16));
+        st.result = sim.run(50'000'000);
+        st.fingerprintAfterRun = sim.system().dram().fingerprint();
+        return st;
+    };
+
+    const Staged one = stage(true);
+    const Staged each = stage(false);
+    EXPECT_EQ(one.bytes, each.bytes);
+    EXPECT_EQ(one.fingerprint, each.fingerprint);
+    EXPECT_EQ(one.flippedAfterStaging, 1u);
+    EXPECT_EQ(each.flippedAfterStaging, 1u);
+    EXPECT_TRUE(one.result.haltedCleanly);
+    EXPECT_EQ(one.result.cycles, each.result.cycles);
+    EXPECT_TRUE(sameStats(one.result.faults, each.result.faults));
+    // The run struck beyond the four planted flips, and ECC fixed some.
+    EXPECT_GT(one.result.faults.dramBitFlips, 4u);
+    EXPECT_GT(one.result.faults.eccCorrected, 0u);
+    EXPECT_EQ(one.result.outstandingFlippedWords,
+              each.result.outstandingFlippedWords);
+    EXPECT_EQ(one.fingerprintAfterRun, each.fingerprintAfterRun);
+
+    // The bytes themselves: each poke's little-endian words in order,
+    // so the overlap holds the later poke's values.
+    std::vector<std::uint8_t> want(kSpan, 0);
+    for (const Poke &p : pokes) {
+        for (std::size_t i = 0; i < p.values.size(); ++i) {
+            const auto v = static_cast<std::uint16_t>(p.values[i]);
+            want[p.offset + 2 * i] = static_cast<std::uint8_t>(v);
+            want[p.offset + 2 * i + 1] = static_cast<std::uint8_t>(v >> 8);
+        }
+    }
+    // The surviving planted flip at 3000 (bit 1) is still in DRAM.
+    want[3000] ^= 2;
+    EXPECT_EQ(one.bytes, want);
 }
 
 // --- graceful failure handling ---

@@ -18,6 +18,7 @@
 #include "sim/json.hh"
 #include "sim/rng.hh"
 #include "system/runspec.hh"
+#include "system/simulation.hh"
 
 namespace vip {
 namespace {
@@ -435,6 +436,46 @@ TEST(RunSpecMalformed, HostileRequestsAreStructuredErrors)
         ASSERT_EQ(decode(c.sameSpecAs, &same), Outcome::Ok);
         EXPECT_EQ(spec.toJson().str(), same.toJson().str()) << c.line;
         EXPECT_EQ(spec.fingerprint(), same.fingerprint()) << c.line;
+    }
+}
+
+TEST(RunSpecMalformed, PokesOutsideTheDramAreConfigErrors)
+{
+    // buildSimulation() checks each poke's bytes [addr, addr + 2n)
+    // against the machine's capacity, the bound a PE's own transfers
+    // meet, without letting addr + 2n wrap. These used to abort the
+    // daemon (past the 64 GiB page table) or be staged silently
+    // (between the capacity and 64 GiB).
+    const std::uint64_t cap = RunSpec{}.config.mem.geom.capacity();
+    const auto poke = [](std::uint64_t addr, const std::string &values) {
+        return "{\"run\": {\"pokes\": [{\"addr\": " +
+               std::to_string(addr) + ", \"values\": " + values + "}]}}";
+    };
+    const struct
+    {
+        std::string line;
+        bool ok;
+    } cases[] = {
+        {poke(std::uint64_t{1} << 36, "[1]"), false},
+        {poke(~std::uint64_t{0} - 1, "[1, 2]"), false},  // 2^64 - 2
+        {poke(cap - 2, "[1, 2]"), false},                // straddles
+        {poke(cap, "[1]"), false},
+        {poke(cap - 3, "[1, 2]"), false},
+        {poke(cap - 2, "[1]"), true},  // the last word
+        {poke(cap - 4, "[1, 2]"), true},
+        {poke(0, "[1, 2]"), true},
+    };
+    for (const auto &c : cases) {
+        RunSpec spec;
+        ASSERT_EQ(decode(c.line, &spec), Outcome::Ok) << c.line;
+        try {
+            buildSimulation(spec);
+            EXPECT_TRUE(c.ok) << c.line;
+        } catch (const ConfigError &e) {
+            EXPECT_FALSE(c.ok) << c.line << ": " << e.message();
+            EXPECT_NE(e.message().find("pokes[].addr"), std::string::npos)
+                << e.message();
+        }
     }
 }
 

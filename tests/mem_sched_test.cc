@@ -437,8 +437,10 @@ struct TrafficReq
     bool write;
 };
 
+/** @p hot_banks > 0 confines the traffic to banks [0, hot_banks). */
 std::vector<TrafficReq>
-randomTraffic(const MemConfig &cfg, std::uint64_t seed, unsigned count)
+randomTraffic(const MemConfig &cfg, std::uint64_t seed, unsigned count,
+              unsigned hot_banks = 0)
 {
     // Bursts (which fill the queue) alternate with idle gaps (which
     // let refreshes land on an empty vault); a few hot rows per bank
@@ -454,8 +456,8 @@ randomTraffic(const MemConfig &cfg, std::uint64_t seed, unsigned count)
             t += burst ? rng.nextBelow(3) : rng.nextBelow(40);
             DramCoord c;
             c.vault = 0;
-            c.bank = static_cast<unsigned>(
-                rng.nextBelow(cfg.geom.banksPerVault));
+            c.bank = static_cast<unsigned>(rng.nextBelow(
+                hot_banks ? hot_banks : cfg.geom.banksPerVault));
             c.row = rng.nextBelow(4);
             c.col = static_cast<unsigned>(
                 rng.nextBelow(cfg.geom.colsPerRow()));
@@ -533,6 +535,7 @@ struct SchedCase
     Cycles tREFI;
     bool moreBanks;
     bool widerRows = false;  ///< 4x rows: runs of up to 32 columns
+    unsigned hotBanks = 0;   ///< nonzero: traffic on that many banks
 };
 
 class VaultDifferential : public ::testing::TestWithParam<SchedCase>
@@ -555,7 +558,7 @@ TEST_P(VaultDifferential, MatchesNaiveReferenceAndNeverWakesLate)
         SCOPED_TRACE(std::string(sc.name) + " seed " +
                      std::to_string(seed));
         const std::vector<TrafficReq> reqs =
-            randomTraffic(cfg, seed, 1500);
+            randomTraffic(cfg, seed, 1500, sc.hotBanks);
         constexpr Cycles kLimit = 5'000'000;
 
         // Reference and real controller, both ticked every cycle. In
@@ -647,7 +650,13 @@ INSTANTIATE_TEST_SUITE_P(
         SchedCase{"open_64_banks", PagePolicy::Open, 32, 0, true},
         SchedCase{"open_wide_rows", PagePolicy::Open, 32, 0, false, true},
         SchedCase{"closed_wide_rows", PagePolicy::Closed, 32, 0, false,
-                  true}),
+                  true},
+        // A deep queue on two banks: each bank's run ring holds dozens
+        // of runs, so it grows, and its positions wrap many times.
+        SchedCase{"open_deep_two_banks", PagePolicy::Open, 128, 0, false,
+                  false, 2},
+        SchedCase{"closed_deep_two_banks", PagePolicy::Closed, 128, 0,
+                  false, false, 2}),
     [](const ::testing::TestParamInfo<SchedCase> &info) {
         return std::string(info.param.name);
     });

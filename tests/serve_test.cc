@@ -355,6 +355,30 @@ TEST(VipServer, OversizedBankCountIsAConfigErrorAndLoopSurvives)
                     .asBool());
 }
 
+TEST(VipServer, PokePastTheDramIsAConfigErrorAndLoopSurvives)
+{
+    // A poke past the 64 GiB page table used to abort the daemon from
+    // inside DramStorage; now buildSimulation() rejects any poke that
+    // leaves the machine's DRAM.
+    Json ok = Json::object();
+    ok.set("run", dotSpec().toJson());
+    const std::vector<std::string> rsp = serveLines(
+        "{\"run\":{\"programs\":[{\"pe\":0,\"source\":\"halt\\n\"}],"
+        "\"pokes\":[{\"addr\":68719476736,\"values\":[1]}],"
+        "\"maxCycles\":1000}}\n" +
+        ok.str() + "\n");
+    ASSERT_EQ(rsp.size(), 2u);
+    const Json err = Json::parse(rsp[0]).at("error");
+    EXPECT_EQ(err.at("kind").asString(), "config");
+    EXPECT_NE(err.at("message").asString().find("pokes[].addr"),
+              std::string::npos)
+        << rsp[0];
+    EXPECT_TRUE(Json::parse(rsp[1])
+                    .at("result")
+                    .at("haltedCleanly")
+                    .asBool());
+}
+
 TEST(VipServer, AssemblyAndDeadlockFailuresAreStructured)
 {
     RunSpec bad_asm = dotSpec();

@@ -2,7 +2,8 @@
  * @file
  * Small utilities: the shift-add constant multiplier the kernel
  * generators use (the ISA has no scalar multiply), the runner's NoC
- * grid selection, the PE trace hook, and the NoC latency histogram.
+ * grid selection, the PE trace hook, the NoC latency histogram, and
+ * the absolute-position ring the vault queues use.
  */
 
 #include <gtest/gtest.h>
@@ -10,10 +11,43 @@
 #include "isa/builder.hh"
 #include "kernels/emit_util.hh"
 #include "noc/torus.hh"
+#include "sim/ring.hh"
 #include "system/simulation.hh"
 
 namespace vip {
 namespace {
+
+TEST(Ring, PositionsSurviveWrapAndGrowth)
+{
+    // Steady traffic first carries the head around the buffer many
+    // times; then bursts overfill it while the live span wraps, so
+    // each doubling must move the wrapped elements. Every element
+    // keeps its position throughout.
+    Ring<std::uint64_t> ring(3);
+    EXPECT_EQ(ring.capacity(), 4u);
+    std::uint64_t pushed = 0;
+    const auto check = [&ring, &pushed] {
+        ASSERT_EQ(ring.end(), pushed);
+        for (std::uint64_t pos = ring.head(); pos != ring.end(); ++pos)
+            ASSERT_EQ(ring.at(pos), 1000 + pos);
+    };
+    for (unsigned round = 0; round < 50; ++round) {
+        const unsigned burst = round < 40 ? 3 : 9;
+        for (unsigned i = 0; i < burst; ++i)
+            ring.push(1000 + pushed++);
+        check();
+        for (unsigned i = 0; i < 3; ++i) {
+            ASSERT_EQ(ring.front(), 1000 + ring.head());
+            ring.pop();
+        }
+        check();
+        if (round == 39) {
+            EXPECT_EQ(ring.capacity(), 4u) << "steady traffic grew";
+        }
+    }
+    EXPECT_EQ(ring.capacity(), 64u);
+    EXPECT_EQ(ring.back(), 1000 + pushed - 1);
+}
 
 TEST(EmitMulConst, ComputesProductsWithoutMultiplier)
 {
