@@ -86,7 +86,7 @@ class VaultController final : public Clocked
         return pendingTransactions() < cfg_.transQueueDepth;
     }
 
-    /** Statistics, public so formulas and tests can read them. */
+    /** Statistics, public so tests can read them. */
     struct Stats
     {
         Counter readBytes;

@@ -414,11 +414,9 @@ translateProgram(const std::vector<Instruction> &prog)
                 // len <= kInstBufferEntries (1024): fits uint16_t.
                 b.len = static_cast<std::uint16_t>(nx.len + 1);
                 b.liveIn = gat | (nx.liveIn & ~wr);
-                b.writes = wr | nx.writes;
             } else {
                 b.len = 1;
                 b.liveIn = gat;
-                b.writes = wr;
             }
             break;
           }

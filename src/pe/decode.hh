@@ -110,7 +110,6 @@ struct FastBlock
 {
     std::uint16_t len = 0;      ///< µops in the block (incl. terminator)
     std::uint64_t liveIn = 0;   ///< registers read before written
-    std::uint64_t writes = 0;   ///< registers the block writes
 };
 
 /** A translated program: the µop stream plus per-pc fast-block table. */
@@ -119,17 +118,10 @@ struct DecodedProgram
     std::vector<Uop> uops;
     std::vector<FastBlock> blocks;
     std::size_t entryPoints = 0; ///< pcs from which a fast block starts
-
-    void clear()
-    {
-        uops.clear();
-        blocks.clear();
-        entryPoints = 0;
-    }
 };
 
-/** Translate one instruction (the oracle path re-translates per issue;
- *  the cached path calls this once per static instruction). */
+/** Translate one instruction; translateProgram calls this once per
+ *  static instruction. */
 Uop translateUop(const Instruction &inst);
 
 /** Translate a program once at load; pure and deterministic. */

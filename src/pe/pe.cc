@@ -128,12 +128,9 @@ Pe::loadProgram(std::vector<Instruction> prog)
     vip_assert(prog.size() <= kInstBufferEntries, "program of ",
                prog.size(), " instructions exceeds the instruction buffer");
     prog_ = std::move(prog);
-    decoded_.clear();
-    if (cfg_.fastPath) {
-        decoded_ = translateProgram(prog_);
-        fpStats_.uopsTranslated += decoded_.uops.size();
-        fpStats_.blocksTranslated += decoded_.entryPoints;
-    }
+    decoded_ = translateProgram(prog_);
+    fpStats_.uopsTranslated += decoded_.uops.size();
+    fpStats_.blocksTranslated += decoded_.entryPoints;
     pc_ = 0;
     halted_ = prog_.empty();
     stallCounter_ = nullptr;
@@ -859,16 +856,9 @@ Pe::tick(Cycles now)
     if (pc_ >= prog_.size())
         programError("PC ran off the end of the program");
 
-    if (cfg_.fastPath) {
-        if (tryFastPath(now))
-            return;
-        issueUop(decoded_.uops[pc_], now);
-    } else {
-        // Oracle mode: re-decode the instruction at the PC every cycle
-        // — the classic interpreter, expressed through the same
-        // translation and the same issue path the fast mode replays.
-        issueUop(translateUop(prog_[pc_]), now);
-    }
+    if (cfg_.fastPath && tryFastPath(now))
+        return;
+    issueUop(decoded_.uops[pc_], now);
 }
 
 std::string

@@ -69,11 +69,11 @@ struct PeConfig
     bool arcCoversVector = false;
 
     /**
-     * Replay the decoded-µop stream and execute stall-free basic
-     * blocks functionally in bulk (see decode.hh). A host-speed knob
-     * only — results are bit-identical either way — so it is not part
-     * of the serialized PE-config JSON. False keeps the per-cycle
-     * interpreter as the oracle.
+     * Execute stall-free basic blocks functionally in bulk (see
+     * decode.hh). A host-speed knob only — results are bit-identical
+     * either way — so it is not part of the serialized PE-config JSON.
+     * False keeps the per-cycle interpreter, which issues from the same
+     * decoded-µop stream, as the oracle.
      */
     bool fastPath = true;
 
@@ -264,9 +264,8 @@ class Pe final : public Clocked
 
   private:
     // --- issue helpers; each returns true when the µop issued.
-    // All issue-path semantics take pre-decoded Uops; the oracle mode
-    // (fastPath off) re-translates the Instruction at the PC every
-    // tick, so both modes execute the one and only semantic path.
+    // All issue-path semantics take the Uops translated at load, in
+    // both modes, so there is one and only one semantic path.
     bool issueUop(const Uop &u, Cycles now);
     bool issueScalar(const Uop &u, Cycles now);
     bool issueBranch(const Uop &u, Cycles now);
@@ -351,7 +350,7 @@ class Pe final : public Clocked
     MemIssueFn memIssue_;
 
     std::vector<Instruction> prog_;
-    DecodedProgram decoded_; ///< µop stream + block table (fastPath)
+    DecodedProgram decoded_; ///< µop stream + block table
     std::size_t pc_ = 0;
     bool halted_ = true;
 

@@ -191,11 +191,6 @@ VipServer::dispatchRun(const Json &spec_json)
 {
     RunSpec spec = RunSpec::fromJson(spec_json);
     const std::uint64_t key = spec.fingerprint();
-    // Host execution default, applied after fingerprinting: the µop
-    // fast path never changes the result bytes, only how they are
-    // computed.
-    if (spec.config.fastPath)
-        spec.config.fastPath = opts_.defaultFastPath;
 
     auto token = std::make_shared<CancelToken>();
     std::uint64_t run_id = 0;
@@ -284,20 +279,16 @@ VipServer::statsResponse()
 {
     Json serve = Json::object();
     Json fp = Json::object();
-    fp.set("enabled", opts_.defaultFastPath);
     {
         // Counters are bumped under the lock by every connection and
         // worker; snapshot them the same way.
         LockGuard lock(mutex_);
-        statGroup_.visit({
-            [&serve, this](const std::string &path, std::uint64_t value,
-                           const std::string &) {
-                // Strip the "serve." prefix: the section name is the
-                // response's top-level key.
-                serve.set(path.substr(statGroup_.name().size() + 1),
-                          value);
-            },
-            nullptr,
+        statGroup_.visit([&serve, this](const std::string &path,
+                                        std::uint64_t value,
+                                        const std::string &) {
+            // Strip the "serve." prefix: the section name is the
+            // response's top-level key.
+            serve.set(path.substr(statGroup_.name().size() + 1), value);
         });
         serve.set("cacheEntries", cache_.size());
         serve.set("inFlight", inFlight_);

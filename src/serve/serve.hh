@@ -128,15 +128,6 @@ struct ServeOptions
     /** Result-cache capacity in entries; 0 disables caching. */
     std::size_t cacheEntries = 256;
 
-    /**
-     * Fast-path default for run requests that don't turn it off
-     * (config.fastPath == true). A host-side execution knob, not part
-     * of the request: the decoded-µop replay is bit-identical to the
-     * interpreter, so the cache key is computed before this default
-     * is applied and cached responses stay valid across it.
-     */
-    bool defaultFastPath = true;
-
     /** Longest accepted request line; longer lines are consumed and
      *  answered with {"error":{"kind":"protocol"}} — a runaway client
      *  cannot balloon the daemon. */

@@ -99,13 +99,6 @@ struct FastForwardStats
 {
     Cycles skippedCycles = 0;  ///< dead cycles warped over
     std::uint64_t warps = 0;   ///< number of time warps taken
-
-    void
-    reset()
-    {
-        skippedCycles = 0;
-        warps = 0;
-    }
 };
 
 } // namespace vip

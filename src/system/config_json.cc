@@ -274,15 +274,6 @@ SystemConfig::fromJson(const Json &j)
     });
     root.number("watchdogCycles", cfg.watchdogCycles);
     root.key("fastForward", intoBool(cfg.fastForward));
-    // Accepted and ignored (see SystemConfig::islands), but a
-    // malformed value is still an error, not a silent no-op.
-    root.key("islands", [](const Json &v) {
-        try {
-            v.asU64();
-        } catch (const JsonError &e) {
-            throw ConfigError("islands: " + e.message());
-        }
-    });
     root.key("fastPath", intoBool(cfg.fastPath));
     root.key("faults", [&cfg](const Json &v) {
         cfg.faults = FaultPlan::parse(v.asString());

@@ -39,18 +39,14 @@ Simulation::run(Cycles max_cycles, const CancelToken *cancel)
             static_cast<double>(result.cycles - start_cycle) /
             result.hostSeconds;
     }
-    result.fastForwardedCycles = sys_.fastForwardStats().skippedCycles;
-    result.fastPathEnabled = sys_.config().fastPath;
     for (unsigned pe = 0; pe < sys_.numPes(); ++pe) {
-        sys_.pe(pe).fastPathGroup().visit({
+        sys_.pe(pe).fastPathGroup().visit(
             [&result](const std::string &path, std::uint64_t value,
                       const std::string &) {
                 // Aggregate by counter name: the path is
                 // "peN.fastpath.<name>"; keep just <name>.
                 result.fastpath[path.substr(path.rfind('.') + 1)] += value;
-            },
-            nullptr,
-        });
+            });
     }
     result.haltedCleanly = sys_.allIdle();
     result.peRequestAllocations.reserve(sys_.numPes());
@@ -65,15 +61,9 @@ Simulation::run(Cycles max_cycles, const CancelToken *cancel)
         result.faults = f->stats();
         result.outstandingFlippedWords = f->outstandingFlippedWords();
     }
-    sys_.stats().visit({
-        [&result](const std::string &path, std::uint64_t value,
-                  const std::string &) {
-            result.counters[path] = value;
-        },
-        [&result](const std::string &path, double value,
-                  const std::string &) {
-            result.formulas[path] = value;
-        },
+    sys_.stats().visit([&result](const std::string &path,
+                                 std::uint64_t value, const std::string &) {
+        result.counters[path] = value;
     });
     return result;
 }
@@ -84,13 +74,11 @@ RunResult::toJson() const
     Json j = Json::object();
     j.set("cycles", static_cast<std::uint64_t>(cycles));
     j.set("haltedCleanly", haltedCleanly);
-    // fastForwardedCycles and the fastpath counter map stay on the
-    // struct (tools/logs read them) but out of the JSON: they are
-    // host-side tuning observables — fast-forward's skip count differs
-    // with fast-forward on vs. off, and so do the fastpath counters
-    // with the fast path — and keeping either here would break the
-    // bit-identical-RunResult contract strategy_equivalence_test
-    // pins.
+    // The fastpath counter map stays on the struct (vip-run and the
+    // serve stats read it) but out of the JSON: it is a host-side
+    // tuning observable that differs with the fast path on vs. off,
+    // and keeping it here would break the bit-identical-RunResult
+    // contract strategy_equivalence_test pins.
     j.set("memRequestPoolHighWater", memRequestPoolHighWater);
     Json allocs = Json::array();
     for (const std::uint64_t a : peRequestAllocations)
@@ -100,10 +88,8 @@ RunResult::toJson() const
     for (const auto &[path, value] : counters)
         cj.set(path, value);
     j.set("counters", std::move(cj));
-    Json fj = Json::object();
-    for (const auto &[path, value] : formulas)
-        fj.set(path, value);
-    j.set("formulas", std::move(fj));
+    // Always empty; kept because pinned serve bytes and perfbench pins hash it.
+    j.set("formulas", Json::object());
     if (faultInjectionEnabled) {
         Json f = Json::object();
         f.set("dramBitFlips", faults.dramBitFlips);

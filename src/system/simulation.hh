@@ -88,30 +88,19 @@ struct RunResult
      *  --stats does). */
     std::map<std::string, std::uint64_t> counters;
 
-    /** Every derived statistic (rates, bandwidth formulas), keyed by
-     *  dotted path. Deterministic: formulas only combine counters and
-     *  simulated time, never host wall-clock. */
-    std::map<std::string, double> formulas;
-
     /** Host wall-clock seconds this run() call took. */
     double hostSeconds = 0.0;
 
     /** Simulated cycles advanced this run() per host second. */
     double simCyclesPerHostSecond = 0.0;
 
-    /** Dead cycles warped over so far (0 with --no-fast-forward). */
-    Cycles fastForwardedCycles = 0;
-
-    /** True when the run executed with the decoded-µop fast path. */
-    bool fastPathEnabled = false;
-
     /**
      * µop-cache / fast-path counters summed across PEs, keyed by
      * counter name ("block_runs", "fast_uops", "fallback_regs", ...)
-     * — see Pe::FastPathStats. Like fastForwardedCycles these measure
-     * the host-side execution strategy, live outside the system stats
-     * tree, and are excluded from toJson(): RunResult JSON is
-     * identical with the fast path on or off.
+     * — see Pe::FastPathStats. These measure the host-side execution
+     * strategy, live outside the system stats tree, and are excluded
+     * from toJson(): RunResult JSON is identical with the fast path on
+     * or off.
      */
     std::map<std::string, std::uint64_t> fastpath;
 
@@ -146,8 +135,9 @@ struct RunResult
     }
 
     /**
-     * The structured result: cycles, halt state, the typed counter
-     * and formula maps, and the fault section when injection ran.
+     * The structured result: cycles, halt state, the request-pool
+     * counters, the typed counter map, an always-empty "formulas"
+     * object, and the fault section when injection ran.
      * Deliberately excludes host wall-clock timing (hostSeconds,
      * simCyclesPerHostSecond) so the JSON of two identical runs is
      * byte-identical — the property the serve result cache serves

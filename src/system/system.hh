@@ -54,19 +54,19 @@ struct SystemConfig
     bool fastForward = true;
 
     /**
-     * Accepted and ignored. Older specs set this to shard one run
-     * across host threads; that strategy is gone (one run is one
-     * thread, and sweeps parallelise across runs), so the value never
-     * changes the simulation and is neither validated nor encoded.
+     * Read by nothing. Kept only because perfbench/points.cc still
+     * assigns it; it goes with the perfbench islands strategy in the
+     * next benchmark change. Not on the wire: a spec that sends
+     * "islands" gets the unknown-key ConfigError.
      */
     unsigned islands = 1;
 
     /**
-     * Replay each PE's decoded-µop stream and execute stall-free basic
-     * blocks functionally in bulk (pe/decode.hh). Bit-identical to the
-     * per-cycle interpreter — a host knob like fastForward — and
-     * false (--no-fast-path) keeps the interpreter as the oracle. Omitted from the JSON wire form when true, so existing
-     * RunSpec fingerprints are unchanged.
+     * Execute each PE's stall-free basic blocks functionally in bulk
+     * (pe/decode.hh). Bit-identical to the per-cycle interpreter — a
+     * host knob like fastForward — and false (--no-fast-path) keeps
+     * the interpreter as the oracle. Omitted from the JSON wire form
+     * when true, so existing RunSpec fingerprints are unchanged.
      */
     bool fastPath = true;
 
@@ -88,8 +88,7 @@ struct SystemConfig
      * "mem.geom.vaults" is given without "nocX"/"nocY" the NoC grid
      * is derived with nocDimsFor(). Unknown keys anywhere in the
      * object throw ConfigError naming the offending key — a typo'd
-     * knob must not silently fall back to the default. "islands" is
-     * type-checked (a non-negative integer) and dropped. Does not
+     * knob must not silently fall back to the default. Does not
      * validate the result; VipSystem's constructor does.
      */
     static SystemConfig fromJson(const Json &j);

@@ -10,7 +10,7 @@
  * indistinguishable from the oracle, the interpreter ticking every
  * cycle. expectEquivalent() runs one drive under all four strategies
  * and requires every run to match the oracle in the cycle count and
- * the stats JSON at every run() boundary, and at the end in the DRAM
+ * the stats dump at every run() boundary, and at the end in the DRAM
  * fingerprint, the fault counters and the request-pool counters.
  */
 
@@ -49,7 +49,7 @@ inline constexpr std::array<Strategy, 4> kStrategies = {{
 /** What one strategy's run of a drive showed. */
 struct Observed
 {
-    /** "<cycle>\n<stats JSON>" at each run() boundary. */
+    /** "<cycle>\n<stats dump>" at each run() boundary. */
     std::vector<std::string> cuts;
     Cycles cycles = 0;
     std::uint64_t instructions = 0;  ///< committed, summed over PEs
@@ -88,7 +88,7 @@ observe(SystemConfig cfg, const Strategy &strategy, const Drive &drive)
         const Cycles now = sys.run(max_cycles);
         std::ostringstream os;
         os << now << "\n";
-        sys.stats().dumpJson(os);
+        sys.stats().dump(os);
         o.cuts.push_back(os.str());
         return now;
     });

@@ -40,27 +40,13 @@ TEST(Stats, CountersAndDump)
     a += 5;
     ++a;
     b += 2;
-    root.addFormula("ratio", "a per b", [&] {
-        return static_cast<double>(a.value()) /
-               static_cast<double>(b.value());
-    });
 
     EXPECT_EQ(a.value(), 6u);
-    EXPECT_EQ(root.findCounter("a"), &a);
-    EXPECT_EQ(root.findCounter("missing"), nullptr);
-    EXPECT_DOUBLE_EQ(root.evalFormula("ratio"), 3.0);
 
     std::ostringstream os;
     root.dump(os);
-    const std::string text = os.str();
-    EXPECT_NE(text.find("root.a 6 # counter a"), std::string::npos);
-    EXPECT_NE(text.find("root.child.b 2 # counter b"),
-              std::string::npos);
-    EXPECT_NE(text.find("root.ratio 3"), std::string::npos);
-
-    root.resetStats();
-    EXPECT_EQ(a.value(), 0u);
-    EXPECT_EQ(b.value(), 0u);
+    EXPECT_EQ(os.str(), "root.a 6 # counter a\n"
+                        "root.child.b 2 # counter b\n");
 }
 
 TEST(Histogram, BucketsAndPercentiles)

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/json.hh"
 #include "sim/stats.hh"
 #include "sim/sweep.hh"
 #include "system/simulation.hh"
@@ -184,43 +185,35 @@ TEST(SweepEngine, JobSeedIsDeterministicAndDistinct)
     EXPECT_NE(jobSeed(3, 1), jobSeed(3, 2));
 }
 
-TEST(Stats, DumpJsonSortsKeysAndIsStable)
+TEST(Stats, DumpIsOneLinePerVisitAndWireKeepsFormulas)
 {
-    StatGroup root("root");
-    StatGroup zeta("zeta", &root);
-    StatGroup alpha("alpha", &root);
-    Counter c(&root, "charlie", "third");
-    Counter a(&root, "able", "first");
-    Counter z(&zeta, "zz", "nested");
-    c += 3;
-    a += 1;
-    z += 9;
-    root.addFormula("baker", "in between", [] { return 0.5; });
+    // Two vaults, one PE each, both running the dot product: every
+    // stat group of a real machine (PEs, vaults, NoC) is in the tree.
+    Simulation sim(makeSystemConfig(2, 1));
+    const std::vector<std::int16_t> a = {1, 2, 3, 4, 5, 6, 7, 8};
+    sim.pokeDram(0x1000, a).pokeDram(0x1100, a);
+    sim.loadProgram(0, kDotProduct).loadProgram(1, kDotProduct);
+    const RunResult result = sim.run();
+    ASSERT_TRUE(result.haltedCleanly);
 
-    std::ostringstream first, second;
-    root.dumpJson(first);
-    root.dumpJson(second);
-    EXPECT_EQ(first.str(), second.str());
+    std::string visited;
+    std::size_t callbacks = 0;
+    sim.system().stats().visit([&](const std::string &path,
+                                   std::uint64_t value,
+                                   const std::string &desc) {
+        visited += path + " " + std::to_string(value) + " # " + desc + "\n";
+        ++callbacks;
+    });
+    std::ostringstream dumped;
+    sim.system().stats().dump(dumped);
+    EXPECT_EQ(dumped.str(), visited);
+    EXPECT_EQ(callbacks, result.counters.size());
+    EXPECT_GT(result.counter("system.pe1.instructions"), 0u);
 
-    const std::string json = first.str();
-    // Keys appear in sorted order regardless of registration order.
-    const auto p_able = json.find("\"able\"");
-    const auto p_alpha = json.find("\"alpha\"");
-    const auto p_baker = json.find("\"baker\"");
-    const auto p_charlie = json.find("\"charlie\"");
-    const auto p_zeta = json.find("\"zeta\"");
-    ASSERT_NE(p_able, std::string::npos);
-    ASSERT_NE(p_alpha, std::string::npos);
-    ASSERT_NE(p_baker, std::string::npos);
-    ASSERT_NE(p_charlie, std::string::npos);
-    ASSERT_NE(p_zeta, std::string::npos);
-    EXPECT_LT(p_able, p_alpha);
-    EXPECT_LT(p_alpha, p_baker);
-    EXPECT_LT(p_baker, p_charlie);
-    EXPECT_LT(p_charlie, p_zeta);
-    EXPECT_NE(json.find("\"charlie\": 3"), std::string::npos);
-    EXPECT_NE(json.find("\"baker\": 0.5"), std::string::npos);
-    EXPECT_NE(json.find("\"zz\": 9"), std::string::npos);
+    // No stat is a formula; the key stays because served and pinned
+    // RunResult bytes carry it.
+    EXPECT_NE(result.toJson().str().find("\"formulas\":{}"),
+              std::string::npos);
 }
 
 } // namespace

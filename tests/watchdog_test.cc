@@ -135,7 +135,7 @@ TEST(IngressBackpressure, DrainOrderSurvivesWarps)
         sys.run(50'000'000);
         EXPECT_TRUE(sys.allIdle());
         std::ostringstream os;
-        sys.stats().dumpJson(os);
+        sys.stats().dump(os);
         return std::make_pair(sys.now(), os.str());
     };
 

@@ -303,8 +303,8 @@ run(const Options &opt)
         std::fputs(os.str().c_str(), stdout);
     }
     if (!opt.common.jsonStatsPath.empty()) {
-        // The deterministic RunResult document (counters, formulas,
-        // faults — byte-identical run to run) plus a "host" section
+        // The deterministic RunResult document (counters and faults,
+        // byte-identical run to run) plus a "host" section
         // carrying the wall-clock figures, which are not.
         Json doc = result.toJson();
         Json host = Json::object();
@@ -317,7 +317,7 @@ run(const Options &opt)
         // counters (Pe::FastPathStats) plus the mode that produced
         // them.
         Json fp = Json::object();
-        fp.set("enabled", result.fastPathEnabled);
+        fp.set("enabled", spec.config.fastPath);
         for (const auto &[name, value] : result.fastpath)
             fp.set(name, value);
         doc.set("fastpath", std::move(fp));

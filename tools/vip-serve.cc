@@ -22,10 +22,6 @@
  * Options:
  *   --jobs N     worker pool size (default 1: inline, deterministic
  *                response order timing; 0 = hardware concurrency)
- *   --no-fast-path
- *                interpret every instruction on requests that don't
- *                ask otherwise (default: replay decoded µops; results
- *                are bit-identical either way, see pe/decode.hh)
  *   --cache N    result-cache capacity in entries (default 256;
  *                0 disables caching)
  *   --journal PATH
@@ -129,10 +125,8 @@ usage()
                  "(crash recovery)\n"
                  "  --max-queue N       shed run requests beyond N in "
                  "flight (default 4*jobs+4)\n",
-                 cli::commonUsage(cli::kJobs | cli::kFastPath)
-                     .c_str(),
-                 cli::commonHelp(cli::kJobs | cli::kFastPath)
-                     .c_str());
+                 cli::commonUsage(cli::kJobs).c_str(),
+                 cli::commonHelp(cli::kJobs).c_str());
     return 2;
 }
 
@@ -360,8 +354,7 @@ main(int argc, char **argv)
     bool useStdin = true;
 
     for (int i = 1; i < argc; ++i) {
-        if (cli::consumeCommon(argc, argv, i, cli::kJobs | cli::kFastPath,
-                               common))
+        if (cli::consumeCommon(argc, argv, i, cli::kJobs, common))
             continue;
         const std::string arg = argv[i];
         auto next = [&]() -> const char * {
@@ -393,7 +386,6 @@ main(int argc, char **argv)
     installSignalHandlers();
 
     opts.jobs = common.jobs;
-    opts.defaultFastPath = common.fastPath;
     // Drain-then-exit on SIGINT/SIGTERM: serve() polls this between
     // request lines and returns after finishing in-flight work.
     opts.stopRequested = [] { return g_signal != 0; };
