@@ -33,7 +33,7 @@ Cycles
 bpPhase(const std::function<void(SystemConfig &)> &tweak,
         unsigned prefetch_depth = 4)
 {
-    SystemConfig cfg = makeSystemConfig(1, 4);
+    SystemConfig cfg = benchConfig(1, 4);
     tweak(cfg);
     VipSystem sys(cfg);
     MrfDramLayout layout(sys.vaultBase(0), 60, 34, 16);

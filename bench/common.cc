@@ -22,13 +22,22 @@ namespace vip {
 
 namespace {
 
-/** Set by --no-fast-forward; read by every run* helper below. */
+/** Set by --no-fast-forward; read by benchConfig(). */
 bool g_fast_forward = true;
 
-/** Set by --no-fast-path; read by every run* helper below. */
+/** Set by --no-fast-path; read by benchConfig(). */
 bool g_fast_path = true;
 
 } // namespace
+
+SystemConfig
+benchConfig(unsigned vaults, unsigned pes_per_vault)
+{
+    SystemConfig cfg = makeSystemConfig(vaults, pes_per_vault);
+    cfg.fastForward = g_fast_forward;
+    cfg.fastPath = g_fast_path;
+    return cfg;
+}
 
 BenchOptions
 parseBenchOptions(int argc, char **argv, double default_frac)
@@ -53,8 +62,6 @@ parseBenchOptions(int argc, char **argv, double default_frac)
         }
     }
     opts.jobs = common.jobs;
-    opts.fastForward = common.fastForward;
-    opts.fastPath = common.fastPath;
     g_fast_forward = common.fastForward;
     g_fast_path = common.fastPath;
     return opts;
@@ -125,9 +132,7 @@ SliceResult
 runBpTilePhase(unsigned tile_w, unsigned tile_h, unsigned labels,
                unsigned iterations, const MemKnobs &knobs)
 {
-    SystemConfig cfg = makeSystemConfig(1, 4);
-    cfg.fastForward = g_fast_forward;
-    cfg.fastPath = g_fast_path;
+    SystemConfig cfg = benchConfig(1, 4);
     applyKnobs(cfg.mem, knobs);
     Simulation sim(cfg);
 
@@ -174,9 +179,7 @@ SliceResult
 runBpSweepVariant(unsigned tile_w, unsigned tile_h, unsigned labels,
                   bool reduction, bool register_file)
 {
-    SystemConfig cfg = makeSystemConfig(1, 4);
-    cfg.fastForward = g_fast_forward;
-    cfg.fastPath = g_fast_path;
+    SystemConfig cfg = benchConfig(1, 4);
     Simulation sim(cfg);
     MrfDramLayout layout(sim.vaultBase(), tile_w, tile_h, labels);
 
@@ -204,9 +207,7 @@ runConvShare(const LayerDesc &layer, unsigned vaults_active,
              double row_fraction, const MemKnobs &knobs)
 {
     vip_assert(layer.kind == LayerDesc::Kind::Conv, "not a conv layer");
-    SystemConfig cfg = makeSystemConfig(1, 4);
-    cfg.fastForward = g_fast_forward;
-    cfg.fastPath = g_fast_path;
+    SystemConfig cfg = benchConfig(1, 4);
     applyKnobs(cfg.mem, knobs);
 
     const unsigned in_c = layer.inChannels;
@@ -305,9 +306,7 @@ runPoolShare(const LayerDesc &layer, unsigned vaults_active,
              double row_fraction, const MemKnobs &knobs)
 {
     vip_assert(layer.kind == LayerDesc::Kind::Pool, "not a pool layer");
-    SystemConfig cfg = makeSystemConfig(1, 4);
-    cfg.fastForward = g_fast_forward;
-    cfg.fastPath = g_fast_path;
+    SystemConfig cfg = benchConfig(1, 4);
     applyKnobs(cfg.mem, knobs);
     Simulation sim(cfg);
 
@@ -347,9 +346,7 @@ SliceResult
 runFcLayer(unsigned inputs, unsigned outputs, double row_fraction,
            const MemKnobs &knobs)
 {
-    SystemConfig cfg = makeSystemConfig(32, 4);
-    cfg.fastForward = g_fast_forward;
-    cfg.fastPath = g_fast_path;
+    SystemConfig cfg = benchConfig(32, 4);
     applyKnobs(cfg.mem, knobs);
     Simulation sim(cfg);
     VipSystem &sys = sim.system();
@@ -435,9 +432,7 @@ SliceResult
 runConstructPhase(unsigned fine_w, unsigned fine_h, unsigned labels,
                   unsigned coarse_rows)
 {
-    SystemConfig cfg = makeSystemConfig(1, 4);
-    cfg.fastForward = g_fast_forward;
-    cfg.fastPath = g_fast_path;
+    SystemConfig cfg = benchConfig(1, 4);
     Simulation sim(cfg);
     MrfDramLayout fine(sim.vaultBase(), fine_w, fine_h, labels);
     MrfDramLayout coarse(fine.end() + 64, fine_w / 2, fine_h / 2,
@@ -461,9 +456,7 @@ SliceResult
 runCopyPhase(unsigned fine_w, unsigned fine_h, unsigned labels,
              unsigned fine_rows)
 {
-    SystemConfig cfg = makeSystemConfig(1, 4);
-    cfg.fastForward = g_fast_forward;
-    cfg.fastPath = g_fast_path;
+    SystemConfig cfg = benchConfig(1, 4);
     Simulation sim(cfg);
     MrfDramLayout fine(sim.vaultBase(), fine_w, fine_h, labels);
     MrfDramLayout coarse(fine.end() + 64, fine_w / 2, fine_h / 2,
@@ -486,9 +479,7 @@ runCopyPhase(unsigned fine_w, unsigned fine_h, unsigned labels,
 SliceResult
 runStreamCopy(std::uint64_t bytes_per_pe, const MemKnobs &knobs)
 {
-    SystemConfig cfg = makeSystemConfig(1, 4);
-    cfg.fastForward = g_fast_forward;
-    cfg.fastPath = g_fast_path;
+    SystemConfig cfg = benchConfig(1, 4);
     applyKnobs(cfg.mem, knobs);
     Simulation sim(cfg);
 

@@ -70,25 +70,22 @@ struct BenchOptions
 {
     unsigned jobs = 0;  ///< sweep threads; 0 = hardware concurrency
     double frac = 0;    ///< bench-specific fidelity fraction
-
-    /** False after --no-fast-forward: tick every dead cycle. */
-    bool fastForward = true;
-
-    /** False after --no-fast-path: interpret every instruction
-     *  instead of replaying decoded µops. */
-    bool fastPath = true;
 };
 
 /**
  * Parse `[FRAC] [--jobs N] [--no-fast-forward] [--no-fast-path]`;
  * exits with usage on bad arguments. `--no-fast-forward` and
- * `--no-fast-path` also apply globally: every subsequent run* helper
- * in this translation unit builds its systems with those
+ * `--no-fast-path` also apply globally: every system built from
+ * benchConfig() afterwards, and so every run* helper below, uses those
  * execution-strategy settings. Results are identical either way; the
  * flags exist to measure and regression-test exactly that.
  */
 BenchOptions parseBenchOptions(int argc, char **argv,
                                double default_frac = 0);
+
+/** makeSystemConfig(@p vaults, @p pes_per_vault) under the execution
+ *  strategy parseBenchOptions() read. */
+struct SystemConfig benchConfig(unsigned vaults, unsigned pes_per_vault);
 
 /**
  * Run every sweep point through a SweepEngine with @p jobs workers

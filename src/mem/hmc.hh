@@ -19,7 +19,7 @@
 
 namespace vip {
 
-class HmcStack : public Clocked
+class HmcStack
 {
   public:
     explicit HmcStack(const MemConfig &cfg, StatGroup *parent = nullptr);
@@ -31,7 +31,7 @@ class HmcStack : public Clocked
     unsigned homeVault(Addr addr) const { return mapper_.decode(addr).vault; }
 
     void
-    tick(Cycles now) override
+    tick(Cycles now)
     {
         for (auto &v : vaults_)
             v->tick(now);
@@ -39,7 +39,7 @@ class HmcStack : public Clocked
 
     /** Earliest event over all vault controllers. */
     Cycles
-    nextEventAt(Cycles now) const override
+    nextEventAt(Cycles now) const
     {
         Cycles next = kIdleForever;
         for (const auto &v : vaults_) {

@@ -61,19 +61,18 @@ struct MemRequest
  *
  * The pool is thread-confined to the host thread driving its
  * VipSystem (like every piece of simulated state — see the
- * concurrency contract on VipSystem::parkRequest): acquire/release
- * are unsynchronized by design, and sharing a pool across threads is
- * a caller bug, not a missing lock.
+ * concurrency contract on VipSystem::run): acquire/release are
+ * unsynchronized by design, and sharing a pool across threads is a
+ * caller bug, not a missing lock.
  *
  * The pool must outlive every completion callback of its requests
  * (the issuing PE owns both, and completions are delivered only while
  * the machine ticks). Requests still in flight at teardown are freed
  * by their owning container — a vault queue, the system's ingress
- * deques, or the system's NoC parking table (see
- * VipSystem::parkRequest) — never by the pool: release() is only
- * called from the completion paths, so a destroyed pool is never
- * touched, and a machine torn down mid-flight (expired budget,
- * deadlock throw) leaks nothing.
+ * deques, or the NoC packet carrying them (Packet::req) — never by
+ * the pool: release() is only called from the completion paths, so a
+ * destroyed pool is never touched, and a machine torn down mid-flight
+ * (expired budget, deadlock throw) leaks nothing.
  */
 class MemRequestPool
 {

@@ -25,7 +25,7 @@ namespace vip {
 
 class FaultInjector;
 
-class VaultController final : public Clocked
+class VaultController final
 {
   public:
     /** Most banks one vault can schedule (see kBankBits). */
@@ -42,7 +42,7 @@ class VaultController final : public Clocked
     bool enqueue(std::unique_ptr<MemRequest> req);
 
     /** Advance one clock cycle: retire data, issue at most one command. */
-    void tick(Cycles now) override;
+    void tick(Cycles now);
 
     /**
      * Earliest cycle this vault could act: the head of the completion
@@ -52,7 +52,7 @@ class VaultController final : public Clocked
      * windows for row-state progress). Conservative — the FR-FCFS
      * passes may pick a different access — but never late.
      */
-    Cycles nextEventAt(Cycles now) const override;
+    Cycles nextEventAt(Cycles now) const;
 
     /** Head of the completion queue (kIdleForever when empty): the
      *  cycle the next transaction completes and frees its slot. */

@@ -26,6 +26,7 @@
 #include <queue>
 #include <vector>
 
+#include "mem/request.hh"
 #include "sim/clocked.hh"
 #include "sim/histogram.hh"
 #include "sim/stats.hh"
@@ -35,17 +36,8 @@ namespace vip {
 
 class FaultInjector;
 
-/**
- * Owned, type-erased cargo riding inside a packet (the system parks
- * the in-flight MemRequest here). Travelling *inside* the packet —
- * instead of in a side table indexed by a slot captured in onArrive —
- * means it is freed with the packet if the machine is torn down
- * mid-flight.
- */
-using PacketPayload = std::unique_ptr<void, void (*)(void *)>;
-
-/** One message travelling between vault nodes. Move-only: it owns its
- *  payload. */
+/** One message travelling between vault nodes. Move-only: it owns the
+ *  memory request it carries. */
 struct Packet
 {
     unsigned src = 0;
@@ -64,8 +56,13 @@ struct Packet
     /** Called at the cycle the packet is fully delivered at dst. */
     std::function<void(Packet &)> onArrive;
 
-    /** Owned cargo (see PacketPayload). */
-    PacketPayload payload{nullptr, +[](void *) {}};
+    /**
+     * The request (or response) in flight. Travelling *inside* the
+     * packet, instead of in a side table indexed by a slot captured in
+     * onArrive, means it is freed with the packet if the machine is
+     * torn down mid-flight.
+     */
+    std::unique_ptr<MemRequest> req;
 
     Cycles injectedAt = 0;
     Cycles deliveredAt = 0;
@@ -89,7 +86,7 @@ struct Packet
     std::uint32_t seq = 0;
 };
 
-class TorusNoc : public Clocked
+class TorusNoc
 {
   public:
     /** Per-hop router+link latency (cycles). */
@@ -113,11 +110,11 @@ class TorusNoc : public Clocked
     void send(Packet pkt, Cycles now);
 
     /** Deliver every packet whose arrival time has been reached. */
-    void tick(Cycles now) override;
+    void tick(Cycles now);
 
     /** The network is purely event-driven: its next state change is
      *  the head of the (time-ordered) event queue. */
-    Cycles nextEventAt(Cycles now) const override;
+    Cycles nextEventAt(Cycles now) const;
 
     bool idle() const;
 

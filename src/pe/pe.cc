@@ -879,16 +879,4 @@ Pe::currentInstruction() const
     return &prog_[pc_];
 }
 
-void
-Pe::fastForward(Cycles from, Cycles to)
-{
-    // While the PE is not due nothing it depends on changes, so the
-    // front end would have re-evaluated to the exact same stall every
-    // cycle. Inside a fast-block busy window stallCounter_ is null and
-    // the cycles were already charged as busy, so nothing accrues here.
-    if (!halted_ && stallCounter_ != nullptr)
-        *stallCounter_ += to - from;
-    settledTo_ = to;
-}
-
 } // namespace vip

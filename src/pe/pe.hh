@@ -89,7 +89,7 @@ struct PeConfig
 /** How the PE hands memory transactions to the system. */
 using MemIssueFn = std::function<void(std::unique_ptr<MemRequest>)>;
 
-class Pe final : public Clocked
+class Pe final
 {
   public:
     Pe(const PeConfig &cfg, DramStorage &dram, const AddressMapper &mapper,
@@ -120,7 +120,7 @@ class Pe final : public Clocked
      * cycles (see settle()), exactly as per-cycle ticks would have.
      * Issue errors a program can cause throw ProgramError.
      */
-    void tick(Cycles now) override;
+    void tick(Cycles now);
 
     /**
      * Exclusive cycle bound of the current run: the fast path never
@@ -142,7 +142,7 @@ class Pe final : public Clocked
      * in, so a run loop that ticks only due PEs still sees it.
      */
     Cycles
-    nextEventAt(Cycles now) const override
+    nextEventAt(Cycles now) const
     {
         if (halted_) {
             // Outstanding responses (if any) are events of the memory
@@ -171,8 +171,16 @@ class Pe final : public Clocked
     void
     settle(Cycles now)
     {
-        if (now > settledTo_)
-            fastForward(settledTo_, now);
+        if (now <= settledTo_)
+            return;
+        // While the PE is not due nothing it depends on changes, so the
+        // front end would have re-evaluated to the exact same stall
+        // every cycle. Inside a fast-block busy window stallCounter_ is
+        // null and the cycles were already charged as busy, so nothing
+        // accrues here.
+        if (!halted_ && stallCounter_ != nullptr)
+            *stallCounter_ += now - settledTo_;
+        settledTo_ = now;
     }
 
     bool halted() const { return halted_; }
@@ -297,18 +305,11 @@ class Pe final : public Clocked
     /** Functionally execute one fast block entered at cycle @p at. */
     void execFastBlock(const FastBlock &b, Cycles at);
 
-    /**
-     * Replicate the per-cycle stall accounting for skipped cycles
-     * [from, to): the stall reason recorded at the last tick cannot
-     * change while the PE is not due, so the same counter is charged.
-     */
-    void fastForward(Cycles from, Cycles to);
-
     /** Earliest vector-pipeline ARC retirement (kIdleForever if none). */
     Cycles earliestVecArcRetireAt() const;
 
     /** Record a stall: bump @p counter, remember it and the wake cycle
-     *  for nextEventAt()/fastForward(). Always returns false. */
+     *  for nextEventAt()/settle(). Always returns false. */
     bool stallFor(Counter &counter, Cycles wake_at);
 
     /** An external event may have broken the stall: report due now. */

@@ -1,14 +1,16 @@
 /**
  * @file
- * The simulator's time model: the `Clocked` component interface and
- * the event-horizon fast-forward contract.
+ * The simulator's time model: the event-horizon fast-forward contract
+ * that every component driven by the global 1.25 GHz clock keeps.
  *
  * Every tickable unit of the machine (PE, NoC, vault, the system's
- * ingress drains) implements `tick(now)` plus `nextEventAt(now)`: the
- * earliest future cycle at which the component, left alone, could
- * change architectural or statistical state. The serial run loop uses
- * it twice when fast-forward is on, both from one pass per cycle
- * (`VipSystem::tickDue`):
+ * ingress drain) has `tick(now)` plus `nextEventAt(now)`: the earliest
+ * future cycle at which the component, left alone, could change
+ * architectural or statistical state. VipSystem calls them directly,
+ * in one fixed order (NoC, vaults by index, ingress, then PEs by
+ * index), either every cycle (`VipSystem::tick()`, the
+ * --no-fast-forward oracle) or from one pass per cycle that uses
+ * `nextEventAt` twice (`VipSystem::tickDue`):
  *
  *  - Per component: the system caches the NoC's, each vault's and
  *    each PE's due cycle, its `nextEventAt(now + 1)` as of its last
@@ -39,10 +41,9 @@
  *    response landing at its PE set the entry to 0, a vault the
  *    ingress drain feeds is recomputed (the drain runs after the vault
  *    phase), and every packet a vault or PE sends lowers the NoC's
- *    entry to the NoC's next event. The tick order (NoC, vaults,
- *    ingress drains, PEs)
- *    delivers each wake-up before the woken component's due check in
- *    the same cycle. Host calls between runs (`Pe::setReg`,
+ *    entry to the NoC's next event. The tick order delivers each
+ *    wake-up before the woken component's due check in the same
+ *    cycle. Host calls between runs (`Pe::setReg`,
  *    `Pe::loadProgram`, `VipSystem::tick()`) bypass these, so `run()`
  *    recomputes every entry when it starts; the components' own
  *    wake-ups (`Pe::wake`, a vault's dirty gates) keep `nextEventAt`
@@ -52,16 +53,6 @@
  *    for skipped cycles itself: a PE charges the stall recorded at
  *    its last tick for every cycle since then at its next tick
  *    (`Pe::settle`), and the run loop settles every PE on each exit.
- *
- * The system's ingress drain runs in every cycle in which a request is
- * parked, never gated on its own `nextEventAt`: a vault completion
- * earlier in the same cycle frees the slot a parked request drains
- * into, but by then the vault's `nextCompletionAt()` already names its
- * *next* completion, so the drain would miss the cycle. A vault keeps
- * one completion per transaction, pushed when its last column issues,
- * so `nextCompletionAt()` is exactly the cycle the next slot frees. The system
- * counts parked requests, so with none parked the drain and its
- * horizon term cost nothing.
  */
 
 #ifndef VIP_SIM_CLOCKED_HH
@@ -76,23 +67,6 @@ namespace vip {
 /** "No self-generated future event": the component is externally
  *  driven or fully idle. */
 inline constexpr Cycles kIdleForever = std::numeric_limits<Cycles>::max();
-
-/** A component driven by the global 1.25 GHz clock. */
-class Clocked
-{
-  public:
-    virtual ~Clocked() = default;
-
-    /** Advance the component through cycle @p now. */
-    virtual void tick(Cycles now) = 0;
-
-    /**
-     * Earliest cycle >= @p now at which this component could change
-     * state on its own. May be early, must never be late; see the
-     * file comment for the full contract.
-     */
-    virtual Cycles nextEventAt(Cycles now) const = 0;
-};
 
 /** What the event-horizon fast-forward did during a run. */
 struct FastForwardStats

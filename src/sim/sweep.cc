@@ -42,32 +42,30 @@ SweepEngine::runJob(const Job &job)
     setLogThreadLabel("job" + std::to_string(job.index));
     SweepFailure failure;
     failure.index = job.index;
-    std::exception_ptr eptr;
     try {
         job.fn();
     } catch (const std::bad_alloc &e) {
         // The host ran out of memory: a property of the moment, not
         // of the job, so it is reported apart from simulation errors.
-        eptr = std::current_exception();
+        failure.error = std::current_exception();
         failure.kind = "transient";
         failure.message = e.what();
     } catch (const SimError &e) {
-        eptr = std::current_exception();
+        failure.error = std::current_exception();
         failure.kind = e.kind();
         failure.message = e.message();
         failure.detail = e.detail();
     } catch (const std::exception &e) {
-        eptr = std::current_exception();
+        failure.error = std::current_exception();
         failure.kind = "exception";
         failure.message = e.what();
     } catch (...) {
-        eptr = std::current_exception();
+        failure.error = std::current_exception();
         failure.kind = "unknown";
         failure.message = "non-exception object thrown";
     }
-    if (eptr) {
+    if (failure.error) {
         LockGuard lock(mutex_);
-        errors_.emplace_back(job.index, eptr);
         failures_.push_back(std::move(failure));
     }
     setLogThreadLabel("");
@@ -124,10 +122,10 @@ SweepEngine::submit(std::function<void()> fn)
     return index;
 }
 
-void
-SweepEngine::wait()
+std::vector<SweepFailure>
+SweepEngine::waitCollect()
 {
-    std::vector<std::pair<std::size_t, std::exception_ptr>> errors;
+    std::vector<SweepFailure> failures;
     {
         LockGuard lock(mutex_);
         // Inline mode never has work in flight here, so the wait is
@@ -135,36 +133,23 @@ SweepEngine::wait()
         allDone_.wait(lock, [this]() VIP_REQUIRES(mutex_) {
             return inFlight_ == 0;
         });
-        errors.swap(errors_);
-        failures_.clear();
-    }
-    if (errors.empty())
-        return;
-    // Deterministic error reporting: the lowest submission index wins,
-    // no matter which worker hit its exception first.
-    const auto first = std::min_element(
-        errors.begin(), errors.end(),
-        [](const auto &a, const auto &b) { return a.first < b.first; });
-    std::rethrow_exception(first->second);
-}
-
-std::vector<SweepFailure>
-SweepEngine::waitCollect()
-{
-    std::vector<SweepFailure> failures;
-    {
-        LockGuard lock(mutex_);
-        allDone_.wait(lock, [this]() VIP_REQUIRES(mutex_) {
-            return inFlight_ == 0;
-        });
         failures.swap(failures_);
-        errors_.clear();
     }
+    // Deterministic reporting: submission order, no matter which
+    // worker hit its exception first.
     std::sort(failures.begin(), failures.end(),
               [](const SweepFailure &a, const SweepFailure &b) {
                   return a.index < b.index;
               });
     return failures;
+}
+
+void
+SweepEngine::wait()
+{
+    const std::vector<SweepFailure> failures = waitCollect();
+    if (!failures.empty())
+        std::rethrow_exception(failures.front().error);
 }
 
 } // namespace vip

@@ -56,6 +56,7 @@ struct SweepFailure
     std::string message;    ///< one-line summary (what()/message())
     std::string detail;     ///< multi-line report (e.g. deadlock
                             ///< diagnosis); empty when there is none
+    std::exception_ptr error;  ///< what was thrown, for wait()'s rethrow
 };
 
 /** Deterministic per-job RNG seed (SplitMix64 scramble of the index). */
@@ -190,10 +191,7 @@ class SweepEngine
     std::size_t inFlight_ VIP_GUARDED_BY(mutex_) = 0;   ///< queued+running
     bool shuttingDown_ VIP_GUARDED_BY(mutex_) = false;
 
-    /** (submission index, exception) for failed jobs, kept for
-     *  wait()'s rethrow; failures_ carries the structured capture. */
-    std::vector<std::pair<std::size_t, std::exception_ptr>> errors_
-        VIP_GUARDED_BY(mutex_);
+    /** One entry per failed job, in completion order. */
     std::vector<SweepFailure> failures_ VIP_GUARDED_BY(mutex_);
 };
 

@@ -18,6 +18,12 @@ require(bool ok, const std::string &message)
         throw ConfigError(message);
 }
 
+void
+requireNonzero(std::uint64_t value, const char *key)
+{
+    require(value != 0, std::string(key) + " must be nonzero");
+}
+
 bool
 isPowerOfTwo(std::uint64_t v)
 {
@@ -31,28 +37,6 @@ validated(const SystemConfig &cfg)
 {
     validateSystemConfig(cfg);
     return cfg;
-}
-
-/**
- * Park a request inside the packet that carries it: the packet — not
- * a side table indexed by a slot captured in onArrive — owns the
- * descriptor while it is in flight. This keeps teardown leak-free
- * when the machine is destroyed with packets still in flight (a
- * deadlock throw or an expired cycle budget).
- */
-PacketPayload
-parkRequest(std::unique_ptr<MemRequest> req)
-{
-    return PacketPayload(req.release(), +[](void *p) {
-        delete static_cast<MemRequest *>(p);
-    });
-}
-
-std::unique_ptr<MemRequest>
-unparkRequest(PacketPayload &payload)
-{
-    return std::unique_ptr<MemRequest>(
-        static_cast<MemRequest *>(payload.release()));
 }
 
 /** Runs a callable when its scope ends, by return or by throw. */
@@ -79,40 +63,46 @@ validateSystemConfig(const SystemConfig &cfg)
             "mem.geom.vaults = " + std::to_string(g.vaults) +
                 "; must be a nonzero power of two so vault index bits "
                 "split cleanly out of the address");
-    require(g.banksPerVault > 0 && g.rowsPerBank > 0,
-            "mem.geom: banksPerVault and rowsPerBank must be nonzero");
+    requireNonzero(g.banksPerVault, "mem.geom.banksPerVault");
     require(g.banksPerVault <= VaultController::kMaxBanks,
             "mem.geom.banksPerVault = " + std::to_string(g.banksPerVault) +
                 "; the vault scheduler addresses at most " +
                 std::to_string(VaultController::kMaxBanks) + " banks");
-    require(g.rowBytes > 0 && g.colBytes > 0 &&
-                g.colBytes <= g.rowBytes &&
-                g.rowBytes % g.colBytes == 0,
-            "mem.geom: need 0 < colBytes <= rowBytes with colBytes "
-            "dividing rowBytes (got rowBytes=" +
-                std::to_string(g.rowBytes) +
-                ", colBytes=" + std::to_string(g.colBytes) + ")");
+    requireNonzero(g.rowsPerBank, "mem.geom.rowsPerBank");
+    requireNonzero(g.rowBytes, "mem.geom.rowBytes");
+    requireNonzero(g.colBytes, "mem.geom.colBytes");
+    require(g.rowBytes % g.colBytes == 0,
+            "mem.geom.colBytes = " + std::to_string(g.colBytes) +
+                " must divide mem.geom.rowBytes = " +
+                std::to_string(g.rowBytes));
 
     const DramTiming &t = cfg.mem.timing;
-    require(t.tCL > 0 && t.tRCD > 0 && t.tRP > 0 && t.tRAS > 0 &&
-                t.tWR > 0 && t.tCCD > 0 && t.tBurst > 0 && t.tRFC > 0 &&
-                t.tREFI > 0,
-            "mem.timing: every DRAM timing parameter must be nonzero");
+    requireNonzero(t.tCL, "mem.timing.tCL");
+    requireNonzero(t.tRCD, "mem.timing.tRCD");
+    requireNonzero(t.tRP, "mem.timing.tRP");
+    requireNonzero(t.tRAS, "mem.timing.tRAS");
+    requireNonzero(t.tWR, "mem.timing.tWR");
+    requireNonzero(t.tCCD, "mem.timing.tCCD");
+    requireNonzero(t.tRFC, "mem.timing.tRFC");
+    requireNonzero(t.tREFI, "mem.timing.tREFI");
+    requireNonzero(t.tBurst, "mem.timing.tBurst");
     require(t.tREFI > t.tRFC,
-            "mem.timing: tREFI (" + std::to_string(t.tREFI) +
-                ") must exceed tRFC (" + std::to_string(t.tRFC) +
-                ") or the vault never leaves refresh");
+            "mem.timing.tREFI = " + std::to_string(t.tREFI) +
+                " must exceed mem.timing.tRFC = " +
+                std::to_string(t.tRFC) +
+                " or the vault never leaves refresh");
 
-    require(cfg.mem.cmdQueueDepth > 0 && cfg.mem.transQueueDepth > 0,
-            "mem: cmdQueueDepth and transQueueDepth must be nonzero");
+    requireNonzero(cfg.mem.cmdQueueDepth, "mem.cmdQueueDepth");
+    requireNonzero(cfg.mem.transQueueDepth, "mem.transQueueDepth");
 
-    require(cfg.nocX > 0 && cfg.nocY > 0 &&
-                cfg.nocX * cfg.nocY == g.vaults,
-            "NoC grid " + std::to_string(cfg.nocX) + "x" +
-                std::to_string(cfg.nocY) + " does not match " +
-                std::to_string(g.vaults) +
-                " vaults (use makeSystemConfig() or set nocX*nocY to "
-                "the vault count)");
+    // 64-bit product: two 32-bit dimensions must not wrap onto the
+    // vault count.
+    require(std::uint64_t{cfg.nocX} * cfg.nocY == g.vaults,
+            "nocX * nocY = " + std::to_string(cfg.nocX) + " * " +
+                std::to_string(cfg.nocY) + " does not match "
+                "mem.geom.vaults = " + std::to_string(g.vaults) +
+                " (use makeSystemConfig() or set nocX*nocY to the "
+                "vault count)");
 
     require(cfg.pesPerVault >= 1 &&
                 cfg.pesPerVault <= TorusNoc::kLanes - 1,
@@ -121,12 +111,11 @@ validateSystemConfig(const SystemConfig &cfg)
                 std::to_string(TorusNoc::kLanes - 1) +
                 " PE star lanes");
 
-    require(cfg.pe.lsqEntries > 0, "pe.lsqEntries must be nonzero");
-    require(cfg.pe.arcEntries > 0, "pe.arcEntries must be nonzero");
-    require(cfg.pe.mulStages >= 1 && cfg.pe.aluStages >= 1 &&
-                cfg.pe.reduceStages >= 1,
-            "pe: pipeline depths (mulStages/aluStages/reduceStages) "
-            "must be at least 1");
+    requireNonzero(cfg.pe.lsqEntries, "pe.lsqEntries");
+    requireNonzero(cfg.pe.arcEntries, "pe.arcEntries");
+    requireNonzero(cfg.pe.mulStages, "pe.mulStages");
+    requireNonzero(cfg.pe.aluStages, "pe.aluStages");
+    requireNonzero(cfg.pe.reduceStages, "pe.reduceStages");
 
     require(cfg.watchdogCycles > 0,
             "watchdogCycles must be nonzero (it bounds deadlock "
@@ -170,17 +159,6 @@ VipSystem::VipSystem(const SystemConfig &cfg)
             });
     }
 
-    // The machine's tick order: network deliveries first (they may
-    // complete PE transactions and park requests at full vaults), then
-    // the vault controllers, then the ingress drains (a completion this
-    // cycle frees a slot this cycle), then the PE front ends.
-    clocked_.reserve(3 + pes_.size());
-    clocked_.push_back(&noc_);
-    clocked_.push_back(&hmc_);
-    clocked_.push_back(&ingressDrain_);
-    for (auto &pe : pes_)
-        clocked_.push_back(pe.get());
-
     if (cfg_.faults.enabled) {
         injector_ = std::make_unique<FaultInjector>(cfg_.faults);
         injector_->bindStorage([this](Addr addr, unsigned bit) {
@@ -209,9 +187,9 @@ VipSystem::routeRequest(std::unique_ptr<MemRequest> req, unsigned src_vault)
     // A write carries its data; a read request is command-only (the
     // 8-byte NoC header covers the address/command fields).
     pkt.payloadBytes = req->isWrite ? req->bytes : 0;
-    pkt.payload = parkRequest(std::move(req));
+    pkt.req = std::move(req);
     pkt.onArrive = [this](Packet &p) {
-        deliverToVault(p.dst, unparkRequest(p.payload));
+        deliverToVault(p.dst, std::move(p.req));
     };
     noc_.send(std::move(pkt), now_);
     noteSend();
@@ -243,9 +221,9 @@ VipSystem::onVaultComplete(unsigned vault, std::unique_ptr<MemRequest> req)
     pkt.srcLane = TorusNoc::kLanes - 1;
     pkt.dstLane = req->sourcePe % cfg_.pesPerVault;
     pkt.payloadBytes = req->isWrite ? 0 : req->bytes;
-    pkt.payload = parkRequest(std::move(req));
+    pkt.req = std::move(req);
     pkt.onArrive = [this](Packet &p) {
-        std::unique_ptr<MemRequest> owned = unparkRequest(p.payload);
+        std::unique_ptr<MemRequest> owned = std::move(p.req);
         owned->completedAt = p.deliveredAt;
         // Wake point: the completion may break the PE's stall, and the
         // PE phase of this cycle is still ahead.
@@ -283,34 +261,41 @@ VipSystem::drainIngress(unsigned v)
     return drained;
 }
 
-void
-VipSystem::IngressDrain::tick(Cycles)
-{
-    for (unsigned v = 0; v < sys_.ingress_.size(); ++v)
-        sys_.drainIngress(v);
-}
-
 Cycles
-VipSystem::IngressDrain::nextEventAt(Cycles now) const
+VipSystem::ingressHorizon() const
 {
-    // A parked request drains when its vault frees a slot, and slots
-    // free only when a transaction completes.
+    // The drain itself runs in every cycle in which a request is
+    // parked, never gated on this horizon: a vault completion earlier
+    // in the same cycle frees the slot a parked request drains into,
+    // but by then the vault's nextCompletionAt() already names its
+    // *next* completion, so a gated drain would miss the cycle. A vault
+    // keeps one completion per transaction, pushed when its last column
+    // issues, so nextCompletionAt() is exactly the cycle the next slot
+    // frees. With no request parked, tickDue() skips this term.
     Cycles next = kIdleForever;
-    for (unsigned v = 0; v < sys_.ingress_.size(); ++v) {
-        if (sys_.ingress_[v].empty())
+    for (unsigned v = 0; v < ingress_.size(); ++v) {
+        if (ingress_[v].empty())
             continue;
-        next = std::min(next, sys_.hmc_.vault(v).nextCompletionAt());
-        if (next <= now)
+        next = std::min(next, hmc_.vault(v).nextCompletionAt());
+        if (next <= now_)
             break;
     }
-    return std::max(next, now);
+    return std::max(next, now_);
 }
 
 void
 VipSystem::tick()
 {
-    for (Clocked *c : clocked_)
-        c->tick(now_);
+    // The machine's tick order: network deliveries first (they may
+    // complete PE transactions and park requests at full vaults), then
+    // the vault controllers, then the ingress drains (a completion this
+    // cycle frees a slot this cycle), then the PE front ends.
+    noc_.tick(now_);
+    hmc_.tick(now_);
+    for (unsigned v = 0; v < ingress_.size(); ++v)
+        drainIngress(v);
+    for (auto &pe : pes_)
+        pe->tick(now_);
     ++now_;
 }
 
@@ -366,7 +351,7 @@ VipSystem::tickDue()
     now_ = next;
     horizon = std::min(horizon, nocDue_);
     if (parked_ != 0)
-        horizon = std::min(horizon, ingressDrain_.nextEventAt(now_));
+        horizon = std::min(horizon, ingressHorizon());
     return horizon;
 }
 
@@ -378,18 +363,6 @@ VipSystem::refreshDue()
         vaultDue_[v] = hmc_.vault(v).nextEventAt(now_);
     for (unsigned p = 0; p < peDue_.size(); ++p)
         peDue_[p] = pes_[p]->nextEventAt(now_);
-}
-
-Cycles
-VipSystem::nextEventAt() const
-{
-    Cycles horizon = kIdleForever;
-    for (Clocked *c : clocked_) {
-        horizon = std::min(horizon, c->nextEventAt(now_));
-        if (horizon <= now_)
-            break;
-    }
-    return horizon;
 }
 
 bool
@@ -428,12 +401,7 @@ VipSystem::run(Cycles max_cycles, const CancelToken *cancel)
     // cycle-by-cycle run would (the partial block re-executes per-µop).
     for (auto &pe : pes_)
         pe->setRunDeadline(deadline);
-    return serialRun(deadline, cancel);
-}
 
-Cycles
-VipSystem::serialRun(Cycles deadline, const CancelToken *cancel)
-{
     // With fast-forward on, PEs skipped by tickDue() (and every PE
     // over a warp) owe stall cycles; charge them on every exit so the
     // statistics are whole when the caller reads them.

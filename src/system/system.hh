@@ -161,13 +161,6 @@ class VipSystem
     /** What the event-horizon fast-forward skipped so far. */
     const FastForwardStats &fastForwardStats() const { return ff_; }
 
-    /**
-     * Earliest cycle >= now() at which any component of the machine
-     * can change state; kIdleForever when fully drained. Exposed for
-     * tests and for callers driving tick() themselves.
-     */
-    Cycles nextEventAt() const;
-
     StatGroup &stats() { return statGroup_; }
 
     /** The fault injector, or null when injection is disabled. */
@@ -193,16 +186,13 @@ class VipSystem
     double achievedBandwidthGBs() const;
 
   private:
-    /** The run loop. */
-    Cycles serialRun(Cycles deadline, const CancelToken *cancel);
-
     /**
      * One cycle of the fast-forward serial loop: tick()'s order, but
      * the NoC, a vault or a PE ticks only when its cached due cycle
      * (nocDue_, vaultDue_, peDue_) has come, and each ticked entry is
      * refreshed to the component's nextEventAt(now + 1). Returns the
-     * horizon: the minimum over the entries and the ingress drain,
-     * which is what nextEventAt() would compute at the new now().
+     * horizon: the minimum over the entries and ingressHorizon(), the
+     * earliest cycle any component can change state at the new now().
      * Exact under the sim/clocked.hh contract; skipped PEs charge
      * their stall cycles at their next tick or at the run's exit.
      */
@@ -224,22 +214,13 @@ class VipSystem
     bool drainIngress(unsigned v);
 
     /**
-     * The per-vault queues of requests that reached their home vault
-     * while its transaction queue was full, modelled as a clocked
-     * component so warps can never jump a drain opportunity: capacity
-     * only frees when a vault completes a transaction, so the next
-     * event of a backed-up queue is its vault's next completion.
+     * The parked requests' next event, at least now(): capacity only
+     * frees when a vault completes a transaction, so a backed-up
+     * queue's next event is its vault's next completion, and warps
+     * can never jump a drain opportunity. kIdleForever when none is
+     * parked.
      */
-    class IngressDrain : public Clocked
-    {
-      public:
-        explicit IngressDrain(VipSystem &sys) : sys_(sys) {}
-        void tick(Cycles now) override;
-        Cycles nextEventAt(Cycles now) const override;
-
-      private:
-        VipSystem &sys_;
-    };
+    Cycles ingressHorizon() const;
 
     SystemConfig cfg_;
     StatGroup statGroup_;
@@ -250,7 +231,6 @@ class VipSystem
 
     /** Requests that reached their vault but found its queue full. */
     std::vector<std::deque<std::unique_ptr<MemRequest>>> ingress_;
-    IngressDrain ingressDrain_{*this};
 
     /** Requests parked across all of ingress_, so the fast-forward
      *  loop skips the drain and its horizon term when none are. */
@@ -270,9 +250,6 @@ class VipSystem
     std::vector<Cycles> vaultDue_;
     std::vector<Cycles> peDue_;
     Cycles nocDue_ = 0;
-
-    /** Every tickable unit, in the machine's tick order. */
-    std::vector<Clocked *> clocked_;
 
     FastForwardStats ff_;
 

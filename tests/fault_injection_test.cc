@@ -16,6 +16,7 @@
 #include "mem/storage.hh"
 #include "sim/error.hh"
 #include "sim/fault.hh"
+#include "sim/json.hh"
 #include "sim/sweep.hh"
 #include "system/simulation.hh"
 
@@ -507,6 +508,74 @@ TEST(ConfigValidation, MessagesNameTheParameter)
         EXPECT_EQ(e.kind(), "config");
         EXPECT_NE(e.message().find("vault"), std::string::npos)
             << e.message();
+    }
+}
+
+/**
+ * One row per validateSystemConfig rule: a wire config that
+ * SystemConfig::fromJson accepts and validation rejects, and the dotted
+ * key its message must name so a client can find the field at fault.
+ * (A fault plan is validated when its spec string is parsed, so it
+ * never reaches validation as a bad plan.)
+ */
+TEST(ConfigValidation, EveryRuleNamesItsKey)
+{
+    struct Row
+    {
+        const char *json;
+        const char *key;
+    };
+    const Row rows[] = {
+        {R"({"mem": {"geom": {"vaults": 3}}, "nocX": 3, "nocY": 1})",
+         "mem.geom.vaults"},
+        {R"({"mem": {"geom": {"banksPerVault": 0}}})",
+         "mem.geom.banksPerVault"},
+        {R"({"mem": {"geom": {"banksPerVault": 512}}})",
+         "mem.geom.banksPerVault"},
+        {R"({"mem": {"geom": {"rowsPerBank": 0}}})", "mem.geom.rowsPerBank"},
+        {R"({"mem": {"geom": {"rowBytes": 0}}})", "mem.geom.rowBytes"},
+        {R"({"mem": {"geom": {"colBytes": 0}}})", "mem.geom.colBytes"},
+        {R"({"mem": {"geom": {"colBytes": 96}}})", "mem.geom.colBytes"},
+        {R"({"mem": {"geom": {"colBytes": 512}}})", "mem.geom.colBytes"},
+        {R"({"mem": {"timing": {"tCL": 0}}})", "mem.timing.tCL"},
+        {R"({"mem": {"timing": {"tRCD": 0}}})", "mem.timing.tRCD"},
+        {R"({"mem": {"timing": {"tRP": 0}}})", "mem.timing.tRP"},
+        {R"({"mem": {"timing": {"tRAS": 0}}})", "mem.timing.tRAS"},
+        {R"({"mem": {"timing": {"tWR": 0}}})", "mem.timing.tWR"},
+        {R"({"mem": {"timing": {"tCCD": 0}}})", "mem.timing.tCCD"},
+        {R"({"mem": {"timing": {"tRFC": 0}}})", "mem.timing.tRFC"},
+        {R"({"mem": {"timing": {"tREFI": 0}}})", "mem.timing.tREFI"},
+        {R"({"mem": {"timing": {"tBurst": 0}}})", "mem.timing.tBurst"},
+        {R"({"mem": {"timing": {"tREFI": 100, "tRFC": 200}}})",
+         "mem.timing.tREFI"},
+        {R"({"mem": {"cmdQueueDepth": 0}})", "mem.cmdQueueDepth"},
+        {R"({"mem": {"transQueueDepth": 0}})", "mem.transQueueDepth"},
+        {R"({"nocX": 3})", "nocX"},
+        {R"({"nocY": 0})", "nocY"},
+        // (2^31 + 1) * 2 wraps to 2 in 32-bit arithmetic.
+        {R"({"mem": {"geom": {"vaults": 2}}, "nocX": 2147483649,
+             "nocY": 2})",
+         "nocX"},
+        {R"({"pesPerVault": 0})", "pesPerVault"},
+        {R"({"pesPerVault": 5})", "pesPerVault"},
+        {R"({"pe": {"lsqEntries": 0}})", "pe.lsqEntries"},
+        {R"({"pe": {"arcEntries": 0}})", "pe.arcEntries"},
+        {R"({"pe": {"mulStages": 0}})", "pe.mulStages"},
+        {R"({"pe": {"aluStages": 0}})", "pe.aluStages"},
+        {R"({"pe": {"reduceStages": 0}})", "pe.reduceStages"},
+        {R"({"watchdogCycles": 0})", "watchdogCycles"},
+    };
+    for (const Row &row : rows) {
+        SystemConfig cfg;
+        ASSERT_NO_THROW(cfg = SystemConfig::fromJson(Json::parse(row.json)))
+            << row.json;
+        try {
+            validateSystemConfig(cfg);
+            ADD_FAILURE() << "accepted " << row.json;
+        } catch (const ConfigError &e) {
+            EXPECT_NE(e.message().find(row.key), std::string::npos)
+                << row.json << " -> " << e.message();
+        }
     }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "equivalence.hh"
 #include "isa/builder.hh"
 #include "kernels/sync.hh"
 #include "sim/error.hh"
@@ -228,6 +229,51 @@ TEST(System, ProgramErrorReleasesTheMachine)
         sys.pe(0).loadProgram(b.finish());
         EXPECT_THROW(sys.run(1000), ProgramError);
         EXPECT_THROW(sys.run(1000), ProgramError);
+    }
+}
+
+TEST(System, TeardownWithPacketsInFlightFreesEveryRequest)
+{
+    // Each request in flight is owned by exactly one container: a NoC
+    // packet, a vault's ingress queue or a vault's transaction queue.
+    // Stop the machine while all three hold some and destroy it; the
+    // sanitizer build's leak check then proves each one is freed.
+    for (const bool ff : {true, false}) {
+        SystemConfig cfg = makeSystemConfig(4, 4);
+        cfg.fastForward = ff;
+        cfg.mem.transQueueDepth = 2;
+        VipSystem sys(cfg);
+        for (unsigned pe = 0; pe < sys.numPes(); ++pe) {
+            const unsigned v = sys.vaultOf(pe);
+            AsmBuilder b;
+            b.movImm(1, 0);
+            b.movImm(2, 64);  // iterations: far more than the test runs
+            b.movImm(3, static_cast<std::int64_t>(
+                            sys.vaultBase((v + 1) % 4) + pe * 65536));
+            b.movImm(4, static_cast<std::int64_t>(
+                            sys.vaultBase((v + 2) % 4) + pe * 65536));
+            b.movImm(5, 512);  // DRAM stride per iteration
+            b.movImm(6, 64);   // elements per transfer
+            b.movImm(7, 0);
+            const auto loop = b.newLabel();
+            b.bind(loop);
+            b.ldSram(7, 3, 6);
+            b.stSram(7, 4, 6);
+            b.scalar(ScalarOp::Add, 3, 3, 5);
+            b.scalar(ScalarOp::Add, 4, 4, 5);
+            b.addImm(1, 1, 1);
+            b.branch(BranchCond::Lt, 1, 2, loop);
+            b.halt();
+            sys.pe(pe).loadProgram(b.finish());
+        }
+        bool caught = false;
+        for (unsigned i = 0; i < 1000 && !caught; ++i) {
+            sys.run(7);
+            caught = sys.noc().inFlight() > 0 && parkedInIngress(sys);
+        }
+        ASSERT_TRUE(caught) << "never stopped with packets in flight and "
+                               "a request parked (ff=" << ff << ")";
+        EXPECT_FALSE(sys.allIdle());
     }
 }
 
