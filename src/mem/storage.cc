@@ -88,7 +88,13 @@ DramStorage::fingerprint() const
     // FNV-1a per page (seeded with the page number so content at the
     // wrong address cannot cancel out), XOR-combined across pages and
     // walked in ascending radix order — the digest is order-independent
-    // twice over.
+    // twice over. One page's chain is serial, a multiply per byte, so
+    // four pages' chains run interleaved to overlap their latencies.
+    constexpr std::uint64_t kBasis = 0xcbf29ce484222325ULL;
+    constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+    const std::uint8_t *group[4];
+    std::uint64_t seed[4];
+    std::size_t grouped = 0;
     std::uint64_t digest = 0;
     for (std::size_t r = 0; r < kRootSlots; ++r) {
         const Leaf *leaf = root_[r].get();
@@ -104,14 +110,27 @@ DramStorage::fingerprint() const
                                               });
             if (all_zero)
                 continue;
-            const Addr page_no = (Addr{r} << kLeafBits) | l;
-            std::uint64_t h = 0xcbf29ce484222325ULL ^ page_no;
+            group[grouped] = bytes;
+            seed[grouped] = kBasis ^ ((Addr{r} << kLeafBits) | l);
+            if (++grouped < 4)
+                continue;
+            std::uint64_t h0 = seed[0], h1 = seed[1], h2 = seed[2],
+                          h3 = seed[3];
             for (std::size_t i = 0; i < kPageBytes; ++i) {
-                h ^= bytes[i];
-                h *= 0x100000001b3ULL;
+                h0 = (h0 ^ group[0][i]) * kPrime;
+                h1 = (h1 ^ group[1][i]) * kPrime;
+                h2 = (h2 ^ group[2][i]) * kPrime;
+                h3 = (h3 ^ group[3][i]) * kPrime;
             }
-            digest ^= h;
+            digest ^= h0 ^ h1 ^ h2 ^ h3;
+            grouped = 0;
         }
+    }
+    for (std::size_t g = 0; g < grouped; ++g) {
+        std::uint64_t h = seed[g];
+        for (std::size_t i = 0; i < kPageBytes; ++i)
+            h = (h ^ group[g][i]) * kPrime;
+        digest ^= h;
     }
     return digest;
 }

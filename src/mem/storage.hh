@@ -31,6 +31,11 @@ class DramStorage
   public:
     static constexpr std::size_t kPageBytes = 4096;
 
+    /** Bytes the page table reaches: 2^24 pages, 64 GiB. System
+     *  config validation keeps every DRAM geometry inside it. */
+    static constexpr std::uint64_t kSpanBytes = std::uint64_t{kPageBytes}
+                                                << 24;
+
     DramStorage() = default;
 
     /** Copying or moving a machine-sized backing store is never
@@ -112,6 +117,7 @@ class DramStorage
     static constexpr unsigned kRootBits = 12;
     static constexpr std::size_t kLeafSlots = std::size_t{1} << kLeafBits;
     static constexpr std::size_t kRootSlots = std::size_t{1} << kRootBits;
+    static_assert(kRootSlots * kLeafSlots * kPageBytes == kSpanBytes);
 
     struct Leaf
     {

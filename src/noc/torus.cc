@@ -1,6 +1,7 @@
 #include "noc/torus.hh"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "sim/fault.hh"
@@ -12,6 +13,7 @@ TorusNoc::TorusNoc(unsigned xdim, unsigned ydim, StatGroup *parent)
     : xdim_(xdim), ydim_(ydim),
       linkFreeAt_(static_cast<std::size_t>(xdim) * ydim * NumPorts, 0),
       laneSeq_(static_cast<std::size_t>(xdim) * ydim * kLanes, 0),
+      head_(kWheelBuckets, kNil), occupied_(kWheelBuckets / 64, 0),
       statGroup_("noc", parent),
       statDelivered_(&statGroup_, "delivered", "packets delivered"),
       statBytes_(&statGroup_, "bytes", "payload bytes delivered"),
@@ -70,8 +72,67 @@ TorusNoc::allocSlot(Packet pkt)
         packets_[slot] = std::move(pkt);
         return slot;
     }
+    vip_assert(packets_.size() < kNil, "too many packets in flight");
     packets_.push_back(std::move(pkt));
+    pending_.emplace_back();
     return packets_.size() - 1;
+}
+
+void
+TorusNoc::schedule(std::size_t slot, unsigned node, Cycles at)
+{
+    // Every hop, ejection, delivery and retransmit pays at least one
+    // cycle of serialization, so nothing lands in the bucket being
+    // drained.
+    vip_assert(at > cursor_, "NoC event at cycle ", at,
+               " is not after the last drained cycle ", cursor_);
+    while (at - cursor_ >= head_.size())
+        growWheel();
+    const std::size_t b = at & (head_.size() - 1);
+    pending_[slot] = {at, laneKeyOf(packets_[slot]), node, head_[b]};
+    head_[b] = static_cast<std::uint32_t>(slot);
+    occupied_[b / 64] |= std::uint64_t{1} << (b % 64);
+    next_ = std::min(next_, at);
+}
+
+void
+TorusNoc::growWheel()
+{
+    const std::vector<std::uint32_t> old = std::move(head_);
+    head_.assign(old.size() * 2, kNil);
+    occupied_.assign(head_.size() / 64, 0);
+    for (std::uint32_t slot : old) {
+        while (slot != kNil) {
+            Pending &p = pending_[slot];
+            const std::uint32_t rest = p.next;
+            const std::size_t b = p.at & (head_.size() - 1);
+            p.next = head_[b];
+            head_[b] = slot;
+            occupied_[b / 64] |= std::uint64_t{1} << (b % 64);
+            slot = rest;
+        }
+    }
+}
+
+Cycles
+TorusNoc::firstPendingAfterCursor() const
+{
+    // Scan the occupancy words circularly from cursor_ + 1's bucket.
+    // The first word's bits below that bucket are the window's far
+    // end; the last pass re-reads the whole word to reach them.
+    const std::size_t mask = head_.size() - 1;
+    const std::size_t words = occupied_.size();
+    const std::size_t start = (cursor_ + 1) & mask;
+    std::size_t w = start / 64;
+    std::uint64_t bits =
+        occupied_[w] & (~std::uint64_t{0} << (start % 64));
+    for (std::size_t scanned = 0; bits == 0; bits = occupied_[w]) {
+        if (++scanned > words)
+            return kIdleForever;
+        w = (w + 1) & (words - 1);
+    }
+    const std::size_t b = w * 64 + std::countr_zero(bits);
+    return cursor_ + 1 + ((b - start) & mask);
 }
 
 void
@@ -82,6 +143,10 @@ TorusNoc::send(Packet pkt, Cycles now)
     vip_assert(pkt.srcLane < kLanes && pkt.dstLane < kLanes,
                "bad star lane");
     pkt.injectedAt = now;
+    // An empty network has no window to keep: an idle gap must not
+    // grow the wheel.
+    if (inFlight() == 0)
+        cursor_ = std::max(cursor_, now);
     pkt.seq = laneSeq_[pkt.src * kLanes + pkt.srcLane]++;
 
     const std::size_t slot = allocSlot(std::move(pkt));
@@ -92,7 +157,7 @@ TorusNoc::send(Packet pkt, Cycles now)
         linkId(p.src, static_cast<Port>(InjectBase + p.srcLane)), now,
         bytes);
     const Cycles ser = (bytes + kBytesPerCycle - 1) / kBytesPerCycle;
-    events_.push({start + ser, slot, p.src, laneKeyOf(p)});
+    schedule(slot, p.src, start + ser);
 }
 
 void
@@ -118,8 +183,7 @@ TorusNoc::advance(std::size_t packet_index, unsigned node, Cycles now)
                     linkId(pkt.src,
                            static_cast<Port>(InjectBase + pkt.srcLane)),
                     now, bytes);
-                events_.push(
-                    {start + ser, packet_index, pkt.src, laneKeyOf(pkt)});
+                schedule(packet_index, pkt.src, start + ser);
                 return;
             }
             // Reserve the ejection port; deliver when the tail clears it.
@@ -128,8 +192,7 @@ TorusNoc::advance(std::size_t packet_index, unsigned node, Cycles now)
                 now, bytes);
             pkt.ejected = true;
             pkt.deliveredAt = start + ser;
-            events_.push(
-                {pkt.deliveredAt, packet_index, node, laneKeyOf(pkt)});
+            schedule(packet_index, node, pkt.deliveredAt);
             return;
         }
         const Cycles latency = pkt.deliveredAt - pkt.injectedAt;
@@ -146,32 +209,33 @@ TorusNoc::advance(std::size_t packet_index, unsigned node, Cycles now)
     const auto [next, port] = route(node, pkt.dst);
     const Cycles start = occupy(linkId(node, port), now, bytes);
     statHops_ += 1;
-    events_.push(
-        {start + kHopLatency + ser, packet_index, next, laneKeyOf(pkt)});
+    schedule(packet_index, next, start + kHopLatency + ser);
 }
 
 void
 TorusNoc::tick(Cycles now)
 {
-    while (!events_.empty() && events_.top().at <= now) {
-        const Event ev = events_.top();
-        events_.pop();
-        advance(ev.packetIndex, ev.node, ev.at);
+    while (next_ <= now) {
+        // Drain one cycle's bucket in the canonical (node, lane key)
+        // order. Its events schedule only later cycles, which may
+        // lower next_ again.
+        const Cycles at = next_;
+        cursor_ = at;
+        const std::size_t b = at & (head_.size() - 1);
+        for (std::uint32_t slot = head_[b]; slot != kNil;
+             slot = pending_[slot].next)
+            batch_.push_back(
+                {pending_[slot].node, slot, pending_[slot].laneKey});
+        head_[b] = kNil;
+        occupied_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+        next_ = firstPendingAfterCursor();
+        std::sort(batch_.begin(), batch_.end());
+        for (const Due &d : batch_)
+            advance(d.slot, d.node, at);
+        batch_.clear();
     }
-}
-
-Cycles
-TorusNoc::nextEventAt(Cycles now) const
-{
-    if (events_.empty())
-        return kIdleForever;
-    return std::max(events_.top().at, now);
-}
-
-bool
-TorusNoc::idle() const
-{
-    return events_.empty();
+    // Every cycle up to now is drained.
+    cursor_ = std::max(cursor_, now);
 }
 
 } // namespace vip

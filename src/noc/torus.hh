@@ -13,7 +13,9 @@
  * only the star's injection and ejection ports, never a torus link.
  *
  * Events are processed in a canonical total order — (cycle, node, lane
- * key) — so same-cycle events resolve the same way on every run.
+ * key) — so same-cycle events resolve the same way on every run. Each
+ * in-flight packet has exactly one pending event, kept in a per-cycle
+ * timing wheel (see TorusNoc's private section).
  */
 
 #ifndef VIP_NOC_TORUS_HH
@@ -23,7 +25,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "mem/request.hh"
@@ -53,7 +54,9 @@ struct Packet
     unsigned srcLane = 4;
     unsigned dstLane = 4;
 
-    /** Called at the cycle the packet is fully delivered at dst. */
+    /** Called at the cycle the packet is fully delivered at dst. It
+     *  must not send(): the packet it is handed lives in the NoC's
+     *  slot table. */
     std::function<void(Packet &)> onArrive;
 
     /**
@@ -113,10 +116,14 @@ class TorusNoc
     void tick(Cycles now);
 
     /** The network is purely event-driven: its next state change is
-     *  the head of the (time-ordered) event queue. */
-    Cycles nextEventAt(Cycles now) const;
+     *  the earliest pending event. */
+    Cycles
+    nextEventAt(Cycles now) const
+    {
+        return std::max(next_, now);
+    }
 
-    bool idle() const;
+    bool idle() const { return inFlight() == 0; }
 
     /** Packets delivered so far. */
     std::uint64_t delivered() const { return statDelivered_.value(); }
@@ -175,25 +182,35 @@ class TorusNoc
         NumPorts = InjectBase + kLanes,
     };
 
-    struct Event
+    /**
+     * A packet's one pending event: it reaches @c node at cycle @c at.
+     * Kept per packet slot (parallel to packets_) and linked into the
+     * wheel bucket of its cycle.
+     */
+    struct Pending
     {
         Cycles at;
-        std::size_t packetIndex;
+        std::uint64_t laneKey;  ///< laneKeyOf() — canonical tie-break
         unsigned node;
-        std::uint64_t key;  ///< laneKeyOf() — canonical tie-break
+        std::uint32_t next;     ///< next slot in the bucket, or kNil
+    };
 
-        /** Canonical total order (min-heap via std::greater): cycle,
-         *  then node, then packet identity. */
+    /** One event of the cycle being drained, in canonical order. */
+    struct Due
+    {
+        unsigned node;
+        std::uint32_t slot;
+        std::uint64_t laneKey;
+
         bool
-        operator>(const Event &o) const
+        operator<(const Due &o) const
         {
-            if (at != o.at)
-                return at > o.at;
-            if (node != o.node)
-                return node > o.node;
-            return key > o.key;
+            return node != o.node ? node < o.node : laneKey < o.laneKey;
         }
     };
+
+    static constexpr std::uint32_t kNil = UINT32_MAX;
+    static constexpr std::size_t kWheelBuckets = 64;
 
     std::size_t linkId(unsigned node, Port port) const
     {
@@ -211,6 +228,16 @@ class TorusNoc
 
     std::size_t allocSlot(Packet pkt);
 
+    /** Make @p slot's one pending event: reach @p node at @p at. */
+    void schedule(std::size_t slot, unsigned node, Cycles at);
+
+    /** Double the wheel and relink every pending event. */
+    void growWheel();
+
+    /** Cycle of the first occupied bucket after cursor_, or
+     *  kIdleForever when nothing is pending. */
+    Cycles firstPendingAfterCursor() const;
+
     void advance(std::size_t packet_index, unsigned node, Cycles now);
 
     unsigned xdim_;
@@ -225,8 +252,21 @@ class TorusNoc
     /** In-flight packets by slot; delivered slots are reused. */
     std::vector<Packet> packets_;
     std::vector<std::size_t> freeSlots_;
-    std::priority_queue<Event, std::vector<Event>, std::greater<>>
-        events_;
+
+    /**
+     * The timing wheel. pending_[slot] is packets_[slot]'s event,
+     * linked into bucket head_[at & (size - 1)], with one occupancy
+     * bit per bucket. cursor_ is the last drained cycle, and every
+     * pending event lies in (cursor_, cursor_ + size), so a bucket
+     * holds events of one cycle only; a schedule past that window
+     * doubles the wheel. next_ is the earliest pending cycle.
+     */
+    std::vector<Pending> pending_;
+    std::vector<std::uint32_t> head_;
+    std::vector<std::uint64_t> occupied_;
+    std::vector<Due> batch_;  ///< reused per drained bucket
+    Cycles cursor_ = 0;
+    Cycles next_ = kIdleForever;
 
     FaultInjector *injector_ = nullptr;
 

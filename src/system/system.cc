@@ -1,6 +1,7 @@
 #include "system/system.hh"
 
 #include <algorithm>
+#include <initializer_list>
 #include <sstream>
 
 #include "sim/cancel.hh"
@@ -75,6 +76,30 @@ validateSystemConfig(const SystemConfig &cfg)
             "mem.geom.colBytes = " + std::to_string(g.colBytes) +
                 " must divide mem.geom.rowBytes = " +
                 std::to_string(g.rowBytes));
+    // The backing store's page table spans kSpanBytes: an address past
+    // it would index outside the table. Every factor is nonzero, so
+    // the partial products only grow, and bounding each one by the
+    // span also keeps the product from wrapping 64 bits.
+    std::uint64_t capacity = 1;
+    bool fits = true;
+    for (std::uint64_t factor : {std::uint64_t{g.vaults},
+                                 std::uint64_t{g.banksPerVault},
+                                 g.rowsPerBank, std::uint64_t{g.rowBytes}}) {
+        if (factor > DramStorage::kSpanBytes / capacity) {
+            fits = false;
+            break;
+        }
+        capacity *= factor;
+    }
+    require(fits,
+            "mem.geom.vaults * mem.geom.banksPerVault * "
+            "mem.geom.rowsPerBank * mem.geom.rowBytes = " +
+                std::to_string(g.vaults) + " * " +
+                std::to_string(g.banksPerVault) + " * " +
+                std::to_string(g.rowsPerBank) + " * " +
+                std::to_string(g.rowBytes) + " bytes exceeds the " +
+                std::to_string(DramStorage::kSpanBytes) +
+                "-byte span of the DRAM backing store");
 
     const DramTiming &t = cfg.mem.timing;
     requireNonzero(t.tCL, "mem.timing.tCL");

@@ -537,6 +537,12 @@ TEST(ConfigValidation, EveryRuleNamesItsKey)
         {R"({"mem": {"geom": {"colBytes": 0}}})", "mem.geom.colBytes"},
         {R"({"mem": {"geom": {"colBytes": 96}}})", "mem.geom.colBytes"},
         {R"({"mem": {"geom": {"colBytes": 512}}})", "mem.geom.colBytes"},
+        // 32 * 16 * 2^30 * 256 bytes: 128 TiB, past the 64 GiB store.
+        {R"({"mem": {"geom": {"rowsPerBank": 1073741824}}})",
+         "mem.geom.rowsPerBank"},
+        // 32 * 16 * 2^55 * 256 wraps to 0 in 64 bits.
+        {R"({"mem": {"geom": {"rowsPerBank": 36028797018963968}}})",
+         "mem.geom.rowBytes"},
         {R"({"mem": {"timing": {"tCL": 0}}})", "mem.timing.tCL"},
         {R"({"mem": {"timing": {"tRCD": 0}}})", "mem.timing.tRCD"},
         {R"({"mem": {"timing": {"tRP": 0}}})", "mem.timing.tRP"},

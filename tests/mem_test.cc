@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -132,6 +133,53 @@ TEST(Storage, CrossPageTransfers)
     std::vector<std::uint8_t> back(data.size());
     storage.read(base, back.data(), back.size());
     EXPECT_EQ(back, data);
+}
+
+TEST(Storage, FingerprintMatchesByteSerialFnv)
+{
+    // The reference: one FNV-1a chain per non-zero page, seeded with
+    // the page number, XOR-combined, read back through read().
+    auto reference = [](const DramStorage &storage) {
+        std::uint64_t digest = 0;
+        std::vector<std::uint8_t> page(DramStorage::kPageBytes);
+        for (Addr page_no : storage.touchedPageNumbers()) {
+            storage.read(page_no * DramStorage::kPageBytes, page.data(),
+                         page.size());
+            if (std::all_of(page.begin(), page.end(),
+                            [](std::uint8_t b) { return b == 0; }))
+                continue;
+            std::uint64_t h = 0xcbf29ce484222325ULL ^ page_no;
+            for (std::uint8_t b : page)
+                h = (h ^ b) * 0x100000001b3ULL;
+            digest ^= h;
+        }
+        return digest;
+    };
+
+    // 0-9 non-zero pages, alternating between the first two radix
+    // leaves (4096 pages each), with a touched all-zero page after
+    // each one.
+    for (unsigned pages = 0; pages <= 9; ++pages) {
+        DramStorage storage;
+        Rng rng(pages + 1);
+        for (unsigned k = 0; k < pages; ++k) {
+            const Addr page_no = (k % 2) * 4096 + 3 * k + 1;
+            std::vector<std::uint8_t> data(1 + rng.nextBelow(
+                                                   DramStorage::kPageBytes));
+            for (auto &b : data)
+                b = static_cast<std::uint8_t>(1 + rng.nextBelow(255));
+            storage.write(page_no * DramStorage::kPageBytes, data.data(),
+                          data.size());
+            storage.store<std::uint8_t>(
+                (page_no + 1) * DramStorage::kPageBytes, 0);
+        }
+        EXPECT_EQ(storage.touchedPages(), 2u * pages);
+        EXPECT_EQ(storage.fingerprint(), reference(storage))
+            << pages << " pages";
+        if (pages == 0) {
+            EXPECT_EQ(storage.fingerprint(), 0u);
+        }
+    }
 }
 
 /** Harness: drive one vault until a request completes. */

@@ -2,12 +2,17 @@
  * @file
  * Unit tests for the 2D torus NoC: routing distances, the
  * 3-cycles-per-hop latency model, per-link serialization, contention,
- * wraparound, and the intra-vault star lanes.
+ * wraparound, the intra-vault star lanes, and the canonical order in
+ * which deliveries are made.
  */
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <vector>
+
 #include "noc/torus.hh"
+#include "sim/fault.hh"
 
 namespace vip {
 namespace {
@@ -146,6 +151,187 @@ TEST(Torus, DimensionOrderRoutingIsMinimal)
         const Cycles t = deliverOne(noc, 5, dst, 0);
         const Cycles ser = 1;
         EXPECT_GE(t, noc.hopCount(5, dst) * (3 + ser)) << dst;
+    }
+}
+
+/** splitmix64: the test's own deterministic stream and digest mixer
+ *  (std::*_distribution is not specified bit-for-bit across
+ *  standard libraries). */
+std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
+/**
+ * Drives one 8x4 torus and folds every delivery, in the order the NoC
+ * makes it, into an order-sensitive digest of (tick cycle, src,
+ * srcLane, seq, dst, deliveredAt, attempts).
+ */
+class DeliveryOrder
+{
+  public:
+    TorusNoc noc{8, 4};
+    Cycles now = 0;
+    std::uint64_t digest = 0;
+    std::uint64_t sent = 0;
+    std::uint64_t seen = 0;
+
+    explicit DeliveryOrder(std::uint64_t seed) : rng_(seed) {}
+
+    std::uint64_t next() { return rng_ = mix64(rng_); }
+
+    /** Send one packet at `now`; a packet marked @p reply is answered
+     *  at the next cycle, as a vault answers a request on its own tick
+     *  (onArrive must not send: it runs on the NoC's slot table). */
+    void
+    send(unsigned src, unsigned dst, unsigned src_lane, unsigned dst_lane,
+         unsigned bytes, bool reply = false)
+    {
+        Packet p;
+        p.src = src;
+        p.dst = dst;
+        p.srcLane = src_lane;
+        p.dstLane = dst_lane;
+        p.payloadBytes = bytes;
+        p.onArrive = [this, reply](Packet &pkt) {
+            ++seen;
+            for (std::uint64_t v :
+                 {std::uint64_t{now}, std::uint64_t{pkt.src},
+                  std::uint64_t{pkt.srcLane}, std::uint64_t{pkt.seq},
+                  std::uint64_t{pkt.dst}, std::uint64_t{pkt.deliveredAt},
+                  std::uint64_t{pkt.attempts}})
+                digest = mix64(digest ^ v);
+            if (reply)
+                replies_.emplace_back(pkt);
+        };
+        noc.send(std::move(p), now);
+        ++sent;
+    }
+
+    /** A random packet: any endpoints, lanes and a mixed payload; one
+     *  in four asks for a reply. */
+    void
+    sendRandom()
+    {
+        static constexpr unsigned kPayloads[] = {0, 8, 32, 64, 256};
+        const std::uint64_t r = next();
+        send(r % 32, (r >> 8) % 32, (r >> 16) % TorusNoc::kLanes,
+             (r >> 24) % TorusNoc::kLanes, kPayloads[(r >> 32) % 5],
+             (r >> 40) % 4 == 0);
+    }
+
+    /** Advance one cycle, ticking the NoC only every @p every cycles. */
+    void
+    step(Cycles every = 1)
+    {
+        if (now % every == 0)
+            noc.tick(now);
+        ++now;
+        std::vector<Reply> replies;
+        replies.swap(replies_);
+        for (const Reply &r : replies)
+            send(r.dst, r.src, r.dstLane, r.srcLane, 64);
+    }
+
+    /** Uniform traffic: up to two random sends a cycle for @p cycles. */
+    void
+    uniform(Cycles cycles, Cycles every = 1)
+    {
+        for (Cycles c = 0; c < cycles; ++c) {
+            for (std::uint64_t n = next() % 3; n > 0; --n)
+                sendRandom();
+            step(every);
+        }
+    }
+
+    void
+    drain(Cycles every = 1)
+    {
+        while ((!noc.idle() || !replies_.empty()) && now < 10'000'000)
+            step(every);
+    }
+
+  private:
+    struct Reply
+    {
+        unsigned src, dst, srcLane, dstLane;
+        explicit Reply(const Packet &p)
+            : src(p.src), dst(p.dst), srcLane(p.srcLane), dstLane(p.dstLane)
+        {}
+    };
+
+    std::uint64_t rng_;
+    std::vector<Reply> replies_;
+};
+
+/**
+ * The NoC's delivery order, pinned: each scenario's digest equals the
+ * value the binary-heap event queue produced before the timing wheel
+ * replaced it. The order is (cycle, node, lane key) for every event,
+ * so any queue that honours it reproduces these digests.
+ */
+TEST(Torus, DeliveryOrderIsPinned)
+{
+    struct Scenario
+    {
+        const char *name;
+        std::uint64_t want;
+        void (*run)(DeliveryOrder &);
+    };
+    const Scenario scenarios[] = {
+        {"uniform", 0x667b1a3f98f4d4c0ULL,
+         [](DeliveryOrder &t) {
+             t.uniform(3000);
+             t.drain();
+         }},
+        // Every node's four PE lanes send 256-byte packets to one
+        // vault controller: the ejection backlog runs thousands of
+        // cycles deep, so the event queue must hold events far ahead
+        // while traffic keeps arriving.
+        {"all_to_one", 0x74261a61522550b5ULL,
+         [](DeliveryOrder &t) {
+             for (unsigned src = 0; src < 32; ++src)
+                 for (unsigned lane = 0; lane < 4; ++lane)
+                     t.send(src, 0, lane, 4, 256);
+             t.uniform(400);
+             t.drain();
+         }},
+        // 100k cycles in which nobody ticks or sends.
+        {"idle_gap", 0xd862ec0ff0f60759ULL,
+         [](DeliveryOrder &t) {
+             t.uniform(200);
+             t.drain();
+             t.now += 100'000;
+             t.uniform(200);
+             t.drain();
+         }},
+        {"tick_every_37", 0xa1a4a2d14e69780fULL,
+         [](DeliveryOrder &t) {
+             t.uniform(3000, 37);
+             t.drain(37);
+         }},
+        {"faults", 0xb980bc3c52204a6aULL,
+         [](DeliveryOrder &t) {
+             FaultInjector faults(
+                 FaultPlan::parse("seed=9,noc-drop=0.2,noc-corrupt=0.1"));
+             t.noc.setFaultInjector(&faults);
+             t.uniform(3000);
+             t.drain();
+             t.noc.setFaultInjector(nullptr);
+         }},
+    };
+    for (const Scenario &s : scenarios) {
+        DeliveryOrder t(7);
+        s.run(t);
+        EXPECT_TRUE(t.noc.idle()) << s.name;
+        EXPECT_EQ(t.noc.delivered(), t.sent) << s.name;
+        EXPECT_EQ(t.seen, t.sent) << s.name;
+        EXPECT_EQ(t.digest, s.want)
+            << s.name << ": 0x" << std::hex << t.digest;
     }
 }
 

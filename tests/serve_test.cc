@@ -379,6 +379,30 @@ TEST(VipServer, PokePastTheDramIsAConfigErrorAndLoopSurvives)
                     .asBool());
 }
 
+TEST(VipServer, GeometryPastTheDramStoreIsAConfigErrorAndLoopSurvives)
+{
+    // A geometry of 128 TiB passed validation, so a poke inside it but
+    // past the backing store's 64 GiB span aborted the daemon.
+    Json ok = Json::object();
+    ok.set("run", dotSpec().toJson());
+    const std::vector<std::string> rsp = serveLines(
+        "{\"run\":{\"config\":{\"mem\":{\"geom\":"
+        "{\"rowsPerBank\":1073741824}}},"
+        "\"programs\":[{\"pe\":0,\"source\":\"halt\\n\"}],"
+        "\"pokes\":[{\"addr\":137438953472,\"values\":[1]}]}}\n" +
+        ok.str() + "\n");
+    ASSERT_EQ(rsp.size(), 2u);
+    const Json err = Json::parse(rsp[0]).at("error");
+    EXPECT_EQ(err.at("kind").asString(), "config");
+    EXPECT_NE(err.at("message").asString().find("mem.geom.rowsPerBank"),
+              std::string::npos)
+        << rsp[0];
+    EXPECT_TRUE(Json::parse(rsp[1])
+                    .at("result")
+                    .at("haltedCleanly")
+                    .asBool());
+}
+
 TEST(VipServer, AssemblyAndDeadlockFailuresAreStructured)
 {
     RunSpec bad_asm = dotSpec();
