@@ -14,7 +14,7 @@ HmcStack::HmcStack(const MemConfig &cfg, StatGroup *parent)
     }
 }
 
-bool
+void
 HmcStack::enqueue(std::unique_ptr<MemRequest> req)
 {
     const unsigned home = homeVault(req->addr);
@@ -22,7 +22,7 @@ HmcStack::enqueue(std::unique_ptr<MemRequest> req)
     vip_assert(home == tail_vault,
                "request spans vaults ", home, " and ", tail_vault,
                "; the issuer must split at vault boundaries");
-    return vaults_[home]->enqueue(std::move(req));
+    vaults_[home]->enqueue(std::move(req));
 }
 
 bool

@@ -24,8 +24,9 @@ class HmcStack
   public:
     explicit HmcStack(const MemConfig &cfg, StatGroup *parent = nullptr);
 
-    /** Route a transaction to its home vault. False if that vault is full. */
-    bool enqueue(std::unique_ptr<MemRequest> req);
+    /** Route a transaction to its home vault, which takes it (see
+     *  VaultController::enqueue). */
+    void enqueue(std::unique_ptr<MemRequest> req);
 
     /** Which vault services @p addr under the configured mapping. */
     unsigned homeVault(Addr addr) const { return mapper_.decode(addr).vault; }

@@ -68,8 +68,8 @@ struct MemRequest
  * The pool must outlive every completion callback of its requests
  * (the issuing PE owns both, and completions are delivered only while
  * the machine ticks). Requests still in flight at teardown are freed
- * by their owning container — a vault queue, the system's ingress
- * deques, or the NoC packet carrying them (Packet::req) — never by
+ * by their owning container — a vault's transaction slots or its
+ * backlog, or the NoC packet carrying them (Packet::req) — never by
  * the pool: release() is only called from the completion paths, so a
  * destroyed pool is never touched, and a machine torn down mid-flight
  * (expired budget, deadlock throw) leaks nothing.

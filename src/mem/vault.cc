@@ -43,14 +43,19 @@ VaultController::VaultController(unsigned vaultId, const MemConfig &cfg,
         freeSlots_.push_back(i);
 }
 
-bool
+void
 VaultController::enqueue(std::unique_ptr<MemRequest> req)
 {
-    if (freeSlots_.empty())
-        return false;
-
     vip_assert(req->bytes > 0, "zero-length memory request");
+    if (freeSlots_.empty() || !backlog_.empty())
+        backlog_.push_back(std::move(req));
+    else
+        admit(std::move(req));
+}
 
+void
+VaultController::admit(std::unique_ptr<MemRequest> req)
+{
     const std::size_t slot = freeSlots_.back();
     freeSlots_.pop_back();
     ++liveTrans_;
@@ -58,7 +63,6 @@ VaultController::enqueue(std::unique_ptr<MemRequest> req)
     trans_[slot].live = true;
     trans_[slot].pendingColumns = 0;
     splitIntoColumns(slot);
-    return true;
 }
 
 void
@@ -400,7 +404,16 @@ void
 VaultController::tick(Cycles now)
 {
     retireCompletions(now);
+    issueCommand(now);
+    while (!backlog_.empty() && !freeSlots_.empty()) {
+        admit(std::move(backlog_.front()));
+        backlog_.pop_front();
+    }
+}
 
+void
+VaultController::issueCommand(Cycles now)
+{
     if (now < refreshUntil_)
         return;
     if (now >= nextRefreshAt_) {

@@ -1,14 +1,16 @@
 /**
  * @file
  * Cycle-level model of one HMC vault: 16 banks sharing data TSVs, a
- * transaction queue, a command scheduler (FR-FCFS for the open-page
- * policy, auto-precharge for closed-page), and a refresh controller.
+ * transaction queue with a FIFO backlog behind it, a command scheduler
+ * (FR-FCFS for the open-page policy, auto-precharge for closed-page),
+ * and a refresh controller.
  */
 
 #ifndef VIP_MEM_VAULT_HH
 #define VIP_MEM_VAULT_HH
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -35,13 +37,20 @@ class VaultController final
                     const AddressMapper &mapper, StatGroup *parent);
 
     /**
-     * Offer a transaction to this vault. Returns false (and leaves the
-     * request with the caller) when the transaction queue is full.
+     * Hand a transaction to this vault, which always takes it. It
+     * enters a free transaction slot at once; when none is free, or
+     * older requests are already waiting, it joins the vault's FIFO
+     * backlog and is admitted by a later tick() in arrival order.
      * @pre every byte of the request maps to this vault.
      */
-    bool enqueue(std::unique_ptr<MemRequest> req);
+    void enqueue(std::unique_ptr<MemRequest> req);
 
-    /** Advance one clock cycle: retire data, issue at most one command. */
+    /**
+     * Advance one clock cycle: retire data, issue at most one command,
+     * then admit backlogged requests into the slots freed. Admission
+     * comes last, so a request admitted at cycle t is first eligible
+     * for a command at t + 1.
+     */
     void tick(Cycles now);
 
     /**
@@ -80,6 +89,10 @@ class VaultController final
 
     /** Live (incomplete) transactions currently in the queue. */
     unsigned pendingTransactions() const;
+
+    /** Requests waiting for a transaction slot. Nonzero only while
+     *  every slot is taken, so it never makes an idle vault busy. */
+    std::size_t backlog() const { return backlog_.size(); }
 
     bool canAccept() const
     {
@@ -196,6 +209,8 @@ class VaultController final
         std::size_t transIndex;
     };
 
+    void admit(std::unique_ptr<MemRequest> req);
+    void issueCommand(Cycles now);
     void splitIntoColumns(std::size_t trans_index);
     void issueOldestHit(Cycles now);
     void issueColumn(unsigned bank_idx, Cycles now);
@@ -252,6 +267,8 @@ class VaultController final
     std::vector<Transaction> trans_;
     std::vector<std::size_t> freeSlots_;  ///< free transaction slots
     unsigned liveTrans_ = 0;              ///< live entries in trans_
+    /** Requests that found every slot taken, oldest first. */
+    std::deque<std::unique_ptr<MemRequest>> backlog_;
     std::size_t totalColumns_ = 0;        ///< unissued columns, all banks
     std::uint64_t nextSeq_ = 0;           ///< arrival-order stamp
     /**

@@ -200,9 +200,12 @@ TorusNoc::advance(std::size_t packet_index, unsigned node, Cycles now)
         statBytes_ += pkt.payloadBytes;
         statLatency_ += latency;
         latencyHist_.sample(latency);
-        if (pkt.onArrive)
-            pkt.onArrive(pkt);
+        // Free the slot before the callback runs: onArrive may send(),
+        // which can reuse the slot or grow packets_ under it.
+        Packet arrived = std::move(pkt);
         freeSlots_.push_back(packet_index);
+        if (arrived.onArrive)
+            arrived.onArrive(arrived);
         return;
     }
 

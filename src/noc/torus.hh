@@ -54,9 +54,8 @@ struct Packet
     unsigned srcLane = 4;
     unsigned dstLane = 4;
 
-    /** Called at the cycle the packet is fully delivered at dst. It
-     *  must not send(): the packet it is handed lives in the NoC's
-     *  slot table. */
+    /** Called at the cycle the packet is fully delivered at dst, with
+     *  the packet already out of the NoC's slot table. */
     std::function<void(Packet &)> onArrive;
 
     /**

@@ -3,22 +3,20 @@
  * The simulator's time model: the event-horizon fast-forward contract
  * that every component driven by the global 1.25 GHz clock keeps.
  *
- * Every tickable unit of the machine (PE, NoC, vault, the system's
- * ingress drain) has `tick(now)` plus `nextEventAt(now)`: the earliest
- * future cycle at which the component, left alone, could change
- * architectural or statistical state. VipSystem calls them directly,
- * in one fixed order (NoC, vaults by index, ingress, then PEs by
- * index), either every cycle (`VipSystem::tick()`, the
- * --no-fast-forward oracle) or from one pass per cycle that uses
- * `nextEventAt` twice (`VipSystem::tickDue`):
+ * Every tickable unit of the machine (PE, NoC, vault) has `tick(now)`
+ * plus `nextEventAt(now)`: the earliest future cycle at which the
+ * component, left alone, could change architectural or statistical
+ * state. VipSystem calls them directly, in one fixed order (NoC,
+ * vaults by index, then PEs by index), either every cycle
+ * (`VipSystem::tick()`, the --no-fast-forward oracle) or from one pass
+ * per cycle that uses `nextEventAt` twice (`VipSystem::tickDue`):
  *
  *  - Per component: the system caches the NoC's, each vault's and
  *    each PE's due cycle, its `nextEventAt(now + 1)` as of its last
  *    tick, and ticks it only once that cycle has come.
  *  - For the whole machine: the same pass folds the refreshed entries
- *    and the ingress drain into the horizon `min(nextEventAt)` and,
- *    when it exceeds the next cycle, the loop warps simulated time
- *    directly to it.
+ *    into the horizon `min(nextEventAt)` and, when it exceeds the next
+ *    cycle, the loop warps simulated time directly to it.
  *
  * The contract that keeps both *exact* rather than approximate:
  *
@@ -38,12 +36,13 @@
  *    itself must make the waiting component due in the delivery
  *    cycle. Every such delivery passes through the system, which
  *    lowers the cached due cycle: a vault enqueue from the NoC and a
- *    response landing at its PE set the entry to 0, a vault the
- *    ingress drain feeds is recomputed (the drain runs after the vault
- *    phase), and every packet a vault or PE sends lowers the NoC's
- *    entry to the NoC's next event. The tick order delivers each
- *    wake-up before the woken component's due check in the same
- *    cycle. Host calls between runs (`Pe::setReg`,
+ *    response landing at its PE set the entry to 0, and every packet
+ *    a vault or PE sends lowers the NoC's entry to the NoC's next
+ *    event. A full vault keeps arrivals in its own backlog and admits
+ *    them in its own tick, when a completion frees a slot; its
+ *    completion-queue head already bounds that. The tick order
+ *    delivers each wake-up before the woken component's due check in
+ *    the same cycle. Host calls between runs (`Pe::setReg`,
  *    `Pe::loadProgram`, `VipSystem::tick()`) bypass these, so `run()`
  *    recomputes every entry when it starts; the components' own
  *    wake-ups (`Pe::wake`, a vault's dirty gates) keep `nextEventAt`

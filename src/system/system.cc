@@ -152,7 +152,7 @@ validateSystemConfig(const SystemConfig &cfg)
 VipSystem::VipSystem(const SystemConfig &cfg)
     : cfg_(validated(cfg)), statGroup_("system"),
       hmc_(cfg.mem, &statGroup_), noc_(cfg.nocX, cfg.nocY, &statGroup_),
-      ingress_(cfg.mem.geom.vaults), vaultDue_(cfg.mem.geom.vaults)
+      vaultDue_(cfg.mem.geom.vaults)
 {
     const unsigned num_pes = cfg_.mem.geom.vaults * cfg_.pesPerVault;
     pes_.reserve(num_pes);
@@ -223,18 +223,11 @@ VipSystem::routeRequest(std::unique_ptr<MemRequest> req, unsigned src_vault)
 void
 VipSystem::deliverToVault(unsigned vault, std::unique_ptr<MemRequest> req)
 {
-    // Preserve arrival order: drain behind anything already parked.
-    if (ingress_[vault].empty() && hmc_.vault(vault).canAccept()) {
-        const bool ok = hmc_.vault(vault).enqueue(std::move(req));
-        vip_assert(ok, "vault rejected a request it could accept");
-        // Wake point: the vault has new work. The NoC delivers ahead
-        // of the vault phase, so the vault ticks (and re-reports) in
-        // this same cycle.
-        vaultDue_[vault] = 0;
-        return;
-    }
-    ingress_[vault].push_back(std::move(req));
-    ++parked_;
+    hmc_.vault(vault).enqueue(std::move(req));
+    // Wake point: the vault has new work. The NoC delivers ahead of
+    // the vault phase, so the vault ticks (and re-reports) in this
+    // same cycle.
+    vaultDue_[vault] = 0;
 }
 
 void
@@ -271,54 +264,14 @@ VipSystem::noteSend()
     nocDue_ = std::min(nocDue_, noc_.nextEventAt(now_));
 }
 
-bool
-VipSystem::drainIngress(unsigned v)
-{
-    bool drained = false;
-    while (!ingress_[v].empty() && hmc_.vault(v).canAccept()) {
-        const bool ok =
-            hmc_.vault(v).enqueue(std::move(ingress_[v].front()));
-        vip_assert(ok, "vault rejected a request it could accept");
-        ingress_[v].pop_front();
-        --parked_;
-        drained = true;
-    }
-    return drained;
-}
-
-Cycles
-VipSystem::ingressHorizon() const
-{
-    // The drain itself runs in every cycle in which a request is
-    // parked, never gated on this horizon: a vault completion earlier
-    // in the same cycle frees the slot a parked request drains into,
-    // but by then the vault's nextCompletionAt() already names its
-    // *next* completion, so a gated drain would miss the cycle. A vault
-    // keeps one completion per transaction, pushed when its last column
-    // issues, so nextCompletionAt() is exactly the cycle the next slot
-    // frees. With no request parked, tickDue() skips this term.
-    Cycles next = kIdleForever;
-    for (unsigned v = 0; v < ingress_.size(); ++v) {
-        if (ingress_[v].empty())
-            continue;
-        next = std::min(next, hmc_.vault(v).nextCompletionAt());
-        if (next <= now_)
-            break;
-    }
-    return std::max(next, now_);
-}
-
 void
 VipSystem::tick()
 {
     // The machine's tick order: network deliveries first (they may
-    // complete PE transactions and park requests at full vaults), then
-    // the vault controllers, then the ingress drains (a completion this
-    // cycle frees a slot this cycle), then the PE front ends.
+    // complete PE transactions and hand requests to vaults), then the
+    // vault controllers, then the PE front ends.
     noc_.tick(now_);
     hmc_.tick(now_);
-    for (unsigned v = 0; v < ingress_.size(); ++v)
-        drainIngress(v);
     for (auto &pe : pes_)
         pe->tick(now_);
     ++now_;
@@ -348,22 +301,6 @@ VipSystem::tickDue()
         horizon = std::min(horizon, vaultDue_[v]);
     }
 
-    if (parked_ != 0) {
-        // The drain enqueues after the vault phase, so a fed vault's
-        // entry would be late: recompute it, then the vault minimum.
-        bool fed = false;
-        for (unsigned v = 0; v < vaultDue_.size(); ++v) {
-            if (drainIngress(v)) {
-                vaultDue_[v] = hmc_.vault(v).nextEventAt(next);
-                fed = true;
-            }
-        }
-        if (fed) {
-            horizon = *std::min_element(vaultDue_.begin(),
-                                        vaultDue_.end());
-        }
-    }
-
     for (unsigned p = 0; p < peDue_.size(); ++p) {
         if (peDue_[p] <= now_) {
             Pe &pe = *pes_[p];
@@ -374,10 +311,7 @@ VipSystem::tickDue()
     }
 
     now_ = next;
-    horizon = std::min(horizon, nocDue_);
-    if (parked_ != 0)
-        horizon = std::min(horizon, ingressHorizon());
-    return horizon;
+    return std::min(horizon, nocDue_);
 }
 
 void
@@ -395,10 +329,6 @@ VipSystem::allIdle() const
 {
     for (const auto &pe : pes_) {
         if (!pe->idle())
-            return false;
-    }
-    for (const auto &q : ingress_) {
-        if (!q.empty())
             return false;
     }
     return hmc_.idle() && noc_.idle();
@@ -534,15 +464,15 @@ VipSystem::deadlockDiagnosis() const
     stuck = shown = 0;
     for (unsigned v = 0; v < hmc_.numVaults(); ++v) {
         const unsigned queued = hmc_.vault(v).pendingTransactions();
-        const std::size_t parked = ingress_[v].size();
-        if (queued == 0 && parked == 0)
+        const std::size_t waiting = hmc_.vault(v).backlog();
+        if (queued == 0 && waiting == 0)
             continue;
         ++stuck;
         if (shown >= kMaxLines)
             continue;
         ++shown;
         os << "\n  vault" << v << ": queued=" << queued
-           << " ingress=" << parked;
+           << " ingress=" << waiting;
         const Cycles at = hmc_.vault(v).nextCompletionAt();
         if (at != kIdleForever)
             os << " nextCompletionAt=" << at;

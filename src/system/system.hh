@@ -15,7 +15,6 @@
 #define VIP_SYSTEM_SYSTEM_HH
 
 #include <atomic>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -170,8 +169,9 @@ class VipSystem
     /**
      * Snapshot of the machine's stuck state, formatted for humans: the
      * non-idle PEs (PC, current instruction, stall reason, LSQ
-     * occupancy), backed-up vaults (queued transactions, parked
-     * ingress requests, next completion), and NoC in-flight count.
+     * occupancy), backed-up vaults (queued transactions, requests in
+     * the vault's backlog as "ingress=", next completion), and NoC
+     * in-flight count.
      * run() attaches this to the DeadlockError its watchdog throws.
      */
     std::string deadlockDiagnosis() const;
@@ -191,8 +191,8 @@ class VipSystem
      * the NoC, a vault or a PE ticks only when its cached due cycle
      * (nocDue_, vaultDue_, peDue_) has come, and each ticked entry is
      * refreshed to the component's nextEventAt(now + 1). Returns the
-     * horizon: the minimum over the entries and ingressHorizon(), the
-     * earliest cycle any component can change state at the new now().
+     * horizon: the minimum over the entries, the earliest cycle any
+     * component can change state at the new now().
      * Exact under the sim/clocked.hh contract; skipped PEs charge
      * their stall cycles at their next tick or at the run's exit.
      */
@@ -209,19 +209,6 @@ class VipSystem
     void deliverToVault(unsigned vault, std::unique_ptr<MemRequest> req);
     void onVaultComplete(unsigned vault, std::unique_ptr<MemRequest> req);
 
-    /** Drain vault @p v's parked ingress queue into freed slots.
-     *  @return true when at least one request reached the vault. */
-    bool drainIngress(unsigned v);
-
-    /**
-     * The parked requests' next event, at least now(): capacity only
-     * frees when a vault completes a transaction, so a backed-up
-     * queue's next event is its vault's next completion, and warps
-     * can never jump a drain opportunity. kIdleForever when none is
-     * parked.
-     */
-    Cycles ingressHorizon() const;
-
     SystemConfig cfg_;
     StatGroup statGroup_;
     HmcStack hmc_;
@@ -229,20 +216,12 @@ class VipSystem
     std::vector<std::unique_ptr<Pe>> pes_;
     std::unique_ptr<FaultInjector> injector_;
 
-    /** Requests that reached their vault but found its queue full. */
-    std::vector<std::deque<std::unique_ptr<MemRequest>>> ingress_;
-
-    /** Requests parked across all of ingress_, so the fast-forward
-     *  loop skips the drain and its horizon term when none are. */
-    std::size_t parked_ = 0;
-
     /**
      * The fast-forward loop's cached due cycles, one per vault and one
      * per PE: the component's nextEventAt(now + 1) as of its last tick,
      * lowered to 0 by the events that can wake a skipped component
      * (deliverToVault's enqueue, a response landing at its PE) and
-     * recomputed by tickDue() for a vault the ingress drain fed and by
-     * refreshDue() when run() starts. An early entry only costs a
+     * recomputed by refreshDue() when run() starts. An early entry only costs a
      * tick; a late one would be wrong. nocDue_ is the NoC's: its
      * nextEventAt(now + 1) after its last tick, lowered by every send
      * (noteSend).

@@ -11,7 +11,8 @@
  * cycle. expectEquivalent() runs one drive under all four strategies
  * and requires every run to match the oracle in the cycle count and
  * the stats dump at every run() boundary, and at the end in the DRAM
- * fingerprint, the fault counters and the request-pool counters.
+ * fingerprint, the fault counters and the request-pool counters. Every
+ * run must also conserve memory requests (expectRequestsConserved).
  */
 
 #ifndef VIP_TESTS_EQUIVALENCE_HH
@@ -76,6 +77,34 @@ using RunHook = std::function<Cycles(Cycles max_cycles)>;
  *  possibly in several phases with host calls between them. */
 using Drive = std::function<void(VipSystem &, const RunHook &)>;
 
+/**
+ * Request conservation at the end of a drive: every request a PE
+ * issued was serviced by its vault exactly once and answered, so no
+ * pooled descriptor is still live, the NoC delivered one request and
+ * one response packet per completed transaction, and the vaults moved
+ * exactly the DRAM bytes the PEs asked for.
+ */
+inline void
+expectRequestsConserved(VipSystem &sys, const char *strategy)
+{
+    std::uint64_t completed = 0;
+    std::uint64_t vault_bytes = 0;
+    for (unsigned v = 0; v < sys.hmc().numVaults(); ++v) {
+        const VaultController::Stats &s = sys.hmc().vault(v).stats();
+        completed += s.reqCount.value();
+        vault_bytes += s.readBytes.value() + s.writeBytes.value();
+    }
+    std::uint64_t pe_bytes = 0;
+    for (unsigned pe = 0; pe < sys.numPes(); ++pe) {
+        const Pe &p = sys.pe(pe);
+        EXPECT_EQ(p.requestPool().live(), 0u) << strategy << ", pe" << pe;
+        pe_bytes += p.stats().dramReadBytes.value() +
+                    p.stats().dramWriteBytes.value();
+    }
+    EXPECT_EQ(2 * completed, sys.noc().delivered()) << strategy;
+    EXPECT_EQ(vault_bytes, pe_bytes) << strategy;
+}
+
 /** Run @p drive on a machine built from @p cfg under @p strategy. */
 inline Observed
 observe(SystemConfig cfg, const Strategy &strategy, const Drive &drive)
@@ -93,6 +122,7 @@ observe(SystemConfig cfg, const Strategy &strategy, const Drive &drive)
         return now;
     });
     EXPECT_TRUE(sys.allIdle()) << strategy.name;
+    expectRequestsConserved(sys, strategy.name);
     o.cycles = sys.now();
     for (unsigned pe = 0; pe < sys.numPes(); ++pe) {
         o.instructions += sys.pe(pe).stats().instructions.value();
@@ -152,7 +182,8 @@ expectEquivalent(const SystemConfig &cfg, const Drive &drive)
     return runs;
 }
 
-/** True when some vault's ingress queue holds a parked request. */
+/** True when some vault's backlog holds a waiting request (the
+ *  diagnosis reports it as "ingress="). */
 inline bool
 parkedInIngress(const VipSystem &sys)
 {

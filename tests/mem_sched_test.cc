@@ -37,7 +37,8 @@ struct Harness
         req->isWrite = write;
         req->issuedAt = now;
         req->onComplete = [out](MemRequest &r) { *out = r.completedAt; };
-        ASSERT_TRUE(vault.enqueue(std::move(req)));
+        vault.enqueue(std::move(req));
+        ASSERT_EQ(vault.backlog(), 0u);
     }
 
     void
@@ -481,10 +482,12 @@ randomTraffic(const MemConfig &cfg, std::uint64_t seed, unsigned count,
 
 /**
  * Drives a VaultController with @p reqs: requests queue FIFO at their
- * arrival cycle and are offered head-first until the vault refuses.
- * Ticking every cycle, or (warp) only at cycles where something can
- * happen — the vault's nextEventAt(), the next arrival, or a refused
- * request that the vault can now take.
+ * arrival cycle and are offered head-first while the vault can accept
+ * them. Ticking every cycle, or (warp) only at cycles where something
+ * can happen — the vault's nextEventAt(), the next arrival, or a
+ * waiting request that the vault can now take. Offered with
+ * @c check_slot false, every request is enqueued at its arrival and a
+ * full vault holds it in its own backlog.
  */
 struct VaultDriver
 {
@@ -496,9 +499,11 @@ struct VaultDriver
 
     /** Offer every arrived request (FIFO, head first) at @p now. */
     void
-    offer(Cycles now)
+    offer(Cycles now, bool check_slot = true)
     {
         while (next < reqs.size() && reqs[next].arrival <= now) {
+            if (check_slot && !vault.canAccept())
+                return;
             const TrafficReq &r = reqs[next];
             auto req = std::make_unique<MemRequest>();
             req->addr = r.addr;
@@ -509,8 +514,7 @@ struct VaultDriver
             req->onComplete = [this, id](MemRequest &m) {
                 completedAt[id] = m.completedAt;
             };
-            if (!vault.enqueue(std::move(req)))
-                return;
+            vault.enqueue(std::move(req));
             enqueuedAt[id] = now;
             ++next;
         }
@@ -611,8 +615,8 @@ TEST_P(VaultDifferential, MatchesNaiveReferenceAndNeverWakesLate)
             warp.vault.tick(t);
             Cycles to = warp.vault.nextEventAt(t + 1);
             if (warp.next < reqs.size()) {
-                // A refused request waits for a slot, which frees only
-                // at a completion: nextEventAt() already covers that.
+                // An arrived request waits for a slot, which frees
+                // only at a completion: nextEventAt() covers that.
                 const Cycles arrival = reqs[warp.next].arrival;
                 if (arrival > t)
                     to = std::min(to, arrival);
@@ -624,8 +628,34 @@ TEST_P(VaultDifferential, MatchesNaiveReferenceAndNeverWakesLate)
         }
         ASSERT_TRUE(warp.done()) << "warped traffic did not drain";
 
+        // The same traffic enqueued at each arrival without asking
+        // canAccept(), ticked only at event cycles: the vault's backlog
+        // must admit each request exactly when the reference takes it.
+        VaultDriver backlog(cfg, reqs);
+        std::size_t max_backlog = 0;
+        t = 0;
+        while (t < kLimit && !backlog.done()) {
+            backlog.offer(t, false);
+            max_backlog = std::max(max_backlog, backlog.vault.backlog());
+            backlog.vault.tick(t);
+            Cycles to = backlog.vault.nextEventAt(t + 1);
+            if (backlog.next < reqs.size())
+                to = std::min(to, reqs[backlog.next].arrival);
+            ASSERT_GT(to, t);
+            t = to;
+        }
+        ASSERT_TRUE(backlog.done()) << "backlogged traffic did not drain";
+        if (sc.transDepth <= 4) {
+            EXPECT_GT(max_backlog, 0u) << "no backlog exercised";
+        }
+        // Its latencies count from arrival, not admission.
+        RefVault::Counters from_arrival = ref.counters();
+        for (std::size_t i = 0; i < reqs.size(); ++i)
+            from_arrival[8] += ref_enqueued[i] - reqs[i].arrival;
+
         EXPECT_EQ(vaultCounters(step.vault), ref.counters());
         EXPECT_EQ(vaultCounters(warp.vault), ref.counters());
+        EXPECT_EQ(vaultCounters(backlog.vault), from_arrival);
         EXPECT_GT(ref.counters()[4], 0u) << "no row conflicts exercised";
         EXPECT_GT(ref.counters()[5], 0u) << "no refresh exercised";
         for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -634,6 +664,8 @@ TEST_P(VaultDifferential, MatchesNaiveReferenceAndNeverWakesLate)
                 << "req " << i;
             ASSERT_EQ(warp.enqueuedAt[i], ref_enqueued[i]) << "req " << i;
             ASSERT_EQ(warp.completedAt[i], ref.completedAt(i))
+                << "req " << i;
+            ASSERT_EQ(backlog.completedAt[i], ref.completedAt(i))
                 << "req " << i;
         }
     }

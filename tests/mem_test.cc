@@ -202,7 +202,8 @@ struct VaultHarness
         req->onComplete = [&](MemRequest &r) {
             done = r.completedAt - r.issuedAt;
         };
-        EXPECT_TRUE(vault.enqueue(std::move(req)));
+        vault.enqueue(std::move(req));
+        EXPECT_EQ(vault.backlog(), 0u);
         while (done == 0 && now < 100000)
             vault.tick(now++);
         return done;
@@ -263,7 +264,8 @@ TEST(Vault, MultiColumnRequestCompletesOnce)
     req->addr = 16;       // misaligned: spans 9 columns
     req->bytes = 270;
     req->onComplete = [&](MemRequest &) { ++completions; };
-    ASSERT_TRUE(h.vault.enqueue(std::move(req)));
+    h.vault.enqueue(std::move(req));
+    ASSERT_EQ(h.vault.pendingTransactions(), 1u);
     while (!h.vault.idle())
         h.vault.tick(h.now++);
     EXPECT_EQ(completions, 1u);
@@ -287,18 +289,30 @@ TEST(Vault, QueueBackpressure)
     cfg.geom.vaults = 1;
     cfg.transQueueDepth = 4;
     VaultHarness h(cfg);
-    unsigned accepted = 0;
+    // Eight requests into four slots: four are live and four wait in
+    // the vault's own backlog, to be admitted as slots free.
+    std::vector<unsigned> order;
     for (unsigned i = 0; i < 8; ++i) {
         auto req = std::make_unique<MemRequest>();
         req->addr = i * 4096;
         req->bytes = 32;
-        if (h.vault.enqueue(std::move(req)))
-            ++accepted;
+        req->onComplete = [&order, i](MemRequest &) { order.push_back(i); };
+        h.vault.enqueue(std::move(req));
     }
-    EXPECT_EQ(accepted, 4u);
-    EXPECT_FALSE(h.vault.canAccept());
-    while (!h.vault.idle())
+    EXPECT_EQ(h.vault.pendingTransactions(), 4u);
+    EXPECT_EQ(h.vault.backlog(), 4u);
+    // canAccept() stays false while anything waits: the fifth
+    // completion is the first that leaves a slot free.
+    while (order.size() < 8 && h.now < 100000) {
+        EXPECT_EQ(h.vault.canAccept(), order.size() >= 5)
+            << "after " << order.size() << " completions";
+        EXPECT_FALSE(h.vault.idle());
+        EXPECT_EQ(h.vault.backlog(),
+                  order.size() < 4 ? 4 - order.size() : 0u);
         h.vault.tick(h.now++);
+    }
+    EXPECT_EQ(order, (std::vector<unsigned>{0, 1, 2, 3, 4, 5, 6, 7}));
+    EXPECT_TRUE(h.vault.idle());
     EXPECT_TRUE(h.vault.canAccept());
 }
 
@@ -315,7 +329,8 @@ TEST(Hmc, RoutesToHomeVaultAndTracksBytes)
     req->bytes = 64;
     req->isWrite = true;
     req->onComplete = [&](MemRequest &) { done = true; };
-    ASSERT_TRUE(hmc.enqueue(std::move(req)));
+    hmc.enqueue(std::move(req));
+    ASSERT_EQ(hmc.vault(3).pendingTransactions(), 1u);
     Cycles now = 0;
     while (!done && now < 10000)
         hmc.tick(now++);
@@ -346,7 +361,8 @@ TEST(Hmc, MoreBanksImproveRandomAccessThroughput)
             req->onComplete = [&](MemRequest &) { ++done; };
             while (!h.vault.canAccept())
                 h.vault.tick(h.now++);
-            EXPECT_TRUE(h.vault.enqueue(std::move(req)));
+            h.vault.enqueue(std::move(req));
+            EXPECT_EQ(h.vault.backlog(), 0u);
         }
         while (done < N)
             h.vault.tick(h.now++);

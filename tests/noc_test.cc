@@ -154,6 +154,57 @@ TEST(Torus, DimensionOrderRoutingIsMinimal)
     }
 }
 
+TEST(Torus, OnArriveMaySend)
+{
+    // Every delivery answers from inside its own onArrive with two
+    // packets, and only then reads the packet it was handed and its
+    // own captures. The in-flight set doubles each generation, so the
+    // replies keep growing the NoC's slot table under the running
+    // callback.
+    constexpr unsigned kGenerations = 8;
+    struct Echo
+    {
+        TorusNoc noc{8, 4};
+        Cycles now = 0;
+        std::vector<unsigned> arrivals = std::vector<unsigned>(
+            kGenerations + 1, 0);
+        std::uint64_t latency = 0;
+
+        void
+        send(unsigned src, unsigned dst, unsigned lane, unsigned gen)
+        {
+            Packet p;
+            p.src = src;
+            p.dst = dst;
+            p.srcLane = lane;
+            p.dstLane = lane;
+            p.payloadBytes = 32;
+            p.onArrive = [this, gen](Packet &pkt) {
+                if (gen < kGenerations) {
+                    for (unsigned k = 0; k < 2; ++k)
+                        send(pkt.dst, (pkt.dst + 5 * k + 3) % 32, k,
+                             gen + 1);
+                }
+                ++arrivals[gen];
+                latency += pkt.deliveredAt - pkt.injectedAt;
+            };
+            noc.send(std::move(p), now);
+        }
+    };
+
+    Echo e;
+    e.send(0, 9, 0, 0);
+    for (; !e.noc.idle() && e.now < 100'000; ++e.now)
+        e.noc.tick(e.now);
+    ASSERT_TRUE(e.noc.idle());
+    for (unsigned gen = 0; gen <= kGenerations; ++gen)
+        EXPECT_EQ(e.arrivals[gen], 1u << gen) << "generation " << gen;
+    EXPECT_EQ(e.noc.delivered(), (2u << kGenerations) - 1);
+    EXPECT_DOUBLE_EQ(static_cast<double>(e.latency) /
+                         static_cast<double>(e.noc.delivered()),
+                     e.noc.avgLatency());
+}
+
 /** splitmix64: the test's own deterministic stream and digest mixer
  *  (std::*_distribution is not specified bit-for-bit across
  *  standard libraries). */
@@ -185,8 +236,8 @@ class DeliveryOrder
     std::uint64_t next() { return rng_ = mix64(rng_); }
 
     /** Send one packet at `now`; a packet marked @p reply is answered
-     *  at the next cycle, as a vault answers a request on its own tick
-     *  (onArrive must not send: it runs on the NoC's slot table). */
+     *  at the next cycle, as a vault answers a request on its own
+     *  tick. */
     void
     send(unsigned src, unsigned dst, unsigned src_lane, unsigned dst_lane,
          unsigned bytes, bool reply = false)

@@ -321,9 +321,10 @@ TEST(Fuzz, RandomProgramsAcrossVaultsMatchTheOracle)
 {
     // The multi-vault variant: eight PEs on four vaults, each program
     // addressing the next vault's DRAM, behind a two-entry transaction
-    // queue. Remote deliveries, parked requests and ingress drains
-    // reach every wake-up a vault skipped by the fast-forward loop can
-    // get. Short run() phases let the test see requests parked.
+    // queue. Remote deliveries, backlogged requests and their
+    // admission reach every wake-up a vault skipped by the
+    // fast-forward loop can get. Short run() phases let the test see
+    // requests waiting in a vault's backlog.
     Rng rng(20261017);
     bool parked = false;
     Coverage seen;
@@ -350,7 +351,7 @@ TEST(Fuzz, RandomProgramsAcrossVaultsMatchTheOracle)
                 }
             }));
     }
-    EXPECT_TRUE(parked) << "no trial parked a request in ingress";
+    EXPECT_TRUE(parked) << "no trial backlogged a request at a vault";
     EXPECT_GT(seen.blockRuns, 0u);
     EXPECT_GT(seen.warps, 0u);
 }

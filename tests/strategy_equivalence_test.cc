@@ -372,7 +372,7 @@ TEST(StrategyEquivalence, MultiVaultRemoteTrafficInCutPhases)
 {
     // Sixteen PEs on four vaults, each streaming from one remote vault
     // and storing to another, behind a two-entry transaction queue so
-    // requests park in ingress. The loop stalls on every external wake
+    // requests wait in the vaults' backlogs. The loop stalls on every external wake
     // a PE can get (an ARC entry held by a load, an ld.reg target, the
     // LSQ at a fence) and on v.drain. Short run() phases cut it
     // mid-stall: a PE skipped by the per-component gate has to have
@@ -436,7 +436,7 @@ TEST(StrategyEquivalence, MultiVaultRemoteTrafficInCutPhases)
     const Runs runs = expectEquivalent(cfg, drive);
     expectWarped(runs);
 
-    EXPECT_TRUE(parked) << "no request ever parked in ingress";
+    EXPECT_TRUE(parked) << "no request ever waited in a vault backlog";
     for (unsigned k = 0; k < 4; ++k)
         EXPECT_GT(stalls[k], 0u) << "stall kind " << k << " never hit";
     EXPECT_GT(runs[0].cuts.size(), 4u);

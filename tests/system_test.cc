@@ -235,7 +235,7 @@ TEST(System, ProgramErrorReleasesTheMachine)
 TEST(System, TeardownWithPacketsInFlightFreesEveryRequest)
 {
     // Each request in flight is owned by exactly one container: a NoC
-    // packet, a vault's ingress queue or a vault's transaction queue.
+    // packet, a vault's backlog or a vault's transaction queue.
     // Stop the machine while all three hold some and destroy it; the
     // sanitizer build's leak check then proves each one is freed.
     for (const bool ff : {true, false}) {

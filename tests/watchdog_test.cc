@@ -1,7 +1,7 @@
 /**
  * @file
- * The run-loop watchdog and the ingress backpressure path under
- * event-horizon fast-forward.
+ * The run-loop watchdog and the vault backlog under event-horizon
+ * fast-forward.
  *
  * The warp clamps its target to the cycle where the watchdog would
  * next look (see VipSystem::run), so a machine that stops making
@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -100,13 +101,26 @@ TEST(Watchdog, GenerousWindowLetsTheStallResolve)
     EXPECT_TRUE(sys.allIdle());
 }
 
+/** FNV-1a over @p text: a stable digest of a stats dump. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : text) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
 TEST(IngressBackpressure, DrainOrderSurvivesWarps)
 {
-    // A depth-1 transaction queue forces arrivals to park in the
-    // system's per-vault ingress queue. Four PEs hammering one vault
-    // must produce the identical cycle count and statistics tree with
-    // and without fast-forward — i.e. a warp never jumps over a drain
-    // opportunity and never reorders parked requests.
+    // A depth-1 transaction queue forces arrivals into the vault's
+    // backlog. Four PEs hammering one vault must produce the identical
+    // cycle count and statistics tree with and without fast-forward —
+    // i.e. a warp never jumps over an admission and never reorders
+    // waiting requests — and both must equal the pinned result, so a
+    // change that moves both paths together fails too.
     auto run = [](bool ff) {
         SystemConfig cfg = makeSystemConfig(1, 4);
         cfg.fastForward = ff;
@@ -143,6 +157,9 @@ TEST(IngressBackpressure, DrainOrderSurvivesWarps)
     const auto [slow_cycles, slow_stats] = run(false);
     EXPECT_EQ(ff_cycles, slow_cycles);
     EXPECT_EQ(ff_stats, slow_stats);
+    EXPECT_EQ(slow_cycles, 15571u);
+    EXPECT_EQ(fnv1a(slow_stats), 0x0c33c8b4f6c2eb0eULL)
+        << "0x" << std::hex << fnv1a(slow_stats);
 }
 
 } // namespace
