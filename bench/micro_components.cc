@@ -129,7 +129,7 @@ void
 BM_PeScalarLoop(benchmark::State &state)
 {
     // Simulation rate of a PE running a tight scalar loop — the
-    // decoded-µop fast path's headline bench (run with --no-fast-path
+    // run-ahead fast path's headline bench (run with --no-fast-path
     // for the interpreter baseline; cycles are bit-identical).
     for (auto _ : state) {
         state.PauseTiming();

@@ -86,20 +86,6 @@ struct Instruction
 
     /** Immediate operand, or resolved branch/jump target (instr index). */
     std::int64_t imm = 0;
-
-    bool
-    isVector() const
-    {
-        return op == Opcode::MatVec || op == Opcode::VecVec ||
-               op == Opcode::VecScalar;
-    }
-
-    bool
-    isMemory() const
-    {
-        return op == Opcode::LdSram || op == Opcode::StSram ||
-               op == Opcode::LdReg || op == Opcode::StReg;
-    }
 };
 
 const char *toString(Opcode op);

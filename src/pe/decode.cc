@@ -1,13 +1,10 @@
 /**
  * @file
- * Program translation for the PE front end: Instruction -> Uop, plus
- * the per-pc fast-block table (see decode.hh for the model).
+ * Program translation for the PE front end: Instruction -> Uop (see
+ * decode.hh for the model).
  *
- * The width-specialized vector kernels live here too — they used to be
- * an anonymous namespace in pe.cc, but translation wants to resolve
- * them once per static instruction instead of once per issue, and the
- * interpreter path keeps calling the same resolvers so both paths
- * execute literally the same kernel code.
+ * The width-specialized vector kernels live here too, so translation
+ * resolves them once per static instruction instead of once per issue.
  */
 
 #include "pe/decode.hh"
@@ -376,58 +373,14 @@ translateUop(const Instruction &inst)
     return u;
 }
 
-DecodedProgram
+std::vector<Uop>
 translateProgram(const std::vector<Instruction> &prog)
 {
-    DecodedProgram d;
-    const std::size_t n = prog.size();
-    d.uops.reserve(n);
+    std::vector<Uop> uops;
+    uops.reserve(prog.size());
     for (const Instruction &inst : prog)
-        d.uops.push_back(translateUop(inst));
-
-    // Fast-block table, one reverse pass: block(i) extends block(i+1)
-    // when the µop at i is a stall-free body class, and a branch/jump
-    // may only terminate (len 1 on its own). Register masks compose
-    // backwards — a register read at i is live-in unless i writes it
-    // first, which for single-µop effects is never, so
-    // liveIn(i) = gating(i) | (liveIn(i+1) & ~writes(i)).
-    d.blocks.assign(n, FastBlock{});
-    for (std::size_t i = n; i-- > 0;) {
-        const Uop &u = d.uops[i];
-        std::uint64_t gat = 0;
-        for (unsigned g = 0; g < u.nGating; ++g)
-            gat |= std::uint64_t{1} << u.gating[g];
-
-        FastBlock b;
-        switch (u.cls) {
-          case UopClass::Branch:
-            b.len = 1;
-            b.liveIn = gat;
-            break;
-          case UopClass::Scalar:
-          case UopClass::Config:
-          case UopClass::Nop: {
-            const std::uint64_t wr =
-                u.cls == UopClass::Scalar ? std::uint64_t{1} << u.rd : 0;
-            if (i + 1 < n && d.blocks[i + 1].len != 0) {
-                const FastBlock &nx = d.blocks[i + 1];
-                // len <= kInstBufferEntries (1024): fits uint16_t.
-                b.len = static_cast<std::uint16_t>(nx.len + 1);
-                b.liveIn = gat | (nx.liveIn & ~wr);
-            } else {
-                b.len = 1;
-                b.liveIn = gat;
-            }
-            break;
-          }
-          default:
-            break;  // Vector/Memory/Fence/Drain/Halt: not eligible.
-        }
-        d.blocks[i] = b;
-        if (b.len != 0)
-            ++d.entryPoints;
-    }
-    return d;
+        uops.push_back(translateUop(inst));
+    return uops;
 }
 
 } // namespace vip

@@ -10,17 +10,12 @@
  * set, operand widths and width-specialized vector kernels are already
  * resolved, so the per-cycle loop replays a flat array.
  *
- * On top of the µop stream it also computes, per program counter, the
- * straight-line *fast block* starting there: the longest run of µops
- * that provably cannot stall once its live-in registers are ready —
- * scalar ALU ops, set.vl/set.mr, nops, and at most one terminating
- * branch/jump; nothing that touches the LSQ, the ARC table, the
- * scratchpad streams, or DRAM. A fast block's register effects can be
- * executed functionally in one step with its timing charged in bulk
- * (see Pe::tryFastPath); any µop outside these classes ends the block
- * and takes the cycle-accurate path. Translation is pure and
- * deterministic — the tables are a function of the program text only —
- * so the fast path changes host time, never simulated observables.
+ * The µop class also says which µops the PE may issue ahead of the
+ * clock (Pe::runAhead): scalar ALU ops, set.vl/set.mr, branches and
+ * nops touch nothing but the register file and the PC, so once their
+ * gating registers are ready they issue one per cycle with no stall.
+ * Translation is pure and deterministic — the µop stream is a function
+ * of the program text only.
  */
 
 #ifndef VIP_PE_DECODE_HH
@@ -51,7 +46,7 @@ VecScalarFn vecScalarFnFor(ElemWidth w, VecOp op);
 MatVecRowFn matVecRowFnFor(ElemWidth w, VecOp vop, RedOp rop);
 
 /** 64-bit scalar ALU semantics (shifts mask to 6 bits, Srl/Sll via
- *  unsigned arithmetic). Shared by the interpreter and the fast path. */
+ *  unsigned arithmetic). */
 std::int64_t applyScalarOp(ScalarOp op, std::int64_t a, std::int64_t b);
 
 /** Signed saturation of a 64-bit value to an element width. */
@@ -101,31 +96,21 @@ struct Uop
     MatVecRowFn matVecRow = nullptr; ///< m.v row kernel, pre-resolved
 };
 
-/**
- * The stall-free straight-line block starting at one program counter
- * (len == 0: the µop here is not fast-path eligible). Register masks
- * are bitsets over the 64 scalar registers.
- */
-struct FastBlock
+/** Scalar, Config, Branch and Nop µops read and write only the
+ *  register file and the PC: the classes Pe::runAhead issues. */
+inline bool
+touchesOnlyRegisters(UopClass c)
 {
-    std::uint16_t len = 0;      ///< µops in the block (incl. terminator)
-    std::uint64_t liveIn = 0;   ///< registers read before written
-};
-
-/** A translated program: the µop stream plus per-pc fast-block table. */
-struct DecodedProgram
-{
-    std::vector<Uop> uops;
-    std::vector<FastBlock> blocks;
-    std::size_t entryPoints = 0; ///< pcs from which a fast block starts
-};
+    return c == UopClass::Scalar || c == UopClass::Config ||
+           c == UopClass::Branch || c == UopClass::Nop;
+}
 
 /** Translate one instruction; translateProgram calls this once per
  *  static instruction. */
 Uop translateUop(const Instruction &inst);
 
 /** Translate a program once at load; pure and deterministic. */
-DecodedProgram translateProgram(const std::vector<Instruction> &prog);
+std::vector<Uop> translateProgram(const std::vector<Instruction> &prog);
 
 } // namespace vip
 

@@ -1,7 +1,6 @@
 #include "pe/pe.hh"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 
 #include "sim/error.hh"
@@ -31,8 +30,7 @@ legalVectorLength(std::uint64_t v)
     return v > 0 && v <= Scratchpad::kBytes;
 }
 
-/** Scalar-class µop result — the one definition both the per-cycle
- *  issue path and the fast-block executor evaluate. */
+/** Scalar-class µop result. */
 inline std::int64_t
 scalarResult(const Uop &u, const std::uint64_t regs[])
 {
@@ -49,7 +47,7 @@ scalarResult(const Uop &u, const std::uint64_t regs[])
     return u.imm;
 }
 
-/** Branch-class µop next-pc — shared like scalarResult. */
+/** Branch-class µop next-pc. */
 inline std::size_t
 branchTarget(const Uop &u, const std::uint64_t regs[], std::size_t pc)
 {
@@ -98,26 +96,7 @@ Pe::Pe(const PeConfig &cfg, DramStorage &dram, const AddressMapper &mapper,
              Counter(&statGroup_, "timing_hazards",
                      "reads issued inside a producer's timing shadow"),
              Counter(&statGroup_, "busy_cycles",
-                     "cycles an instruction issued")},
-      fpGroup_("pe" + std::to_string(cfg.peId) + ".fastpath"),
-      fpStats_{Counter(&fpGroup_, "uops_translated",
-                       "static instructions decoded to µops at load"),
-               Counter(&fpGroup_, "blocks_translated",
-                       "pcs from which a stall-free fast block starts"),
-               Counter(&fpGroup_, "block_runs",
-                       "fast blocks executed functionally in bulk"),
-               Counter(&fpGroup_, "fast_uops",
-                       "µops retired via the fast path"),
-               Counter(&fpGroup_, "fallback_ineligible",
-                       "fast-path attempts stopped by an ineligible µop"),
-               Counter(&fpGroup_, "fallback_regs",
-                       "fast-path attempts stopped by a not-ready live-in"),
-               Counter(&fpGroup_, "fallback_horizon",
-                       "fast-path attempts cut by the chunk cap or run "
-                       "deadline"),
-               Counter(&fpGroup_, "fallback_tracer",
-                       "fast-path attempts skipped because a tracer is "
-                       "attached")}
+                     "cycles an instruction issued")}
 {
     vip_assert(memIssue_, "PE needs a memory issue function");
 }
@@ -128,9 +107,7 @@ Pe::loadProgram(std::vector<Instruction> prog)
     vip_assert(prog.size() <= kInstBufferEntries, "program of ",
                prog.size(), " instructions exceeds the instruction buffer");
     prog_ = std::move(prog);
-    decoded_ = translateProgram(prog_);
-    fpStats_.uopsTranslated += decoded_.uops.size();
-    fpStats_.blocksTranslated += decoded_.entryPoints;
+    uops_ = translateProgram(prog_);
     pc_ = 0;
     halted_ = prog_.empty();
     stallCounter_ = nullptr;
@@ -240,15 +217,6 @@ Pe::checkReadHazard(SpAddr addr, unsigned bytes, Cycles now)
     }
 }
 
-bool
-Pe::issueConfig(const Uop &u, Cycles now)
-{
-    if (!regsReady(u, now))
-        return stallFor(stats_.stallScalar, regsWakeAt(u));
-    setLengths(u);
-    return true;
-}
-
 void
 Pe::setLengths(const Uop &u)
 {
@@ -266,23 +234,24 @@ Pe::setLengths(const Uop &u)
     }
 }
 
-bool
-Pe::issueScalar(const Uop &u, Cycles now)
+std::size_t
+Pe::execRegisterOp(const Uop &u, Cycles at)
 {
-    if (!regsReady(u, now))
-        return stallFor(stats_.stallScalar, regsWakeAt(u));
-    regs_[u.rd] = static_cast<std::uint64_t>(scalarResult(u, regs_.data()));
-    regReadyAt_[u.rd] = now + 1;
-    return true;
-}
-
-bool
-Pe::issueBranch(const Uop &u, Cycles now)
-{
-    if (!regsReady(u, now))
-        return stallFor(stats_.stallScalar, regsWakeAt(u));
-    pc_ = branchTarget(u, regs_.data(), pc_);
-    return true;
+    switch (u.cls) {
+      case UopClass::Scalar:
+        regs_[u.rd] =
+            static_cast<std::uint64_t>(scalarResult(u, regs_.data()));
+        regReadyAt_[u.rd] = at + 1;
+        break;
+      case UopClass::Config:
+        setLengths(u);
+        break;
+      case UopClass::Branch:
+        return branchTarget(u, regs_.data(), pc_);
+      default:  // Nop
+        break;
+    }
+    return pc_ + 1;
 }
 
 void
@@ -636,50 +605,41 @@ bool
 Pe::issueUop(const Uop &u, Cycles now)
 {
     const std::size_t pc_at_issue = pc_;
-    bool issued = false;
+    // Everything but a branch — including Halt, whose
+    // resume-at-next-instruction semantics the host relies on when it
+    // reloads a program — falls through to the next slot.
+    std::size_t next_pc = pc_ + 1;
 
     switch (u.cls) {
       case UopClass::Config:
-        issued = issueConfig(u, now);
+      case UopClass::Scalar:
+      case UopClass::Branch:
+      case UopClass::Nop:
+        if (!regsReady(u, now))
+            return stallFor(stats_.stallScalar, regsWakeAt(u));
+        next_pc = execRegisterOp(u, now);
         break;
       case UopClass::Drain:
-        if (now < vectorDrainedAt_) {
-            stallFor(stats_.stallDrain, vectorDrainedAt_);
-        } else {
-            issued = true;
-        }
+        if (now < vectorDrainedAt_)
+            return stallFor(stats_.stallDrain, vectorDrainedAt_);
         break;
       case UopClass::Vector:
-        issued = issueVector(u, now);
-        break;
-      case UopClass::Scalar:
-        issued = issueScalar(u, now);
-        break;
-      case UopClass::Branch:
-        issued = issueBranch(u, now);
+        if (!issueVector(u, now))
+            return false;
         break;
       case UopClass::Memory:
-        issued = issueMemory(u, now);
+        if (!issueMemory(u, now))
+            return false;
         break;
       case UopClass::Fence:
-        if (lsqLive_ > 0) {
-            // Drains on memory responses: an external wake-up.
-            stallFor(stats_.stallFence, kIdleForever);
-        } else {
-            issued = true;
-        }
+        // Drains on memory responses: an external wake-up.
+        if (lsqLive_ > 0)
+            return stallFor(stats_.stallFence, kIdleForever);
         break;
       case UopClass::Halt:
         halted_ = true;
-        issued = true;
-        break;
-      case UopClass::Nop:
-        issued = true;
         break;
     }
-
-    if (!issued)
-        return false;
 
     stallCounter_ = nullptr;
     stallWakeAt_ = 0;
@@ -687,146 +647,66 @@ Pe::issueUop(const Uop &u, Cycles now)
         tracer_(now, pc_at_issue, prog_[pc_at_issue]);
     stats_.instructions += 1;
     stats_.busyCycles += 1;
-    if (injector_) {
-        // Scratchpad upsets: keyed by (PE, instruction ordinal),
-        // never the cycle, so fast-forward injects identically.
-        const long bit = injector_->spFlip(
-            cfg_.peId, stats_.instructions.value(),
-            std::uint64_t{Scratchpad::kBytes} * 8);
-        if (bit >= 0) {
-            *scratchpad_.bytePtr(static_cast<SpAddr>(bit / 8)) ^=
-                static_cast<std::uint8_t>(1u << (bit % 8));
-        }
-    }
-    // Branches set pc_ themselves; everything else — including
-    // Halt, whose resume-at-next-instruction semantics the host
-    // relies on when it reloads a program — falls through to the
-    // next slot.
-    if (u.cls != UopClass::Branch)
-        ++pc_;
+    if (injector_)
+        rollSpFlip();
+    pc_ = next_pc;
     return true;
 }
 
 void
-Pe::execFastBlock(const FastBlock &b, Cycles at)
+Pe::rollSpFlip()
 {
-    const Uop *uops = decoded_.uops.data();
-    for (unsigned i = 0; i < b.len; ++i) {
-        const Uop &u = uops[pc_];
-        switch (u.cls) {
-          case UopClass::Scalar:
-            regs_[u.rd] =
-                static_cast<std::uint64_t>(scalarResult(u, regs_.data()));
-            // µop i of the block issues at cycle at + i; the scalar
-            // write is architecturally ready one cycle later, exactly
-            // as issueScalar would have recorded.
-            regReadyAt_[u.rd] = at + i + 1;
-            ++pc_;
-            break;
-          case UopClass::Config:
-            setLengths(u);
-            ++pc_;
-            break;
-          case UopClass::Branch:
-            pc_ = branchTarget(u, regs_.data(), pc_);
-            break;
-          default:  // Nop — no other class is block-eligible
-            ++pc_;
-            break;
-        }
-        if (injector_) {
-            // Same per-µop ordinal roll as issueUop: the event-identity
-            // key is (PE, instruction ordinal), so flips land on the
-            // same instructions whether or not the block ran in bulk.
-            stats_.instructions += 1;
-            const long bit = injector_->spFlip(
-                cfg_.peId, stats_.instructions.value(),
-                std::uint64_t{Scratchpad::kBytes} * 8);
-            if (bit >= 0) {
-                *scratchpad_.bytePtr(static_cast<SpAddr>(bit / 8)) ^=
-                    static_cast<std::uint8_t>(1u << (bit % 8));
-            }
-        }
+    // Scratchpad upsets: keyed by (PE, instruction ordinal), never the
+    // cycle, so fast-forward and run-ahead inject identically.
+    const long bit =
+        injector_->spFlip(cfg_.peId, stats_.instructions.value(),
+                          std::uint64_t{Scratchpad::kBytes} * 8);
+    if (bit >= 0) {
+        *scratchpad_.bytePtr(static_cast<SpAddr>(bit / 8)) ^=
+            static_cast<std::uint8_t>(1u << (bit % 8));
     }
-    if (!injector_)
-        stats_.instructions += b.len;
-    stats_.busyCycles += b.len;
-    ++fpStats_.blockRuns;
-    fpStats_.fastUops += b.len;
 }
 
-bool
-Pe::tryFastPath(Cycles now)
+void
+Pe::runAhead(Cycles now)
 {
-    if (tracer_) {
-        // The tracer observes every issue; stay on the per-µop path.
-        ++fpStats_.fallbackTracer;
-        return false;
-    }
-
+    // A register-only µop cannot stall once its gating registers are
+    // ready, and nothing outside the PE reads what it writes, so the
+    // µops after an issue can all issue now, each at its own cycle,
+    // exactly as per-cycle ticks would issue them.
+    //
+    // A register that waits on an ld.reg is never ready here, so a
+    // read of it stops the window. A write to one may run ahead of the
+    // load's completion. Per-cycle issue keeps whichever of two stamps
+    // lands last in regReadyAt_: the write's at + 1, or the
+    // completion's delivery cycle. Run-ahead stamps first, so a
+    // completion delivered at or before `at` leaves its own, earlier
+    // stamp instead. Both
+    // stamps are at most at + 1, and every later reader in program
+    // order issues at or after that cycle, so regsReady() and
+    // regsWakeAt() answer the same either way.
     const Cycles horizon =
         std::min(runDeadline_, now + cfg_.fastPathChunk);
-    Cycles charged = 0;
-    Counter *cause = nullptr;
-
-    // Chain whole blocks (a self-looping block chains with itself, so
-    // a hot loop executes natively until the horizon cuts it). Every
-    // break either leaves the partial block to the cycle-accurate path
-    // at the exact cycle the window ends, or records why nothing ran.
-    while (pc_ < decoded_.blocks.size()) {
-        const FastBlock &b = decoded_.blocks[pc_];
-        if (b.len == 0) {
-            cause = &fpStats_.fallbackIneligible;
+    Cycles at = now + 1;
+    for (; at < horizon && pc_ < uops_.size(); ++at) {
+        const Uop &u = uops_[pc_];
+        if (!touchesOnlyRegisters(u.cls) || !regsReady(u, at))
             break;
+        pc_ = execRegisterOp(u, at);
+        if (injector_) {
+            // The flip roll reads the instruction ordinal.
+            stats_.instructions += 1;
+            rollSpFlip();
         }
-        const Cycles entry = now + charged;
-        if (entry + b.len > horizon) {
-            cause = &fpStats_.fallbackHorizon;
-            break;
-        }
-        // A block may write a register whose ld.reg is still in flight.
-        // A read of it cannot run early: the load cleared its valid
-        // bit, so a block reading it before writing it fails the
-        // live-in check below. For a write at block µop i, the
-        // interpreter keeps the later of two stamps in regReadyAt_:
-        // the write's entry + i + 1, or the load completion's delivery
-        // cycle. The block stamps first, so a completion delivered at
-        // or before entry + i leaves its own, earlier stamp instead.
-        // Both stamps are at most entry + i + 1, and every reader after
-        // the write in program order issues at or after that cycle. So
-        // regsReady(), regsWakeAt() and this entry check answer the
-        // same either way.
-        bool ready = true;
-        for (std::uint64_t m = b.liveIn; m != 0; m &= m - 1) {
-            // Live-ins checked at block entry (conservative: the
-            // cycle-accurate path could begin a block whose later
-            // µops' inputs become ready mid-block; we just fall back
-            // there, which is exact).
-            if (regReadyAt_[std::countr_zero(m)] > entry) {
-                ready = false;
-                break;
-            }
-        }
-        if (!ready) {
-            cause = &fpStats_.fallbackRegs;
-            break;
-        }
-        execFastBlock(b, entry);
-        charged += b.len;
     }
-
-    if (charged == 0) {
-        if (cause)
-            ++*cause;
-        return false;
-    }
-    // The simulated work of cycles [now, now + charged) is done; ticks
-    // inside the window are no-ops and nextEventAt() lets fast-forward
-    // warp it.
-    fpBusyUntil_ = now + charged;
-    stallCounter_ = nullptr;
-    stallWakeAt_ = 0;
-    return true;
+    const Cycles issued = at - (now + 1);
+    if (!injector_)
+        stats_.instructions += issued;
+    stats_.busyCycles += issued;
+    fastUops_ += issued;
+    // Ticks before `at` are no-ops, and nextEventAt() lets
+    // fast-forward warp them.
+    fpBusyUntil_ = at;
 }
 
 void
@@ -849,16 +729,16 @@ Pe::tick(Cycles now)
     if (halted_)
         return;
     if (now < fpBusyUntil_) {
-        // Inside a bulk-charged fast-block window: the issue slots of
-        // these cycles were consumed by execFastBlock already.
+        // Inside a run-ahead window: runAhead issued these cycles'
+        // µops already.
         return;
     }
     if (pc_ >= prog_.size())
         programError("PC ran off the end of the program");
 
-    if (cfg_.fastPath && tryFastPath(now))
-        return;
-    issueUop(decoded_.uops[pc_], now);
+    // A tracer observes every issue, so it keeps the per-µop path.
+    if (issueUop(uops_[pc_], now) && cfg_.fastPath && !halted_ && !tracer_)
+        runAhead(now);
 }
 
 std::string

@@ -69,19 +69,19 @@ struct PeConfig
     bool arcCoversVector = false;
 
     /**
-     * Execute stall-free basic blocks functionally in bulk (see
-     * decode.hh). A host-speed knob only — results are bit-identical
-     * either way — so it is not part of the serialized PE-config JSON.
-     * False keeps the per-cycle interpreter, which issues from the same
-     * decoded-µop stream, as the oracle.
+     * After each issue, run ahead: issue the register-only µops that
+     * follow in one host step, one per simulated cycle (Pe::runAhead).
+     * A host-speed knob only — results are bit-identical either way —
+     * so it is not part of the serialized PE-config JSON. False keeps
+     * the per-cycle interpreter as the oracle.
      */
     bool fastPath = true;
 
     /**
-     * Most cycles one fast-path tick may charge in bulk. Bounded so a
-     * progress bump lands inside every watchdog window (the system
-     * clamps this to half its watchdog period) — a mega-loop executed
-     * natively would otherwise look like a hang to the deadlock check.
+     * Most cycles one run-ahead window may span. Bounded so a progress
+     * bump lands inside every watchdog window (the system clamps this
+     * to half its watchdog period) — a mega-loop issued ahead would
+     * otherwise look like a hang to the deadlock check.
      */
     Cycles fastPathChunk = 65536;
 };
@@ -123,11 +123,10 @@ class Pe final
     void tick(Cycles now);
 
     /**
-     * Exclusive cycle bound of the current run: the fast path never
-     * charges a block past it, so `run(N)` observes the same
-     * cut-mid-loop architectural state either way (the partial final
-     * block falls back to per-µop issue). VipSystem sets this at the
-     * top of every run; the default never limits.
+     * Exclusive cycle bound of the current run: run-ahead never issues
+     * at or past it, so `run(N)` observes the same cut-mid-loop
+     * architectural state either way. VipSystem sets this at the top
+     * of every run; the default never limits.
      */
     void setRunDeadline(Cycles deadline) { runDeadline_ = deadline; }
 
@@ -152,7 +151,7 @@ class Pe final
             return kIdleForever;
         }
         if (now < fpBusyUntil_) {
-            // Bulk-charged window: nothing to do until it ends.
+            // Run-ahead window: nothing to do until it ends.
             return fpBusyUntil_;
         }
         if (stallCounter_ == nullptr) {
@@ -175,8 +174,8 @@ class Pe final
             return;
         // While the PE is not due nothing it depends on changes, so the
         // front end would have re-evaluated to the exact same stall
-        // every cycle. Inside a fast-block busy window stallCounter_ is
-        // null and the cycles were already charged as busy, so nothing
+        // every cycle. Inside a run-ahead window stallCounter_ is null
+        // and the cycles were already charged as busy, so nothing
         // accrues here.
         if (!halted_ && stallCounter_ != nullptr)
             *stallCounter_ += now - settledTo_;
@@ -240,29 +239,13 @@ class Pe final
     const Stats &stats() const { return stats_; }
 
     /**
-     * µop-cache / fast-path observability. These counters measure the
-     * host-side execution strategy, not the simulated machine, so they
-     * live in a standalone StatGroup *outside* the system stats tree:
-     * RunResult counters (and thus run JSON, fingerprinted cache
-     * entries, and every bit-identity test) are unchanged by the fast
-     * path being on or off.
+     * µops issued by run-ahead. It measures the host-side execution
+     * strategy, not the simulated machine, so it stays out of the
+     * stats tree: RunResult counters (and thus run JSON, fingerprinted
+     * cache entries, and every bit-identity test) are the same with
+     * the fast path on or off.
      */
-    struct FastPathStats
-    {
-        Counter uopsTranslated;   ///< static instructions decoded
-        Counter blocksTranslated; ///< pcs starting a fast block
-        Counter blockRuns;        ///< blocks executed functionally
-        Counter fastUops;         ///< µops retired via the fast path
-        Counter fallbackIneligible; ///< block table says not eligible
-        Counter fallbackRegs;     ///< live-in register not ready
-        Counter fallbackHorizon;  ///< chunk/deadline cut the block
-        Counter fallbackTracer;   ///< tracer attached (per-µop only)
-    };
-
-    const FastPathStats &fastPathStats() const { return fpStats_; }
-
-    /** The standalone "pe<N>.fastpath" group holding FastPathStats. */
-    const StatGroup &fastPathGroup() const { return fpGroup_; }
+    std::uint64_t fastUops() const { return fastUops_; }
 
     /** Pool the PE's DRAM request descriptors recycle through. */
     const MemRequestPool &requestPool() const { return reqPool_; }
@@ -275,11 +258,26 @@ class Pe final
     // All issue-path semantics take the Uops translated at load, in
     // both modes, so there is one and only one semantic path.
     bool issueUop(const Uop &u, Cycles now);
-    bool issueScalar(const Uop &u, Cycles now);
-    bool issueBranch(const Uop &u, Cycles now);
     bool issueVector(const Uop &u, Cycles now);
     bool issueMemory(const Uop &u, Cycles now);
-    bool issueConfig(const Uop &u, Cycles now);
+
+    /**
+     * Apply a register-only µop (touchesOnlyRegisters) issued at cycle
+     * @p at whose gating registers are ready; returns the next pc.
+     * issueUop and runAhead both issue these µops through it.
+     */
+    std::size_t execRegisterOp(const Uop &u, Cycles at);
+
+    /**
+     * Issue the register-only µops after one issued at @p now, one per
+     * cycle from now + 1, while their gating registers are ready in
+     * their own cycle, up to the chunk cap and the run deadline. The
+     * PE is then busy until fpBusyUntil_, the first cycle not issued.
+     */
+    void runAhead(Cycles now);
+
+    /** Roll the scratchpad upset for the instruction just committed. */
+    void rollSpFlip();
 
     /** Apply set.vl / set.mr (ProgramError on an illegal length). */
     void setLengths(const Uop &u);
@@ -294,16 +292,6 @@ class Pe final
     /** Cycle every gating register becomes ready (kIdleForever if one
      *  waits on a memory response). */
     Cycles regsWakeAt(const Uop &u) const;
-
-    /**
-     * Execute as many whole fast blocks as fit before the chunk cap /
-     * run deadline, charging their timing in bulk; true when at least
-     * one block ran (the PE is then busy until fpBusyUntil_).
-     */
-    bool tryFastPath(Cycles now);
-
-    /** Functionally execute one fast block entered at cycle @p at. */
-    void execFastBlock(const FastBlock &b, Cycles at);
 
     /** Earliest vector-pipeline ARC retirement (kIdleForever if none). */
     Cycles earliestVecArcRetireAt() const;
@@ -351,14 +339,14 @@ class Pe final
     MemIssueFn memIssue_;
 
     std::vector<Instruction> prog_;
-    DecodedProgram decoded_; ///< µop stream + block table
+    std::vector<Uop> uops_;  ///< prog_ translated at load
     std::size_t pc_ = 0;
     bool halted_ = true;
 
     /**
-     * End of the last bulk-charged fast-block window: ticks inside it
-     * are no-ops (the work already happened functionally) and
-     * nextEventAt() reports it so fast-forward warps the dead cycles.
+     * End of the last run-ahead window: ticks inside it are no-ops
+     * (its µops already issued) and nextEventAt() reports it so
+     * fast-forward warps the dead cycles.
      */
     Cycles fpBusyUntil_ = 0;
 
@@ -374,7 +362,7 @@ class Pe final
      *  after the last tick, or the end of the last charge. */
     Cycles settledTo_ = 0;
 
-    /** Exclusive run bound fast blocks may not charge past. */
+    /** Exclusive run bound run-ahead may not issue at or past. */
     Cycles runDeadline_ = ~Cycles{0};
 
     std::array<std::uint64_t, kNumScalarRegs> regs_{};
@@ -403,11 +391,7 @@ class Pe final
 
     StatGroup statGroup_;
     Stats stats_;
-
-    // Standalone on purpose — never parented into the system tree; see
-    // FastPathStats.
-    StatGroup fpGroup_;
-    FastPathStats fpStats_;
+    std::uint64_t fastUops_ = 0;  ///< see fastUops()
 };
 
 } // namespace vip

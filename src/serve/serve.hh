@@ -295,10 +295,10 @@ class VipServer
     mutable Mutex mutex_;
     CondVar cv_;
 
-    /** Server-lifetime µop fast-path counters summed over every run
-     *  executed (cache hits skip simulation and add nothing), keyed
-     *  by counter name; reported by the stats command's "fastpath"
-     *  section. */
+    /** Server-lifetime fast-path counters (RunResult::fastpath) summed
+     *  over every run executed (cache hits skip simulation and add
+     *  nothing), keyed by name; reported by the stats command's
+     *  "fastpath" section. */
     std::map<std::string, std::uint64_t> fastpath_ VIP_GUARDED_BY(mutex_);
 
     /** LRU: most-recent at the front; map points into the list. */

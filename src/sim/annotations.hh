@@ -56,10 +56,6 @@
 #define VIP_RELEASE(...)                                                    \
     VIP_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/** Function attribute: acquires on a @p b return value. */
-#define VIP_TRY_ACQUIRE(b, ...)                                             \
-    VIP_THREAD_ANNOTATION(try_acquire_capability(b, __VA_ARGS__))
-
 /** Function attribute: caller must NOT hold the capability. */
 #define VIP_EXCLUDES(...) VIP_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 

@@ -138,7 +138,6 @@ class Json
 
     Type type() const { return type_; }
     bool isNull() const { return type_ == Type::Null; }
-    bool isBool() const { return type_ == Type::Bool; }
     bool
     isNumber() const
     {

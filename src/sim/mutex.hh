@@ -41,7 +41,6 @@ class VIP_CAPABILITY("mutex") Mutex
 
     void lock() VIP_ACQUIRE() { m_.lock(); }
     void unlock() VIP_RELEASE() { m_.unlock(); }
-    bool tryLock() VIP_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
   private:
     friend class CondVar;

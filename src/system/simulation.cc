@@ -39,15 +39,9 @@ Simulation::run(Cycles max_cycles, const CancelToken *cancel)
             static_cast<double>(result.cycles - start_cycle) /
             result.hostSeconds;
     }
-    for (unsigned pe = 0; pe < sys_.numPes(); ++pe) {
-        sys_.pe(pe).fastPathGroup().visit(
-            [&result](const std::string &path, std::uint64_t value,
-                      const std::string &) {
-                // Aggregate by counter name: the path is
-                // "peN.fastpath.<name>"; keep just <name>.
-                result.fastpath[path.substr(path.rfind('.') + 1)] += value;
-            });
-    }
+    std::uint64_t &fast_uops = result.fastpath["fast_uops"];
+    for (unsigned pe = 0; pe < sys_.numPes(); ++pe)
+        fast_uops += sys_.pe(pe).fastUops();
     result.haltedCleanly = sys_.allIdle();
     result.peRequestAllocations.reserve(sys_.numPes());
     for (unsigned pe = 0; pe < sys_.numPes(); ++pe) {

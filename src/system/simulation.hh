@@ -95,12 +95,11 @@ struct RunResult
     double simCyclesPerHostSecond = 0.0;
 
     /**
-     * µop-cache / fast-path counters summed across PEs, keyed by
-     * counter name ("block_runs", "fast_uops", "fallback_regs", ...)
-     * — see Pe::FastPathStats. These measure the host-side execution
-     * strategy, live outside the system stats tree, and are excluded
-     * from toJson(): RunResult JSON is identical with the fast path on
-     * or off.
+     * Fast-path counters summed across PEs, keyed by name. The one key
+     * is "fast_uops", the µops run-ahead issued (Pe::fastUops()). It
+     * measures the host-side execution strategy, lives outside the
+     * system stats tree, and is excluded from toJson(): RunResult JSON
+     * is identical with the fast path on or off.
      */
     std::map<std::string, std::uint64_t> fastpath;
 

@@ -162,9 +162,9 @@ VipSystem::VipSystem(const SystemConfig &cfg)
         pe_cfg.peId = id;
         pe_cfg.vault = id / cfg_.pesPerVault;
         pe_cfg.fastPath = cfg_.fastPath;
-        // Half the watchdog period bounds a bulk charge, so a progress
-        // bump always lands inside every watchdog window and a
-        // natively-executed mega-loop can't be mistaken for a hang.
+        // Half the watchdog period bounds a run-ahead window, so a
+        // progress bump always lands inside every watchdog window and
+        // a mega-loop issued ahead can't be mistaken for a hang.
         pe_cfg.fastPathChunk =
             std::min<Cycles>(pe_cfg.fastPathChunk,
                              std::max<Cycles>(1, cfg_.watchdogCycles / 2));
@@ -351,9 +351,9 @@ VipSystem::run(Cycles max_cycles, const CancelToken *cancel)
         max_cycles == 0 || max_cycles > ~Cycles{0} - now_
             ? ~Cycles{0}
             : now_ + max_cycles;
-    // The fast path must not charge a block past the budget: a run cut
-    // mid-loop has to leave the same architectural state as a
-    // cycle-by-cycle run would (the partial block re-executes per-µop).
+    // Run-ahead must not issue past the budget: a run cut mid-loop has
+    // to leave the same architectural state as a cycle-by-cycle run
+    // would.
     for (auto &pe : pes_)
         pe->setRunDeadline(deadline);
 

@@ -61,11 +61,12 @@ struct SystemConfig
     unsigned islands = 1;
 
     /**
-     * Execute each PE's stall-free basic blocks functionally in bulk
-     * (pe/decode.hh). Bit-identical to the per-cycle interpreter — a
-     * host knob like fastForward — and false (--no-fast-path) keeps
-     * the interpreter as the oracle. Omitted from the JSON wire form
-     * when true, so existing RunSpec fingerprints are unchanged.
+     * Let each PE issue the register-only µops after an issue ahead of
+     * the clock (PeConfig::fastPath, Pe::runAhead). Bit-identical to
+     * the per-cycle interpreter — a host knob like fastForward — and
+     * false (--no-fast-path) keeps the interpreter as the oracle.
+     * Omitted from the JSON wire form when true, so existing RunSpec
+     * fingerprints are unchanged.
      */
     bool fastPath = true;
 

@@ -275,17 +275,17 @@ INSTANTIATE_TEST_SUITE_P(Shapes, FcShapeSweep,
 
 // --- Random-program fuzzing --------------------------------------------
 
-/** Block replays and fast-forward warps seen by a fuzz campaign. */
+/** µops issued ahead and fast-forward warps seen by a fuzz campaign. */
 struct Coverage
 {
-    std::uint64_t blockRuns = 0;
+    std::uint64_t fastUops = 0;
     std::uint64_t warps = 0;
 
     void
     add(const Runs &runs)
     {
         for (const Observed &o : runs) {
-            blockRuns += o.blockRuns;
+            fastUops += o.fastUops;
             warps += o.warps;
         }
     }
@@ -297,7 +297,7 @@ TEST(Fuzz, RandomProgramsRunToCompletion)
     // oracle. The two PEs share a vault; between them ld.sram, ld.reg,
     // memfence and v.drain reach every external wake-up a PE skipped
     // by the fast-forward loop can get, and the bounded backward loops
-    // give the fast path blocks to chain.
+    // give the fast path scalar runs to issue ahead.
     Rng rng(20260704);
     Coverage seen;
     for (unsigned trial = 0; trial < 60; ++trial) {
@@ -313,7 +313,7 @@ TEST(Fuzz, RandomProgramsRunToCompletion)
                 run(2'000'000);
             }));
     }
-    EXPECT_GT(seen.blockRuns, 0u);
+    EXPECT_GT(seen.fastUops, 0u);
     EXPECT_GT(seen.warps, 0u);
 }
 
@@ -352,7 +352,7 @@ TEST(Fuzz, RandomProgramsAcrossVaultsMatchTheOracle)
             }));
     }
     EXPECT_TRUE(parked) << "no trial backlogged a request at a vault";
-    EXPECT_GT(seen.blockRuns, 0u);
+    EXPECT_GT(seen.fastUops, 0u);
     EXPECT_GT(seen.warps, 0u);
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Every execution strategy matches the oracle on representative
  * kernels (tests/equivalence.hh): the BP, conv, pool and FC kernels,
- * a scalar loop the fast path replays in blocks, fenced DRAM copies
+ * scalar loops the fast path issues ahead, fenced DRAM copies
  * under fault campaigns, multi-vault remote traffic cut into short
  * run() phases, and host interventions between runs.
  *
@@ -46,6 +46,15 @@ expectGolden(const Runs &runs, const Golden &want)
     EXPECT_EQ(runs[0].cycles, want.cycles);
     EXPECT_EQ(runs[0].instructions, want.instructions);
     EXPECT_EQ(runs[0].dramDigest, want.dramDigest);
+}
+
+/** Kernel-library programs are legally scheduled under every
+ *  strategy: no read lands inside a producer's timing shadow. */
+void
+expectNoTimingHazards(const Runs &runs)
+{
+    for (std::size_t s = 0; s < kStrategies.size(); ++s)
+        EXPECT_EQ(runs[s].timingHazards, 0u) << kStrategies[s].name;
 }
 
 /** Both fast-forward strategies actually warped. */
@@ -100,6 +109,7 @@ bpSweep(unsigned vaults)
             run(50'000'000);
         });
     expectWarped(runs);
+    expectNoTimingHazards(runs);
     return runs;
 }
 
@@ -118,8 +128,8 @@ TEST(StrategyEquivalence, BpSweepSixteenVaults)
 
 TEST(StrategyEquivalence, ConvSingleShard)
 {
-    // Vector and memory dominated: the fast path mostly falls back,
-    // and the equivalence has to hold at every fallback boundary.
+    // Vector and memory dominated: run-ahead windows are short, and
+    // the equivalence has to hold at every window boundary.
     const unsigned C = 8, H = 10, W = 12, OC = 4, K = 3;
     Rng rng(11);
     FeatureMap in(C, H, W);
@@ -158,6 +168,7 @@ TEST(StrategyEquivalence, ConvSingleShard)
             run(50'000'000);
         });
     expectWarped(runs);
+    expectNoTimingHazards(runs);
     expectGolden(runs, Golden{14448, 7337, 17936303181918984730ull});
 }
 
@@ -189,6 +200,7 @@ TEST(StrategyEquivalence, PoolLayer)
             sys.pe(0).loadProgram(genPool(job));
             run(50'000'000);
         });
+    expectNoTimingHazards(runs);
     expectGolden(runs, Golden{1834, 563, 8116046076812699434ull});
 }
 
@@ -248,6 +260,7 @@ TEST(StrategyEquivalence, FcPartialThenAccum)
             run(50'000'000);
         });
     expectWarped(runs);
+    expectNoTimingHazards(runs);
     // Cycles re-pinned (3676 -> 3667) with the canonical NoC event
     // order (see BpSweepFourPes); instructions and the digest did not
     // move.
@@ -257,7 +270,7 @@ TEST(StrategyEquivalence, FcPartialThenAccum)
 TEST(StrategyEquivalence, ScalarLoop)
 {
     // The fast path's best case (BM_PeScalarLoop's program): the loop
-    // body is one eligible block, so block replay should retire the
+    // body is all register-only µops, so run-ahead should issue the
     // overwhelming majority of its 20000 µops.
     const Runs runs = expectEquivalent(
         makeSystemConfig(1, 1), [](VipSystem &sys, const RunHook &run) {
@@ -275,8 +288,63 @@ TEST(StrategyEquivalence, ScalarLoop)
     for (std::size_t s = 0; s < kStrategies.size(); ++s) {
         if (!kStrategies[s].fastPath)
             continue;
-        EXPECT_GT(runs[s].blockRuns, 0u) << kStrategies[s].name;
         EXPECT_GT(runs[s].fastUops, 15000u) << kStrategies[s].name;
+    }
+}
+
+TEST(StrategyEquivalence, RunAheadStopsAtHaltAndRunBudget)
+{
+    // Run-ahead's edges. pe0 runs a scalar loop that also rewrites VL
+    // and MR, and run() cuts fall inside it every few cycles: a window
+    // must stop at the budget and leave the cut-mid-loop registers the
+    // interpreter leaves. After each halt come more scalar, config and
+    // branch µops, which must never issue. pe1's program is the
+    // smallest such case.
+    const Drive drive = [](VipSystem &sys, const RunHook &run) {
+        AsmBuilder loop;
+        loop.movImm(1, 0);
+        loop.movImm(2, 300);
+        loop.movImm(3, 8);
+        const auto top = loop.newLabel();
+        loop.bind(top);
+        loop.addImm(1, 1, 1);
+        loop.setVl(3);
+        loop.scalar(ScalarOp::Add, 4, 4, 1);
+        loop.setMr(3);
+        loop.branch(BranchCond::Lt, 1, 2, top);
+        loop.halt();
+        loop.movImm(1, 7);
+        loop.setVl(2);
+        loop.jmp(top);
+        loop.halt();
+        sys.pe(0).loadProgram(loop.finish());
+
+        AsmBuilder stop;
+        stop.movImm(1, 5);
+        stop.halt();
+        stop.movImm(1, 7);
+        stop.movImm(2, 9);
+        stop.halt();
+        sys.pe(1).loadProgram(stop.finish());
+
+        const Cycles phases[] = {7, 13, 3, 29};
+        for (unsigned i = 0; !sys.allIdle(); ++i) {
+            ASSERT_LT(i, 10'000u) << "machine did not drain";
+            run(phases[i % 4]);
+        }
+        EXPECT_EQ(sys.pe(0).reg(1), 300u);
+        EXPECT_EQ(sys.pe(0).reg(4), 300u * 301 / 2);
+        EXPECT_EQ(sys.pe(0).stats().instructions.value(), 3u + 5 * 300 + 1);
+        EXPECT_EQ(sys.pe(1).reg(1), 5u);
+        EXPECT_EQ(sys.pe(1).reg(2), 0u);
+        EXPECT_EQ(sys.pe(1).stats().instructions.value(), 2u);
+    };
+    const Runs runs = expectEquivalent(makeSystemConfig(1, 2), drive);
+    EXPECT_GT(runs[0].cuts.size(), 100u);
+    for (std::size_t s = 0; s < kStrategies.size(); ++s) {
+        if (kStrategies[s].fastPath) {
+            EXPECT_GT(runs[s].fastUops, 1000u) << kStrategies[s].name;
+        }
     }
 }
 

@@ -159,9 +159,9 @@ commonHelp(unsigned flags)
                "warping dead ones\n";
     }
     if (flags & kFastPath) {
-        out += "  --no-fast-path      interpret every instruction "
-               "instead of replaying\n"
-               "                      decoded µops (output is "
+        out += "  --no-fast-path      issue one instruction per tick "
+               "instead of running\n"
+               "                      ahead (output is "
                "bit-identical)\n";
     }
     return out;

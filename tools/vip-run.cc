@@ -32,8 +32,8 @@
  *                          shape is derived with nocDimsFor)
  *     --no-fast-forward    tick every cycle instead of warping over
  *                          provably dead ones (same results, slower)
- *     --no-fast-path       interpret every instruction instead of
- *                          replaying decoded µops and fast blocks
+ *     --no-fast-path       issue one instruction per tick instead
+ *                          of running ahead over register-only µops
  *                          (same results, slower)
  *     --strict             fail with a "program" error on vector
  *                          timing hazards
@@ -313,9 +313,8 @@ run(const Options &opt)
                  result.simCyclesPerHostSecond);
         doc.set("host", std::move(host));
         // Like "host", the fastpath section is observability outside
-        // the deterministic document: the aggregated µop-cache
-        // counters (Pe::FastPathStats) plus the mode that produced
-        // them.
+        // the deterministic document: the µops run-ahead issued
+        // (RunResult::fastpath) plus the mode that produced them.
         Json fp = Json::object();
         fp.set("enabled", spec.config.fastPath);
         for (const auto &[name, value] : result.fastpath)
