@@ -254,6 +254,12 @@ Pe::execRegisterOp(const Uop &u, Cycles at)
     return pc_ + 1;
 }
 
+// A vector result is ready at most one beat per scratchpad byte of
+// occupancy plus the ALU and reduction depths after its issue: that
+// lead must fit the scratchpad's ready clock.
+static_assert(Scratchpad::kBytes + 2 * PeConfig::kMaxStages <=
+              Scratchpad::kMaxLead);
+
 void
 Pe::execVector(const Uop &u, Cycles now, Cycles done_at)
 {
@@ -276,7 +282,8 @@ Pe::execVector(const Uop &u, Cycles now, Cycles done_at)
             u.vecScalar(dp, ap, scalar, vl);
         }
         // The destination streams out behind the pipeline depth.
-        scratchpad_.markReadyStream(dst, vl * w, done_at - (vl * w) / 8);
+        scratchpad_.markReadyStream(dst, vl * w, done_at - (vl * w) / 8,
+                                    now);
         stats_.vectorLaneOps += vl;
         return;
     }
@@ -298,7 +305,7 @@ Pe::execVector(const Uop &u, Cycles now, Cycles done_at)
             row_fn(scratchpad_.bytePtr(mat + r * vl * w), vp, vl);
         storeElemSaturating(dst + r * w, u.width, acc);
         scratchpad_.markReadyAt(dst + r * w, w,
-                                now + (r + 1) * row_cycles + depth);
+                                now + (r + 1) * row_cycles + depth, now);
     }
     stats_.vectorLaneOps += 2ull * mr * vl;
 }

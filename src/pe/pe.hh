@@ -53,6 +53,11 @@ struct PeConfig
     unsigned vault = 0;       ///< home vault
     unsigned lsqEntries = 64; ///< outstanding loads/stores (Sec. III-B)
     unsigned arcEntries = ArcTable::kEntries; ///< ARC table size
+    /** Most stages config validation accepts for each pipeline depth
+     *  below, which bounds how far a vector result's ready time leads
+     *  its issue (see Scratchpad::kMaxLead). */
+    static constexpr unsigned kMaxStages = 256;
+
     unsigned mulStages = 4;   ///< multiplier pipeline depth
     unsigned aluStages = 1;   ///< add-like vertical op latency
     unsigned reduceStages = 2; ///< horizontal unit latency

@@ -17,6 +17,18 @@
  * does this. The hazard checker lets tests prove our generated kernels
  * are correctly scheduled.
  *
+ * The per-byte clock is 16 bits a byte: an offset from a floor, the
+ * scratchpad's `floor_`, where 0 means "ready at or before the floor".
+ * Every hazard query reads at or after the PE's current cycle, and the
+ * floor only rises to a mark's issue cycle (never past it), so a byte
+ * ready by the floor can never be hazardous and the offsets give every
+ * answer a 64-bit clock would. A mark whose last ready time would not
+ * fit above the floor raises the floor to its issue cycle and rebases
+ * every offset by a saturating subtract. That fits as long as no ready
+ * time leads its issue cycle by more than kMaxLead: a vector's
+ * occupancy is at most one beat per scratchpad byte, and config
+ * validation caps every pipeline stage count (PeConfig::kMaxStages).
+ *
  * Alongside the per-byte clock, each 64-byte block keeps the maximum
  * ready time of its bytes, so the hazard check skips every block that
  * was produced before the stream reaches it and runs the per-byte test
@@ -29,6 +41,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "sim/types.hh"
 
@@ -80,42 +93,85 @@ class Scratchpad
         write(addr, &v, sizeof(T));
     }
 
-    /** Record that [addr, addr+bytes) is produced at cycle @p at. */
-    void markReadyAt(SpAddr addr, unsigned bytes, Cycles at);
+    /** Most cycles a marked ready time may lead its issue cycle. */
+    static constexpr Cycles kMaxLead =
+        std::numeric_limits<std::uint16_t>::max();
 
     /**
-     * Record a *streamed* write: byte j of the range is produced at
-     * @p base + j/8 (the 64-bit datapath writes 8 bytes per cycle).
-     * This is what makes classic vector chaining legal: a dependent
-     * streamed read that starts late enough never observes a hazard.
+     * Record that [addr, addr+bytes) is produced at cycle @p at, by a
+     * write issued at cycle @p issue. No later query may read before
+     * @p issue, and @p at may lead it by at most kMaxLead.
      */
-    void markReadyStream(SpAddr addr, unsigned bytes, Cycles base);
+    void markReadyAt(SpAddr addr, unsigned bytes, Cycles at, Cycles issue);
+
+    /**
+     * Record a *streamed* write issued at cycle @p issue: byte j of the
+     * range is produced at @p base + j/8 (the 64-bit datapath writes 8
+     * bytes per cycle). This is what makes classic vector chaining
+     * legal: a dependent streamed read that starts late enough never
+     * observes a hazard. The same bounds as markReadyAt() hold.
+     */
+    void markReadyStream(SpAddr addr, unsigned bytes, Cycles base,
+                         Cycles issue);
+
+    /** A streamed write issued at its own @p base cycle. */
+    void
+    markReadyStream(SpAddr addr, unsigned bytes, Cycles base)
+    {
+        markReadyStream(addr, bytes, base, base);
+    }
 
     /**
      * True if a streamed read of the range starting at cycle @p base
      * (byte j read at base + j/8) would observe any byte before its
-     * ready time.
+     * ready time. @p base must be at or after floor().
      */
     bool hazardousStreamRead(SpAddr addr, unsigned bytes,
                              Cycles base) const;
 
-    /** Latest ready time over [addr, addr+bytes). */
+    /** Latest ready time over [addr, addr+bytes), or floor() when every
+     *  byte of the range was ready by it. */
     Cycles readyAt(SpAddr addr, unsigned bytes) const;
 
-    /** True if reading [addr, addr+bytes) at @p now is a timing hazard. */
+    /** True if reading [addr, addr+bytes) at @p now is a timing hazard.
+     *  @p now must be at or after floor(). */
     bool
     hazardousRead(SpAddr addr, unsigned bytes, Cycles now) const
     {
         return readyAt(addr, bytes) > now;
     }
 
+    /** Cycle every offset of the ready clock counts from. */
+    Cycles floor() const { return floor_; }
+
   private:
+    /** Make room for a mark issued at @p issue whose last ready time
+     *  is @p last: check the lead and, when @p last does not fit above
+     *  the floor, raise the floor to @p issue. */
+    void
+    fitMark(Cycles last, Cycles issue)
+    {
+        if (last > floor_ + kMaxLead || last > issue + kMaxLead)
+            [[unlikely]] raiseFloor(last, issue);
+    }
+
+    /** fitMark()'s rare path, kept out of line. */
+    void raiseFloor(Cycles last, Cycles issue);
+
     std::array<std::uint8_t, kBytes> data_{};
-    std::array<Cycles, kBytes> readyAt_{};
-    /** Max of readyAt_ over each kBlockBytes-aligned block. Ready times
-     *  only ever rise, so a running max is exact. */
+    /** Ready time of each byte, as an offset above floor_ (0: ready by
+     *  the floor). */
+    std::array<std::uint16_t, kBytes> ready_{};
+    /** Max ready time over each kBlockBytes-aligned block, in absolute
+     *  cycles. Ready times only ever rise, so a running max is exact. */
     std::array<Cycles, kBytes / kBlockBytes> blockMax_{};
+    Cycles floor_ = 0;
 };
+
+// The ready clock is 2 bytes per scratchpad byte; keep it from growing
+// back to the 8 a 64-bit clock took.
+static_assert(sizeof(Scratchpad) <= 13 * 1024,
+              "the scratchpad's ready clock grew");
 
 } // namespace vip
 

@@ -285,7 +285,7 @@ VipServer::statsResponse()
         LockGuard lock(mutex_);
         statGroup_.visit([&serve, this](const std::string &path,
                                         std::uint64_t value,
-                                        const std::string &) {
+                                        const char *) {
             // Strip the "serve." prefix: the section name is the
             // response's top-level key.
             serve.set(path.substr(statGroup_.name().size() + 1), value);

@@ -4,8 +4,8 @@
 
 namespace vip {
 
-Counter::Counter(StatGroup *parent, std::string name, std::string desc)
-    : name_(std::move(name)), desc_(std::move(desc))
+Counter::Counter(StatGroup *parent, const char *name, const char *desc)
+    : name_(name), desc_(desc)
 {
     vip_assert(parent != nullptr, "counter '", name_, "' needs a group");
     parent->addCounter(this);
@@ -27,7 +27,7 @@ StatGroup::addCounter(Counter *c)
 void
 StatGroup::visit(const std::function<void(const std::string &,
                                           std::uint64_t,
-                                          const std::string &)> &fn) const
+                                          const char *)> &fn) const
 {
     visitImpl(fn, "");
 }
@@ -35,7 +35,7 @@ StatGroup::visit(const std::function<void(const std::string &,
 void
 StatGroup::visitImpl(const std::function<void(const std::string &,
                                               std::uint64_t,
-                                              const std::string &)> &fn,
+                                              const char *)> &fn,
                      const std::string &prefix) const
 {
     const std::string base = prefix.empty() ? name_ : prefix + "." + name_;
@@ -49,7 +49,7 @@ void
 StatGroup::dump(std::ostream &os) const
 {
     visit([&os](const std::string &path, std::uint64_t value,
-                const std::string &desc) {
+                const char *desc) {
         os << path << " " << value << " # " << desc << "\n";
     });
 }

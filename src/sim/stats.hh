@@ -22,24 +22,28 @@ namespace vip {
 
 class StatGroup;
 
-/** A monotonically increasing 64-bit counter statistic. */
+/**
+ * A monotonically increasing 64-bit counter statistic. Its name and
+ * description are string literals, held by pointer, so a counter
+ * costs its value and two pointers in the component that owns it.
+ */
 class Counter
 {
   public:
     Counter() = default;
-    Counter(StatGroup *parent, std::string name, std::string desc);
+    Counter(StatGroup *parent, const char *name, const char *desc);
 
     Counter &operator++() { ++value_; return *this; }
     Counter &operator+=(std::uint64_t n) { value_ += n; return *this; }
 
     std::uint64_t value() const { return value_; }
 
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
+    const char *name() const { return name_; }
+    const char *desc() const { return desc_; }
 
   private:
-    std::string name_;
-    std::string desc_;
+    const char *name_ = "";
+    const char *desc_ = "";
     std::uint64_t value_ = 0;
 };
 
@@ -66,8 +70,7 @@ class StatGroup
      */
     void visit(const std::function<void(const std::string &path,
                                         std::uint64_t value,
-                                        const std::string &desc)> &fn)
-        const;
+                                        const char *desc)> &fn) const;
 
     /** Write one "path value # desc" line per visit() callback. */
     void dump(std::ostream &os) const;
@@ -77,7 +80,7 @@ class StatGroup
   private:
     void visitImpl(const std::function<void(const std::string &,
                                             std::uint64_t,
-                                            const std::string &)> &fn,
+                                            const char *)> &fn,
                    const std::string &prefix) const;
 
     std::string name_;

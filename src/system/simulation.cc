@@ -56,7 +56,7 @@ Simulation::run(Cycles max_cycles, const CancelToken *cancel)
         result.outstandingFlippedWords = f->outstandingFlippedWords();
     }
     sys_.stats().visit([&result](const std::string &path,
-                                 std::uint64_t value, const std::string &) {
+                                 std::uint64_t value, const char *) {
         result.counters[path] = value;
     });
     return result;

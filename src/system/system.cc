@@ -25,6 +25,22 @@ requireNonzero(std::uint64_t value, const char *key)
     require(value != 0, std::string(key) + " must be nonzero");
 }
 
+/** Caps on the keys that size host allocations. Each sits far above
+ *  any modelled machine (the benches use at most 40 ARC entries, a
+ *  32-deep transaction queue and 32 vaults) and far below a request
+ *  that would exhaust the host. */
+constexpr unsigned kMaxArcEntries = 1024;
+constexpr unsigned kMaxTransQueueDepth = 4096;
+constexpr unsigned kMaxVaults = 1024;
+
+void
+requireAtMost(std::uint64_t value, std::uint64_t cap, const char *key)
+{
+    require(value <= cap, std::string(key) + " = " +
+                              std::to_string(value) + " exceeds its cap of " +
+                              std::to_string(cap));
+}
+
 bool
 isPowerOfTwo(std::uint64_t v)
 {
@@ -64,6 +80,7 @@ validateSystemConfig(const SystemConfig &cfg)
             "mem.geom.vaults = " + std::to_string(g.vaults) +
                 "; must be a nonzero power of two so vault index bits "
                 "split cleanly out of the address");
+    requireAtMost(g.vaults, kMaxVaults, "mem.geom.vaults");
     requireNonzero(g.banksPerVault, "mem.geom.banksPerVault");
     require(g.banksPerVault <= VaultController::kMaxBanks,
             "mem.geom.banksPerVault = " + std::to_string(g.banksPerVault) +
@@ -119,6 +136,8 @@ validateSystemConfig(const SystemConfig &cfg)
 
     requireNonzero(cfg.mem.cmdQueueDepth, "mem.cmdQueueDepth");
     requireNonzero(cfg.mem.transQueueDepth, "mem.transQueueDepth");
+    requireAtMost(cfg.mem.transQueueDepth, kMaxTransQueueDepth,
+                  "mem.transQueueDepth");
 
     // 64-bit product: two 32-bit dimensions must not wrap onto the
     // vault count.
@@ -138,9 +157,16 @@ validateSystemConfig(const SystemConfig &cfg)
 
     requireNonzero(cfg.pe.lsqEntries, "pe.lsqEntries");
     requireNonzero(cfg.pe.arcEntries, "pe.arcEntries");
+    requireAtMost(cfg.pe.arcEntries, kMaxArcEntries, "pe.arcEntries");
     requireNonzero(cfg.pe.mulStages, "pe.mulStages");
     requireNonzero(cfg.pe.aluStages, "pe.aluStages");
     requireNonzero(cfg.pe.reduceStages, "pe.reduceStages");
+    // The stage caps bound how far a vector result's ready time leads
+    // its issue, which the scratchpad's 16-bit ready clock relies on.
+    requireAtMost(cfg.pe.mulStages, PeConfig::kMaxStages, "pe.mulStages");
+    requireAtMost(cfg.pe.aluStages, PeConfig::kMaxStages, "pe.aluStages");
+    requireAtMost(cfg.pe.reduceStages, PeConfig::kMaxStages,
+                  "pe.reduceStages");
 
     require(cfg.watchdogCycles > 0,
             "watchdogCycles must be nonzero (it bounds deadlock "

@@ -324,7 +324,7 @@ TEST(Scratchpad, ReadyTimeTracking)
 {
     Scratchpad sp;
     EXPECT_EQ(sp.readyAt(0, 64), 0u);
-    sp.markReadyAt(10, 4, 100);
+    sp.markReadyAt(10, 4, 100, 0);
     EXPECT_EQ(sp.readyAt(10, 4), 100u);
     EXPECT_EQ(sp.readyAt(0, 10), 0u);
     EXPECT_TRUE(sp.hazardousRead(8, 8, 50));
@@ -340,18 +340,38 @@ TEST(Scratchpad, ReadyTimeTracking)
 
 TEST(Scratchpad, MatchesPerByteModelOnRandomTraffic)
 {
-    // The scratchpad keeps a per-block maximum beside its per-byte
-    // ready clock and skips blocks with it; a plain per-byte model
-    // must give the same answer to every query. Ranges are drawn to
+    // The scratchpad keeps its per-byte ready clock as 16-bit offsets
+    // above a floor that rises with the issue cycle, and skips blocks
+    // by a per-block maximum; a plain 64-bit per-byte model must give
+    // the same hazard answer to every query, and the same ready time
+    // wherever the model's is above the floor. Ranges are drawn to
     // start anywhere, straddle block edges, sit at offset 0 or on the
     // last byte, and stream across most of the scratchpad.
+    //
+    // The short runs keep the clock and every lead small, so the floor
+    // never moves. The long runs take the clock past 4 x 2^16 cycles
+    // with marks leading it by up to Scratchpad::kMaxLead, so the
+    // floor rises many times, past bytes marked both just before and
+    // far ahead of it.
     constexpr unsigned kBytes = Scratchpad::kBytes;
     constexpr unsigned kBlock = Scratchpad::kBlockBytes;
-    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    constexpr Cycles kLead = Scratchpad::kMaxLead;
+    struct Traffic
+    {
+        std::uint64_t seed;
+        Cycles maxStep;  ///< clock advance per step is below this
+        bool longLeads;  ///< marks and queries reach kMaxLead ahead
+    };
+    const Traffic runs[] = {{1, 6, false},   {2, 6, false},
+                            {3, 6, false},   {4, 200, true},
+                            {5, 200, true},  {6, 200, true}};
+    for (const Traffic &run : runs) {
+        const std::uint64_t seed = run.seed;
         Scratchpad sp;
         std::vector<Cycles> model(kBytes, 0);
         Rng rng(seed);
         Cycles now = 0;
+        unsigned floorRises = 0;
 
         auto range = [&](SpAddr *addr, unsigned *bytes) {
             switch (rng.nextBelow(6)) {
@@ -388,43 +408,76 @@ TEST(Scratchpad, MatchesPerByteModelOnRandomTraffic)
             *bytes = std::min(*bytes, kBytes - *addr);
         };
 
-        for (unsigned step = 0; step < 4000; ++step) {
-            now += rng.nextBelow(6);
+        // How far past the clock a mark or query lands: short runs stay
+        // within 80 cycles; long runs also draw anywhere up to
+        // @p most, and exactly @p most.
+        auto lead = [&](Cycles most) -> Cycles {
+            if (!run.longLeads)
+                return rng.nextBelow(80);
+            switch (rng.nextBelow(4)) {
+              case 0: return rng.nextBelow(80);
+              case 1: return rng.nextBelow(most + 1);
+              case 2: return most - std::min<Cycles>(most,
+                                                     rng.nextBelow(200));
+              default: return most;
+            }
+        };
+
+        for (unsigned step = 0; step < 4000 || (run.longLeads &&
+                                                now <= 4 * (kLead + 1));
+             ++step) {
+            now += rng.nextBelow(run.maxStep);
             SpAddr addr = 0;
             unsigned bytes = 0;
             range(&addr, &bytes);
-            const Cycles t = now + rng.nextBelow(80);
+            const Cycles before = sp.floor();
             switch (rng.nextBelow(4)) {
-              case 0:
-                sp.markReadyAt(addr, bytes, t);
+              case 0: {
+                const Cycles t = now + lead(kLead);
+                sp.markReadyAt(addr, bytes, t, now);
                 for (unsigned i = 0; i < bytes; ++i)
                     model[addr + i] = std::max(model[addr + i], t);
                 break;
-              case 1:
-                sp.markReadyStream(addr, bytes, t);
+              }
+              case 1: {
+                const Cycles span = bytes == 0 ? 0 : (bytes - 1) / 8;
+                const Cycles t = now + lead(kLead - span);
+                sp.markReadyStream(addr, bytes, t, now);
                 for (unsigned i = 0; i < bytes; ++i)
                     model[addr + i] = std::max(model[addr + i], t + i / 8);
                 break;
+              }
               case 2: {
+                const Cycles t = now + lead(kLead);
                 bool want = false;
                 for (unsigned i = 0; i < bytes; ++i)
                     want = want || model[addr + i] > t + i / 8;
                 ASSERT_EQ(sp.hazardousStreamRead(addr, bytes, t), want)
                     << "seed " << seed << " step " << step << " sp["
-                    << addr << ", +" << bytes << ") at " << t;
+                    << addr << ", +" << bytes << ") at " << t
+                    << " floor " << sp.floor();
                 break;
               }
               default: {
                 Cycles want = 0;
                 for (unsigned i = 0; i < bytes; ++i)
                     want = std::max(want, model[addr + i]);
-                ASSERT_EQ(sp.readyAt(addr, bytes), want)
+                // Bytes ready by the floor read back as the floor.
+                ASSERT_EQ(sp.readyAt(addr, bytes),
+                          std::max(want, sp.floor()))
                     << "seed " << seed << " step " << step << " sp["
-                    << addr << ", +" << bytes << ")";
+                    << addr << ", +" << bytes << ") floor "
+                    << sp.floor();
                 break;
               }
             }
+            ASSERT_LE(sp.floor(), now) << "seed " << seed;
+            floorRises += sp.floor() != before;
         }
+        if (run.longLeads)
+            EXPECT_GE(floorRises, 4u) << "seed " << seed;
+        else
+            EXPECT_EQ(sp.floor(), 0u) << "seed " << seed;
     }
 }
 

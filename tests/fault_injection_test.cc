@@ -511,6 +511,18 @@ TEST(ConfigValidation, MessagesNameTheParameter)
     }
 }
 
+TEST(ConfigValidation, AllocationCapsAreInclusive)
+{
+    // Each key that sizes a host allocation validates at its cap.
+    const SystemConfig cfg = SystemConfig::fromJson(Json::parse(R"({
+        "mem": {"geom": {"vaults": 1024, "banksPerVault": 1,
+                         "rowsPerBank": 1},
+                "transQueueDepth": 4096},
+        "pe": {"arcEntries": 1024, "mulStages": 256, "aluStages": 256,
+               "reduceStages": 256}})"));
+    EXPECT_NO_THROW(validateSystemConfig(cfg));
+}
+
 /**
  * One row per validateSystemConfig rule: a wire config that
  * SystemConfig::fromJson accepts and validation rejects, and the dotted
@@ -527,6 +539,10 @@ TEST(ConfigValidation, EveryRuleNamesItsKey)
     };
     const Row rows[] = {
         {R"({"mem": {"geom": {"vaults": 3}}, "nocX": 3, "nocY": 1})",
+         "mem.geom.vaults"},
+        // 2^20 one-bank, one-row vaults would be 4,194,304 PEs.
+        {R"({"mem": {"geom": {"vaults": 1048576, "banksPerVault": 1,
+             "rowsPerBank": 1}}})",
          "mem.geom.vaults"},
         {R"({"mem": {"geom": {"banksPerVault": 0}}})",
          "mem.geom.banksPerVault"},
@@ -556,6 +572,9 @@ TEST(ConfigValidation, EveryRuleNamesItsKey)
          "mem.timing.tREFI"},
         {R"({"mem": {"cmdQueueDepth": 0}})", "mem.cmdQueueDepth"},
         {R"({"mem": {"transQueueDepth": 0}})", "mem.transQueueDepth"},
+        {R"({"mem": {"transQueueDepth": 4097}})", "mem.transQueueDepth"},
+        {R"({"mem": {"transQueueDepth": 4294967295}})",
+         "mem.transQueueDepth"},
         {R"({"nocX": 3})", "nocX"},
         {R"({"nocY": 0})", "nocY"},
         // (2^31 + 1) * 2 wraps to 2 in 32-bit arithmetic.
@@ -566,9 +585,14 @@ TEST(ConfigValidation, EveryRuleNamesItsKey)
         {R"({"pesPerVault": 5})", "pesPerVault"},
         {R"({"pe": {"lsqEntries": 0}})", "pe.lsqEntries"},
         {R"({"pe": {"arcEntries": 0}})", "pe.arcEntries"},
+        {R"({"pe": {"arcEntries": 1025}})", "pe.arcEntries"},
+        {R"({"pe": {"arcEntries": 1000000000}})", "pe.arcEntries"},
         {R"({"pe": {"mulStages": 0}})", "pe.mulStages"},
+        {R"({"pe": {"mulStages": 257}})", "pe.mulStages"},
         {R"({"pe": {"aluStages": 0}})", "pe.aluStages"},
+        {R"({"pe": {"aluStages": 257}})", "pe.aluStages"},
         {R"({"pe": {"reduceStages": 0}})", "pe.reduceStages"},
+        {R"({"pe": {"reduceStages": 4294967295}})", "pe.reduceStages"},
         {R"({"watchdogCycles": 0})", "watchdogCycles"},
     };
     for (const Row &row : rows) {

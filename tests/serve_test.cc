@@ -403,6 +403,47 @@ TEST(VipServer, GeometryPastTheDramStoreIsAConfigErrorAndLoopSurvives)
                     .asBool());
 }
 
+TEST(VipServer, AllocationSizingKeysPastTheirCapsAreConfigErrors)
+{
+    // Each of these passed validation and sized a host allocation from
+    // the request: a billion ARC entries per PE (the daemon was killed
+    // without answering), a 2^32-deep transaction queue (a bad_alloc
+    // the client was told to retry) and 2^20 vaults (a 4M-PE machine).
+    struct Case
+    {
+        const char *config;
+        const char *key;
+    };
+    const Case cases[] = {
+        {R"({"pe":{"arcEntries":1000000000}})", "pe.arcEntries"},
+        {R"({"mem":{"transQueueDepth":4294967295}})",
+         "mem.transQueueDepth"},
+        {R"({"mem":{"geom":{"vaults":1048576,"banksPerVault":1,)"
+         R"("rowsPerBank":1}}})",
+         "mem.geom.vaults"},
+        {R"({"pe":{"mulStages":4294967295}})", "pe.mulStages"},
+    };
+    Json ok = Json::object();
+    ok.set("run", dotSpec().toJson());
+    for (const Case &c : cases) {
+        const std::vector<std::string> rsp = serveLines(
+            std::string("{\"run\":{\"config\":") + c.config +
+            ",\"programs\":[{\"pe\":0,\"source\":\"halt\\n\"}]}}\n" +
+            ok.str() + "\n");
+        ASSERT_EQ(rsp.size(), 2u) << c.config;
+        const Json err = Json::parse(rsp[0]).at("error");
+        EXPECT_EQ(err.at("kind").asString(), "config") << rsp[0];
+        EXPECT_NE(err.at("message").asString().find(c.key),
+                  std::string::npos)
+            << rsp[0];
+        EXPECT_TRUE(Json::parse(rsp[1])
+                        .at("result")
+                        .at("haltedCleanly")
+                        .asBool())
+            << c.config;
+    }
+}
+
 TEST(VipServer, AssemblyAndDeadlockFailuresAreStructured)
 {
     RunSpec bad_asm = dotSpec();

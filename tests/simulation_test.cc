@@ -200,7 +200,7 @@ TEST(Stats, DumpIsOneLinePerVisitAndWireKeepsFormulas)
     std::size_t callbacks = 0;
     sim.system().stats().visit([&](const std::string &path,
                                    std::uint64_t value,
-                                   const std::string &desc) {
+                                   const char *desc) {
         visited += path + " " + std::to_string(value) + " # " + desc + "\n";
         ++callbacks;
     });
