@@ -7,7 +7,9 @@
 #ifndef VIP_SIM_HISTOGRAM_HH
 #define VIP_SIM_HISTOGRAM_HH
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <ostream>
 
@@ -22,10 +24,7 @@ class Histogram
     void
     sample(std::uint64_t v)
     {
-        unsigned b = 0;
-        while ((1ull << b) <= v && b + 1 < kBuckets)
-            ++b;
-        ++buckets_[b];
+        ++buckets_[std::min<unsigned>(std::bit_width(v), kBuckets - 1)];
         sum_ += v;
         ++count_;
         if (v > max_)

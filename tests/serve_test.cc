@@ -167,6 +167,19 @@ TEST(RunSpec, FingerprintsArePinned)
     spec.budgetMs = 250;
     EXPECT_EQ(spec.fingerprint(), 0x8dd81caa50186f72ull);
     EXPECT_EQ(fnv1a(spec.toJson().str()), 0x73a5acf678a1e2e4ull);
+
+    // Poke rows at the int16 extremes and the digit-count edges, and
+    // one with no values: the hash sink must match the hash of the
+    // text sink's bytes.
+    RunSpec edges;
+    edges.pokes.push_back({0x2000, {-32768, -1, 0, 9, 10, 32767}});
+    edges.pokes.push_back({0x2100, {}});
+    EXPECT_NE(edges.toJson().str().find(
+                  "\"values\":[-32768,-1,0,9,10,32767]},"
+                  "{\"addr\":8448,\"values\":[]}"),
+              std::string::npos);
+    EXPECT_EQ(edges.fingerprint(), 0xcd64a8b18925fb83ull);
+    EXPECT_EQ(fnv1a(edges.toJson().str()), 0xcd64a8b18925fb83ull);
 }
 
 TEST(RunSpec, FromJsonRejectsUnknownAndMalformedFields)

@@ -64,6 +64,26 @@ TEST(Histogram, BucketsAndPercentiles)
     EXPECT_LE(h.percentileBound(0.99), 16u);
     h.reset();
     EXPECT_EQ(h.count(), 0u);
+
+    // Bucket edges: a lone sample's bucket is [2^(b-1), 2^b), reported
+    // by its upper bound 2^b; the last bucket takes everything from
+    // 2^30 up.
+    const std::pair<std::uint64_t, std::uint64_t> edges[] = {
+        {0, 1},
+        {1, 2},
+        {2, 4},
+        {3, 4},
+        {(1ull << 30) - 1, 1ull << 30},
+        {1ull << 30, 1ull << 31},
+        {1ull << 31, 1ull << 31},
+        {UINT64_MAX, 1ull << 31},
+    };
+    for (const auto &[v, bound] : edges) {
+        Histogram one;
+        one.sample(v);
+        EXPECT_EQ(one.percentileBound(1.0), bound) << "sample " << v;
+        EXPECT_EQ(one.max(), v);
+    }
 }
 
 TEST(Rng, DeterministicAndUniform)
