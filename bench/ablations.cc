@@ -21,7 +21,6 @@
 #include "common.hh"
 #include "kernels/bp_kernel.hh"
 #include "kernels/layout.hh"
-#include "sim/sweep.hh"
 #include "system/simulation.hh"
 
 using namespace vip;
@@ -66,7 +65,7 @@ main(int argc, char **argv)
     const BenchOptions opts = parseBenchOptions(argc, argv);
 
     // Every ablation point is an independent one-vault simulation:
-    // sweep them all in parallel via the engine's generic interface.
+    // sweep them all in parallel, as the other benches do.
     std::vector<std::function<Cycles()>> points;
     points.push_back([] { return bpPhase([](SystemConfig &) {}); });
     points.push_back([] {
@@ -100,8 +99,7 @@ main(int argc, char **argv)
         });
     }
 
-    SweepEngine engine(opts.jobs);
-    const std::vector<Cycles> cycles = engine.run(points);
+    const std::vector<Cycles> cycles = runSweep(points, opts.jobs);
     std::size_t at = 0;
 
     std::printf("=== Ablations (BP-M tile phase, 60x34, L=16, one "

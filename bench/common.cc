@@ -14,7 +14,6 @@
 #include "kernels/pool_kernel.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "sim/sweep.hh"
 #include "system/simulation.hh"
 #include "tools/cli.hh"
 
@@ -67,33 +66,20 @@ parseBenchOptions(int argc, char **argv, double default_frac)
     return opts;
 }
 
-std::vector<SliceResult>
-runSweep(const std::vector<std::function<SliceResult()>> &points,
-         unsigned jobs)
+void
+reportFailures(const std::vector<SweepFailure> &failed, std::size_t points)
 {
-    SweepEngine engine(jobs);
-    const auto outcomes = engine.runResilient<SliceResult>(points);
-    std::vector<SliceResult> results;
-    results.reserve(outcomes.size());
-    unsigned failed = 0;
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        const auto &o = outcomes[i];
-        if (!o.ok) {
-            ++failed;
-            std::fprintf(stderr,
-                         "warning: sweep point %zu failed (%s): %s\n",
-                         i, o.failure.kind.c_str(),
-                         o.failure.message.c_str());
-        }
-        results.push_back(o.result);
+    for (const SweepFailure &f : failed) {
+        std::fprintf(stderr, "warning: sweep point %zu failed (%s): %s\n",
+                     f.index, f.error.kind().c_str(),
+                     f.error.message().c_str());
     }
-    if (failed > 0) {
+    if (!failed.empty()) {
         std::fprintf(stderr,
-                     "warning: %u of %zu sweep points failed; their "
+                     "warning: %zu of %zu sweep points failed; their "
                      "rows are zeroed below\n",
-                     failed, outcomes.size());
+                     failed.size(), points);
     }
-    return results;
 }
 
 void

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/sweep.hh"
 #include "sim/types.hh"
 #include "workloads/nn.hh"
 
@@ -87,6 +88,10 @@ BenchOptions parseBenchOptions(int argc, char **argv,
  *  strategy parseBenchOptions() read. */
 struct SystemConfig benchConfig(unsigned vaults, unsigned pes_per_vault);
 
+/** Warn on stderr about each of @p failed, then once in summary. */
+void reportFailures(const std::vector<SweepFailure> &failed,
+                    std::size_t points);
+
 /**
  * Run every sweep point through a SweepEngine with @p jobs workers
  * (0 = hardware concurrency) and return results keyed by submission
@@ -95,9 +100,21 @@ struct SystemConfig benchConfig(unsigned vaults, unsigned pes_per_vault);
  * config, watchdog deadlock) is reported on stderr and its row left
  * default-constructed; the rest of the sweep completes.
  */
-std::vector<SliceResult>
-runSweep(const std::vector<std::function<SliceResult()>> &points,
-         unsigned jobs);
+template <typename R>
+std::vector<R>
+runSweep(const std::vector<std::function<R()>> &points, unsigned jobs)
+{
+    SweepEngine engine(jobs);
+    std::vector<R> results;
+    std::vector<SweepFailure> failed;
+    for (auto &o : engine.run(points)) {
+        results.push_back(std::move(o.result));
+        if (!o.ok)
+            failed.push_back(std::move(o.failure));
+    }
+    reportFailures(failed, points.size());
+    return results;
+}
 
 /** Overrides for the Fig. 5 memory-parameter sweep. */
 struct MemKnobs

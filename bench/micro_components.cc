@@ -66,8 +66,8 @@ BM_EncodeDecodeRoundTrip(benchmark::State &state)
     b.halt();
     const auto prog = b.finish();
     for (auto _ : state) {
-        auto words = encodeProgram(prog);
-        auto back = decodeProgram(words);
+        auto image = encodeProgram(prog);
+        auto back = decodeProgram(image);
         benchmark::DoNotOptimize(back);
     }
 }

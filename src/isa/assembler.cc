@@ -7,26 +7,11 @@
 #include <optional>
 #include <string>
 
-#include "sim/logging.hh"
+#include "sim/error.hh"
 
 namespace vip {
 
 namespace {
-
-struct ParseState
-{
-    unsigned line = 0;
-    std::string error;
-
-    void
-    fail(const std::string &msg)
-    {
-        if (error.empty())
-            error = msg;
-    }
-
-    bool ok() const { return error.empty(); }
-};
 
 /** std::isspace in the "C" locale. */
 bool
@@ -152,11 +137,11 @@ parseImm(std::string_view tok)
  * Read the mnemonic that starts @p text (up to the first space or tab)
  * in one pass: its dot-separated parts and an optional width tag, e.g.
  * "m.v.add.min[16]" -> {"m","v","add","min"}, W16. Returns the whole
- * mnemonic token; a bad tag fails @p st.
+ * mnemonic token; a bad tag throws an AssemblyFailure at @p line.
  */
 std::string_view
 splitMnemonic(std::string_view text, MnemonicParts &parts, ElemWidth &width,
-              ParseState &st)
+              unsigned line)
 {
     std::size_t end = 0, start = 0;
     std::size_t bracket = std::string_view::npos;
@@ -185,7 +170,8 @@ splitMnemonic(std::string_view text, MnemonicParts &parts, ElemWidth &width,
         } else if (tag == "[64]" || tag == "[64-bit]") {
             width = ElemWidth::W64;
         } else {
-            st.fail("bad width tag '" + std::string(tag) + "'");
+            throw AssemblyFailure(line,
+                                  "bad width tag '" + std::string(tag) + "'");
         }
     }
     return tok;
@@ -246,28 +232,23 @@ struct PendingLabel
 } // namespace
 
 std::vector<Instruction>
-assemble(std::string_view source, AssemblyError *error)
+assemble(std::string_view source)
 {
     std::vector<Instruction> prog;
     // Labels and fixups view the source, which outlives this call.
     std::map<std::string_view, std::size_t> labels;
     std::vector<PendingLabel> fixups;
-    ParseState st;
 
     unsigned line_no = 0;
-    unsigned error_line = 0;
-
-    auto failAt = [&](const std::string &msg) {
-        if (st.ok())
-            error_line = line_no;
-        st.fail(msg);
+    auto fail = [&line_no](const std::string &msg) {
+        throw AssemblyFailure(line_no, msg);
     };
 
     prog.reserve(std::min<std::size_t>(
         std::count(source.begin(), source.end(), '\n') + 1,
         kInstBufferEntries + 1));
     std::size_t next = 0;
-    while (next < source.size() && st.ok()) {
+    while (next < source.size()) {
         const std::size_t nl = source.find('\n', next);
         const std::string_view raw =
             source.substr(next, nl == std::string_view::npos
@@ -291,28 +272,20 @@ assemble(std::string_view source, AssemblyError *error)
             if (colon == std::string_view::npos)
                 break;
             const std::string_view label = trim(text.substr(0, colon));
-            if (label.empty() || label.find(' ') != std::string_view::npos) {
-                failAt("malformed label");
-                break;
-            }
-            if (!labels.emplace(label, prog.size()).second) {
-                failAt("duplicate label '" + std::string(label) + "'");
-                break;
-            }
+            if (label.empty() || label.find(' ') != std::string_view::npos)
+                fail("malformed label");
+            if (!labels.emplace(label, prog.size()).second)
+                fail("duplicate label '" + std::string(label) + "'");
             text = trim(text.substr(colon + 1));
         }
-        if (!st.ok() || text.empty())
+        if (text.empty())
             continue;
 
         // Mnemonic and operands.
         MnemonicParts parts;
         Instruction inst;
         const std::string_view mnemonic =
-            splitMnemonic(text, parts, inst.width, st);
-        if (!st.ok()) {
-            error_line = line_no;
-            continue;
-        }
+            splitMnemonic(text, parts, inst.width, line_no);
         const Operands ops =
             splitOperands(mnemonic.size() < text.size()
                               ? text.substr(mnemonic.size() + 1)
@@ -320,20 +293,34 @@ assemble(std::string_view source, AssemblyError *error)
 
         auto needOps = [&](std::size_t n) {
             if (ops.size() != n) {
-                failAt("expected " + std::to_string(n) + " operands, got " +
-                       std::to_string(ops.size()));
-                return false;
+                fail("expected " + std::to_string(n) + " operands, got " +
+                     std::to_string(ops.size()));
             }
-            return true;
         };
-        auto regOp = [&](std::size_t i, std::uint8_t &out) {
+        auto reg = [&](std::size_t i) {
             const auto r = parseReg(ops[i]);
-            if (!r) {
-                failAt("bad register '" + std::string(ops[i]) + "'");
-                return false;
-            }
-            out = static_cast<std::uint8_t>(*r);
-            return true;
+            if (!r)
+                fail("bad register '" + std::string(ops[i]) + "'");
+            return static_cast<std::uint8_t>(*r);
+        };
+        auto imm = [&](std::size_t i) {
+            const auto v = parseImm(ops[i]);
+            if (!v)
+                fail("bad immediate '" + std::string(ops[i]) + "'");
+            return *v;
+        };
+        // The three-register form: rd, rs1, rs2.
+        auto regs3 = [&] {
+            needOps(3);
+            inst.rd = reg(0);
+            inst.rs1 = reg(1);
+            inst.rs2 = reg(2);
+        };
+        // The two-register form: rd, rs1.
+        auto regs2 = [&] {
+            needOps(2);
+            inst.rd = reg(0);
+            inst.rs1 = reg(1);
         };
 
         const std::string_view head = parts[0];
@@ -341,173 +328,117 @@ assemble(std::string_view source, AssemblyError *error)
         if (head == "set" && parts.size() == 2) {
             inst.op = parts[1] == "vl" ? Opcode::SetVl : Opcode::SetMr;
             if (parts[1] != "vl" && parts[1] != "mr") {
-                failAt("unknown config register '" + std::string(parts[1]) +
-                       "'");
-                continue;
+                fail("unknown config register '" + std::string(parts[1]) +
+                     "'");
             }
-            if (!needOps(1) || !regOp(0, inst.rs1))
-                continue;
+            needOps(1);
+            inst.rs1 = reg(0);
         } else if (head == "v" && parts.size() == 2 && parts[1] == "drain") {
             inst.op = Opcode::VDrain;
-            if (!needOps(0))
-                continue;
+            needOps(0);
         } else if (head == "m" && parts.size() == 4 && parts[1] == "v") {
             inst.op = Opcode::MatVec;
             const auto vop = parseVecOp(parts[2]);
             const auto rop = parseRedOp(parts[3]);
             if (!vop || !rop) {
-                failAt("bad m.v operator composition '" +
-                       std::string(mnemonic) + "'");
-                continue;
+                fail("bad m.v operator composition '" +
+                     std::string(mnemonic) + "'");
             }
             inst.vop = *vop;
             inst.rop = *rop;
-            if (!needOps(3) || !regOp(0, inst.rd) || !regOp(1, inst.rs1) ||
-                !regOp(2, inst.rs2)) {
-                continue;
-            }
+            regs3();
         } else if (head == "v" && parts.size() == 3 &&
                    (parts[1] == "v" || parts[1] == "s")) {
             inst.op = parts[1] == "v" ? Opcode::VecVec : Opcode::VecScalar;
             const auto vop = parseVecOp(parts[2]);
-            if (!vop || *vop == VecOp::Nop) {
-                failAt("bad vector operator '" + std::string(parts[2]) + "'");
-                continue;
-            }
+            if (!vop || *vop == VecOp::Nop)
+                fail("bad vector operator '" + std::string(parts[2]) + "'");
             inst.vop = *vop;
-            if (!needOps(3) || !regOp(0, inst.rd) || !regOp(1, inst.rs1) ||
-                !regOp(2, inst.rs2)) {
-                continue;
-            }
+            regs3();
         } else if (head == "mov" && parts.size() == 1) {
             inst.op = Opcode::Mov;
-            if (!needOps(2) || !regOp(0, inst.rd) || !regOp(1, inst.rs1))
-                continue;
+            regs2();
         } else if (head == "mov" && parts.size() == 2 && parts[1] == "imm") {
             inst.op = Opcode::MovImm;
-            if (!needOps(2) || !regOp(0, inst.rd))
-                continue;
-            const auto imm = parseImm(ops[1]);
-            if (!imm) {
-                failAt("bad immediate '" + std::string(ops[1]) + "'");
-                continue;
-            }
-            inst.imm = *imm;
+            needOps(2);
+            inst.rd = reg(0);
+            inst.imm = imm(1);
         } else if (parseScalarOp(head) && parts.size() <= 2) {
             inst.sop = *parseScalarOp(head);
             const bool has_imm = parts.size() == 2 && parts[1] == "imm";
-            if (parts.size() == 2 && !has_imm) {
-                failAt("unknown mnemonic '" + std::string(mnemonic) + "'");
-                continue;
-            }
+            if (parts.size() == 2 && !has_imm)
+                fail("unknown mnemonic '" + std::string(mnemonic) + "'");
             inst.op = has_imm ? Opcode::ScalarRI : Opcode::ScalarRR;
-            if (!needOps(3) || !regOp(0, inst.rd) || !regOp(1, inst.rs1))
-                continue;
-            if (has_imm) {
-                const auto imm = parseImm(ops[2]);
-                if (!imm) {
-                    failAt("bad immediate '" + std::string(ops[2]) + "'");
-                    continue;
-                }
-                inst.imm = *imm;
-            } else if (!regOp(2, inst.rs2)) {
-                continue;
-            }
+            needOps(3);
+            inst.rd = reg(0);
+            inst.rs1 = reg(1);
+            if (has_imm)
+                inst.imm = imm(2);
+            else
+                inst.rs2 = reg(2);
         } else if (parseBranch(head) && parts.size() == 1) {
             inst.op = Opcode::Branch;
             inst.cond = *parseBranch(head);
-            if (!needOps(3) || !regOp(0, inst.rs1) || !regOp(1, inst.rs2))
-                continue;
+            needOps(3);
+            inst.rs1 = reg(0);
+            inst.rs2 = reg(1);
             fixups.push_back({prog.size(), ops[2], line_no});
         } else if (head == "jmp" && parts.size() == 1) {
             inst.op = Opcode::Jmp;
-            if (!needOps(1))
-                continue;
+            needOps(1);
             fixups.push_back({prog.size(), ops[0], line_no});
         } else if (head == "ld" && parts.size() == 2 && parts[1] == "sram") {
             inst.op = Opcode::LdSram;
-            if (!needOps(3) || !regOp(0, inst.rd) || !regOp(1, inst.rs1) ||
-                !regOp(2, inst.rs2)) {
-                continue;
-            }
+            regs3();
         } else if (head == "st" && parts.size() == 2 && parts[1] == "sram") {
             inst.op = Opcode::StSram;
-            if (!needOps(3) || !regOp(0, inst.rd) || !regOp(1, inst.rs1) ||
-                !regOp(2, inst.rs2)) {
-                continue;
-            }
+            regs3();
         } else if (head == "ld" && parts.size() == 2 && parts[1] == "reg") {
             inst.op = Opcode::LdReg;
-            if (!needOps(2) || !regOp(0, inst.rd) || !regOp(1, inst.rs1))
-                continue;
+            regs2();
         } else if (head == "st" && parts.size() == 2 && parts[1] == "reg") {
             inst.op = Opcode::StReg;
-            if (!needOps(2) || !regOp(0, inst.rd) || !regOp(1, inst.rs1))
-                continue;
+            regs2();
         } else if (head == "memfence" && parts.size() == 1) {
             inst.op = Opcode::Memfence;
-            if (!needOps(0))
-                continue;
+            needOps(0);
         } else if (head == "halt" && parts.size() == 1) {
             inst.op = Opcode::Halt;
-            if (!needOps(0))
-                continue;
+            needOps(0);
         } else if (head == "nop" && parts.size() == 1) {
             inst.op = Opcode::Nop;
-            if (!needOps(0))
-                continue;
+            needOps(0);
         } else {
-            failAt("unknown mnemonic '" + std::string(mnemonic) + "'");
-            continue;
+            fail("unknown mnemonic '" + std::string(mnemonic) + "'");
         }
 
         prog.push_back(inst);
     }
 
     // Second pass: resolve branch/jump targets.
-    if (st.ok()) {
-        for (const auto &fix : fixups) {
-            const auto it = labels.find(fix.label);
-            if (it == labels.end()) {
-                // Numeric absolute targets are accepted too.
-                const auto imm = parseImm(fix.label);
-                if (imm && *imm >= 0 &&
-                    static_cast<std::size_t>(*imm) <= prog.size()) {
-                    prog[fix.instIndex].imm = *imm;
-                    continue;
-                }
-                line_no = fix.line;
-                failAt("undefined label '" + std::string(fix.label) + "'");
-                error_line = fix.line;
-                break;
-            }
-            prog[fix.instIndex].imm =
-                static_cast<std::int64_t>(it->second);
+    for (const auto &fix : fixups) {
+        const auto it = labels.find(fix.label);
+        if (it != labels.end()) {
+            prog[fix.instIndex].imm = static_cast<std::int64_t>(it->second);
+            continue;
         }
-    }
-
-    if (!st.ok()) {
-        if (error) {
-            *error = {error_line, st.error};
-            return {};
+        // Numeric absolute targets are accepted too.
+        const auto target = parseImm(fix.label);
+        if (!target || *target < 0 ||
+            static_cast<std::size_t>(*target) > prog.size()) {
+            throw AssemblyFailure(fix.line, "undefined label '" +
+                                                std::string(fix.label) +
+                                                "'");
         }
-        vip_fatal("assembly error at line ", error_line, ": ", st.error);
+        prog[fix.instIndex].imm = *target;
     }
 
     if (prog.size() > kInstBufferEntries) {
-        const std::string msg = "program has " + std::to_string(prog.size()) +
-                                " instructions; the PE instruction buffer "
-                                "holds " +
-                                std::to_string(kInstBufferEntries);
-        if (error) {
-            *error = {0, msg};
-            return {};
-        }
-        vip_fatal(msg);
+        throw AssemblyFailure(
+            0, "program has " + std::to_string(prog.size()) +
+                   " instructions; the PE instruction buffer holds " +
+                   std::to_string(kInstBufferEntries));
     }
-
-    if (error)
-        *error = {0, ""};
     return prog;
 }
 

@@ -31,21 +31,13 @@
 
 namespace vip {
 
-/** Result of assembling a source listing. */
-struct AssemblyError
-{
-    unsigned line;        ///< 1-based source line
-    std::string message;
-};
-
 /**
  * Assemble VIP source text into a program.
- * On any syntax error the first error is reported through vip_fatal
- * unless @p error is non-null, in which case it is filled and an empty
- * program returned.
+ * @throws AssemblyFailure naming the 1-based line of the first syntax
+ *         error, or line 0 for a program longer than the PE
+ *         instruction buffer.
  */
-std::vector<Instruction> assemble(std::string_view source,
-                                  AssemblyError *error = nullptr);
+std::vector<Instruction> assemble(std::string_view source);
 
 } // namespace vip
 

@@ -1,5 +1,6 @@
 #include "isa/builder.hh"
 
+#include "sim/error.hh"
 #include "sim/logging.hh"
 
 namespace vip {
@@ -242,9 +243,10 @@ AsmBuilder::finish()
         prog_[fix.instIndex].imm = target;
     }
     if (prog_.size() > kInstBufferEntries) {
-        vip_fatal("generated program has ", prog_.size(),
-                  " instructions; instruction buffer holds ",
-                  kInstBufferEntries);
+        throw ProgramError(detail::formatArgs(
+            "generated program has ", prog_.size(),
+            " instructions; instruction buffer holds ",
+            kInstBufferEntries));
     }
     fixups_.clear();
     return prog_;

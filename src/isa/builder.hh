@@ -76,9 +76,9 @@ class AsmBuilder
     std::size_t size() const { return prog_.size(); }
 
     /**
-     * Patch all label references and return the program.
-     * Fatal if a used label was never bound or the program exceeds the
-     * instruction buffer.
+     * Patch all label references and return the program. Panics if a
+     * used label was never bound (a generator bug); @throws
+     * ProgramError if the program exceeds the instruction buffer.
      */
     std::vector<Instruction> finish();
 

@@ -1,8 +1,9 @@
 #include "isa/isa.hh"
 
+#include <cstring>
 #include <sstream>
 
-#include "sim/logging.hh"
+#include "sim/error.hh"
 
 namespace vip {
 
@@ -226,8 +227,10 @@ immFitsEncoding(std::int64_t imm)
 std::uint64_t
 encode(const Instruction &inst)
 {
-    vip_assert(immFitsEncoding(inst.imm) || inst.op == Opcode::MovImm,
-               "immediate ", inst.imm, " does not fit the 26-bit field");
+    if (!immFitsEncoding(inst.imm) && inst.op != Opcode::MovImm) {
+        throw ProgramError("immediate " + std::to_string(inst.imm) +
+                           " does not fit the 26-bit field");
+    }
     const bool wide = inst.op == Opcode::MovImm &&
                       !immFitsEncoding(inst.imm);
     const std::int64_t imm = wide ? 0 : inst.imm;
@@ -247,30 +250,47 @@ encode(const Instruction &inst)
     return w;
 }
 
-std::vector<std::uint64_t>
+std::string
 encodeProgram(const std::vector<Instruction> &prog)
 {
-    std::vector<std::uint64_t> words;
-    words.reserve(prog.size());
+    std::string image;
+    image.reserve(8 * prog.size());
+    const auto put = [&image](std::uint64_t w) {
+        image.append(reinterpret_cast<const char *>(&w), sizeof(w));
+    };
     for (const auto &inst : prog) {
-        words.push_back(encode(inst));
+        put(encode(inst));
         if (inst.op == Opcode::MovImm && !immFitsEncoding(inst.imm))
-            words.push_back(static_cast<std::uint64_t>(inst.imm));
+            put(static_cast<std::uint64_t>(inst.imm));
     }
-    return words;
+    return image;
 }
 
 std::vector<Instruction>
-decodeProgram(const std::vector<std::uint64_t> &words)
+decodeProgram(std::string_view image)
 {
+    if (image.size() % 8 != 0) {
+        throw ProgramError("binary of " + std::to_string(image.size()) +
+                           " bytes is not a whole number of 8-byte "
+                           "words");
+    }
+    const std::size_t words = image.size() / 8;
+    const auto word = [&image](std::size_t i) {
+        std::uint64_t w;
+        std::memcpy(&w, image.data() + 8 * i, sizeof(w));
+        return w;
+    };
     std::vector<Instruction> prog;
-    prog.reserve(words.size());
-    for (std::size_t i = 0; i < words.size(); ++i) {
-        Instruction inst = decode(words[i]);
+    prog.reserve(words);
+    for (std::size_t i = 0; i < words; ++i) {
+        Instruction inst = decode(word(i));
         if (inst.op == Opcode::MovImm && inst.rs2 == 1) {
-            vip_assert(i + 1 < words.size(),
-                       "truncated wide mov.imm literal");
-            inst.imm = static_cast<std::int64_t>(words[++i]);
+            if (i + 1 == words) {
+                throw ProgramError("word " + std::to_string(i) +
+                                   ": wide mov.imm has no literal word "
+                                   "after it");
+            }
+            inst.imm = static_cast<std::int64_t>(word(++i));
             inst.rs2 = 0;
         }
         prog.push_back(inst);
@@ -283,8 +303,10 @@ decode(std::uint64_t word)
 {
     Instruction inst;
     const auto opv = (word >> kOpShift) & 0xff;
-    if (opv > static_cast<std::uint64_t>(Opcode::Nop))
-        vip_fatal("invalid opcode field ", opv, " in instruction word");
+    if (opv > static_cast<std::uint64_t>(Opcode::Nop)) {
+        throw ProgramError("invalid opcode field " + std::to_string(opv) +
+                           " in instruction word");
+    }
     inst.op = static_cast<Opcode>(opv);
     inst.width = static_cast<ElemWidth>(1u << ((word >> kWidthShift) & 0x3));
     inst.vop = static_cast<VecOp>((word >> kVopShift) & 0x7);

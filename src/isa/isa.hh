@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace vip {
@@ -102,28 +103,32 @@ bool immFitsEncoding(std::int64_t imm);
 
 /**
  * Pack an instruction into its 64-bit binary encoding.
- * @pre immFitsEncoding(inst.imm) unless inst is a mov.imm (which the
- *      program-level encoder expands to a two-word form).
+ * @throws ProgramError unless immFitsEncoding(inst.imm) or inst is a
+ *         mov.imm (which the program-level encoder expands to a
+ *         two-word form).
  */
 std::uint64_t encode(const Instruction &inst);
 
-/** Unpack a 64-bit word; fatal on malformed encodings. */
+/** Unpack a 64-bit word; @throws ProgramError on an invalid opcode. */
 Instruction decode(std::uint64_t word);
 
 /**
- * Encode a whole program. mov.imm instructions whose immediate exceeds
- * the 26-bit field become two words: the instruction (with a
- * literal-follows flag in the unused rs2 field) plus a raw 64-bit
- * literal word. Branch targets are indices into the *instruction*
- * stream (not the word stream) in both representations, so round
- * trips preserve them unchanged.
+ * Encode a whole program as a binary image: its 64-bit words in host
+ * byte order, which is what vip-asm writes. mov.imm instructions whose
+ * immediate exceeds the 26-bit field become two words: the instruction
+ * (with a literal-follows flag in the unused rs2 field) plus a raw
+ * 64-bit literal word. Branch targets are indices into the
+ * *instruction* stream (not the word stream) in both representations,
+ * so round trips preserve them unchanged.
  */
-std::vector<std::uint64_t> encodeProgram(
-    const std::vector<Instruction> &prog);
+std::string encodeProgram(const std::vector<Instruction> &prog);
 
-/** Inverse of encodeProgram. */
-std::vector<Instruction> decodeProgram(
-    const std::vector<std::uint64_t> &words);
+/**
+ * Inverse of encodeProgram. @throws ProgramError for an image that is
+ * not a whole number of words, a wide mov.imm without its literal, or
+ * an invalid word.
+ */
+std::vector<Instruction> decodeProgram(std::string_view image);
 
 } // namespace vip
 

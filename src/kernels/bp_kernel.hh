@@ -90,20 +90,6 @@ std::vector<Instruction> genBpIterations(
     const BpSweepJob (&jobs)[4], unsigned iterations, Addr flag_base,
     unsigned pe_index, unsigned num_pes);
 
-/** Ops performed per message update: 3L + 2L^2 (Sec. II-A). */
-inline std::uint64_t
-bpOpsPerUpdate(unsigned labels)
-{
-    return 3ull * labels + 2ull * labels * labels;
-}
-
-/** Bytes moved per message update: 4L elements (Sec. II-A). */
-inline std::uint64_t
-bpBytesPerUpdate(unsigned labels)
-{
-    return 4ull * labels * 2;
-}
-
 } // namespace vip
 
 #endif // VIP_KERNELS_BP_KERNEL_HH

@@ -242,17 +242,12 @@ VipServer::dispatchRun(const Json &spec_json)
             body.set("result", result.toJson());
             response = body.str();
             fp = result.fastpath;
-        } catch (const std::bad_alloc &e) {
-            response = errorResponse(SimError("transient", e.what())).str();
-            is_error = true;
-        } catch (const SimError &e) {
+        } catch (...) {
+            const SimError e = currentError();
             response = errorResponse(e).str();
             is_error = true;
             timed_out = e.kind() == "timeout";
             was_cancelled = e.kind() == "cancelled";
-        } catch (const std::exception &e) {
-            response = errorResponse(SimError("exception", e.what())).str();
-            is_error = true;
         }
         LockGuard lock(mutex_);
         active_.erase(run_id);
@@ -347,11 +342,8 @@ VipServer::dispatch(const std::string &line, bool *shutdown)
         }
         throw ConfigError(
             "request must be {\"run\": {...}} or {\"cmd\": \"...\"}");
-    } catch (const SimError &e) {
-        return immediate(errorResponse(e).str(), true);
-    } catch (const std::exception &e) {
-        return immediate(
-            errorResponse(SimError("exception", e.what())).str(), true);
+    } catch (...) {
+        return immediate(errorResponse(currentError()).str(), true);
     }
 }
 

@@ -2,29 +2,31 @@
  * @file
  * Structured, recoverable errors for the VIP simulator.
  *
- * The logging layer's contract (sim/logging.hh) divides failures into
- * simulator bugs (vip_panic/vip_assert — conditions no input should be
- * able to reach, which abort) and *user-recoverable* conditions: a bad
- * configuration, a malformed program, a machine that wedges under an
- * injected fault. The latter used to exit or abort the whole process,
- * which is fatal to long design-space campaigns — one bad sweep point
- * killed thousands of good ones. They now throw a SimError subclass
- * instead, so callers (the sweep engine, vip-run, tests) can attach
- * the failure to the point that caused it and keep going.
+ * A SimError is the one way library code reports a failure a caller
+ * can cause: a bad configuration, a malformed program or binary, a
+ * machine that wedges under an injected fault, a run out of time.
+ * Simulator bugs, which no input should reach, panic instead (see
+ * sim/logging.hh). Throwing lets a caller (the sweep engine, vip-serve,
+ * vip-run, tests) attach the failure to the point that caused it and
+ * keep going: one bad point in a design-space campaign must not kill
+ * thousands of good ones.
  *
  * Conventions:
- *  - library code throws; it never calls std::exit or abort for
- *    conditions a caller could reasonably recover from,
+ *  - library code throws; it never calls std::exit or abort (vip-lint's
+ *    no-exit rule enforces this under src/),
  *  - every error carries a machine-readable `kind()` (stable short
  *    token), a one-line `message()`, and an optional multi-line
  *    `detail()` (e.g. the deadlock diagnosis report),
  *  - what() always contains message + detail, so code catching plain
- *    std::exception still sees everything.
+ *    std::exception still sees everything,
+ *  - a catch-all names what it caught with currentError(), the one
+ *    place a foreign exception becomes a SimError.
  */
 
 #ifndef VIP_SIM_ERROR_HH
 #define VIP_SIM_ERROR_HH
 
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -69,17 +71,22 @@ class ConfigError : public SimError
 class AssemblyFailure : public SimError
 {
   public:
-    AssemblyFailure(unsigned line, const std::string &message)
+    AssemblyFailure(unsigned line, std::string reason)
         : SimError("assembly",
                    "assembly error at line " + std::to_string(line) +
-                       ": " + message),
-          line_(line)
+                       ": " + reason),
+          line_(line), reason_(std::move(reason))
     {}
 
+    /** 1-based source line; 0 for a whole-program error. */
     unsigned line() const { return line_; }
+
+    /** What is wrong, without the line prefix. */
+    const std::string &reason() const { return reason_; }
 
   private:
     unsigned line_;
+    std::string reason_;
 };
 
 /**
@@ -89,7 +96,10 @@ class AssemblyFailure : public SimError
  * without the reduction unit, the PC running off the end, or (with
  * strict hazard checking) a read in a vector result's timing shadow.
  * The issuing PE throws it mid-run, naming itself, the PC and the
- * instruction; the machine is left mid-flight but destructible.
+ * instruction; the machine is left mid-flight but destructible. The
+ * ISA layer throws it too, for a program the PE cannot hold: a
+ * generated program longer than the instruction buffer, an immediate
+ * too wide to encode, or a binary image that does not decode.
  */
 class ProgramError : public SimError
 {
@@ -139,6 +149,29 @@ class CancelledError : public SimError
         : SimError("cancelled", std::move(message))
     {}
 };
+
+/**
+ * The exception in flight, as a SimError; call it only inside a catch
+ * block. A SimError stays itself (sliced to its kind, message and
+ * detail); std::bad_alloc becomes "transient", since running out of
+ * host memory is a property of the moment and not of the job; any
+ * other std::exception becomes "exception"; anything else "unknown".
+ */
+inline SimError
+currentError()
+{
+    try {
+        throw;
+    } catch (const SimError &e) {
+        return e;
+    } catch (const std::bad_alloc &e) {
+        return SimError("transient", e.what());
+    } catch (const std::exception &e) {
+        return SimError("exception", e.what());
+    } catch (...) {
+        return SimError("unknown", "non-exception object thrown");
+    }
+}
 
 } // namespace vip
 

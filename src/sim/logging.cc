@@ -1,8 +1,7 @@
 #include "sim/logging.hh"
 
-#include <atomic>
 #include <cstdio>
-#include <exception>
+#include <cstdlib>
 
 #include "sim/mutex.hh"
 
@@ -10,52 +9,13 @@ namespace vip {
 
 namespace {
 
-std::atomic<std::size_t> warn_counter{0};
-
 /** Serializes writes to the sink so concurrent records never interleave. */
 Mutex sink_mutex;
 
 /** Per-thread record tag (empty = untagged), set by the sweep engine. */
 thread_local std::string thread_label;
 
-const char *
-levelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Inform: return "info";
-      case LogLevel::Warn: return "warn";
-      case LogLevel::Fatal: return "fatal";
-      case LogLevel::Panic: return "panic";
-    }
-    return "?";
-}
-
-/** Format the complete record off-lock; one write() under the lock. */
-void
-emit(LogLevel level, const std::string &msg, const std::string &suffix)
-{
-    std::string line = "[";
-    line += levelName(level);
-    line += "] ";
-    if (!thread_label.empty()) {
-        line += "[";
-        line += thread_label;
-        line += "] ";
-    }
-    line += msg;
-    line += suffix;
-    line += "\n";
-    LockGuard lock(sink_mutex);
-    std::fwrite(line.data(), 1, line.size(), stderr);
-}
-
 } // namespace
-
-std::size_t
-warnCount()
-{
-    return warn_counter.load();
-}
 
 void
 setLogThreadLabel(std::string label)
@@ -66,25 +26,18 @@ setLogThreadLabel(std::string label)
 namespace detail {
 
 void
-logMessage(LogLevel level, const std::string &msg)
+panic(const std::string &msg, const char *file, int line)
 {
-    if (level == LogLevel::Warn)
-        ++warn_counter;
-    emit(level, msg, "");
-}
-
-void
-logAndDie(LogLevel level, const std::string &msg, const char *file, int line)
-{
-    std::string suffix = " (";
-    suffix += file;
-    suffix += ":";
-    suffix += std::to_string(line);
-    suffix += ")";
-    emit(level, msg, suffix);
-    if (level == LogLevel::Panic)
-        std::abort();
-    std::exit(1);
+    // Format the complete record off-lock; one write under the lock.
+    std::string record = "[panic] ";
+    if (!thread_label.empty())
+        record += "[" + thread_label + "] ";
+    record += msg + " (" + file + ":" + std::to_string(line) + ")\n";
+    {
+        LockGuard lock(sink_mutex);
+        std::fwrite(record.data(), 1, record.size(), stderr);
+    }
+    std::abort();  // vip-lint: allow(no-exit)
 }
 
 } // namespace detail

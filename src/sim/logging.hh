@@ -1,37 +1,32 @@
 /**
  * @file
- * Logging and error-reporting helpers for the VIP simulator.
+ * Panic reporting for the VIP simulator.
  *
- * Follows the gem5 convention: panic() is for simulator bugs (conditions
- * that should never happen regardless of user input) and aborts; fatal()
- * is for user errors (bad configuration, malformed assembly) and exits
- * with an error code; warn()/inform() report conditions without stopping
- * the simulation.
+ * vip_panic() and vip_assert() are for simulator bugs: conditions that
+ * no input should be able to reach. They print one record and abort.
+ * Everything a caller can cause (a bad configuration, a malformed
+ * program or binary, a wedged machine) throws a SimError instead (see
+ * sim/error.hh); library code has no other way to stop.
  *
- * The sink is thread-safe: records are formatted off-lock, emitted as
- * one atomic write each, and can carry a per-thread label (see
- * setLogThreadLabel) so parallel sweep jobs remain attributable.
+ * The sink is thread-safe: a record is formatted off-lock, emitted as
+ * one atomic write, and carries the calling thread's label (see
+ * setLogThreadLabel) so a parallel sweep job's panic stays
+ * attributable.
  */
 
 #ifndef VIP_SIM_LOGGING_HH
 #define VIP_SIM_LOGGING_HH
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 
 namespace vip {
 
-/** Severity of a log message. */
-enum class LogLevel { Inform, Warn, Fatal, Panic };
-
 namespace detail {
 
-/** Format and emit one log record; terminates for Fatal and Panic. */
-[[noreturn]] void logAndDie(LogLevel level, const std::string &msg,
-                            const char *file, int line);
-
-void logMessage(LogLevel level, const std::string &msg);
+/** Emit one panic record naming @p file:@p line, then abort. */
+[[noreturn]] void panic(const std::string &msg, const char *file,
+                        int line);
 
 template <typename... Args>
 std::string
@@ -44,9 +39,6 @@ formatArgs(Args &&...args)
 
 } // namespace detail
 
-/** Number of warnings emitted so far (exposed for tests). */
-std::size_t warnCount();
-
 /**
  * Tag every log record emitted by the calling thread with @p label
  * (e.g. "job7"); an empty label clears the tag. The SweepEngine sets
@@ -54,35 +46,12 @@ std::size_t warnCount();
  */
 void setLogThreadLabel(std::string label);
 
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::logMessage(LogLevel::Inform,
-                       detail::formatArgs(std::forward<Args>(args)...));
-}
-
-template <typename... Args>
-void
-warn(Args &&...args)
-{
-    detail::logMessage(LogLevel::Warn,
-                       detail::formatArgs(std::forward<Args>(args)...));
-}
-
 } // namespace vip
-
-/** Unrecoverable user error: print and exit(1). */
-#define vip_fatal(...)                                                      \
-    ::vip::detail::logAndDie(::vip::LogLevel::Fatal,                        \
-                             ::vip::detail::formatArgs(__VA_ARGS__),        \
-                             __FILE__, __LINE__)
 
 /** Simulator bug: print and abort(). */
 #define vip_panic(...)                                                      \
-    ::vip::detail::logAndDie(::vip::LogLevel::Panic,                        \
-                             ::vip::detail::formatArgs(__VA_ARGS__),        \
-                             __FILE__, __LINE__)
+    ::vip::detail::panic(::vip::detail::formatArgs(__VA_ARGS__), __FILE__,  \
+                         __LINE__)
 
 /** Internal invariant check; panics with the expression text on failure. */
 #define vip_assert(cond, ...)                                               \

@@ -1,9 +1,7 @@
 #include "sim/sweep.hh"
 
 #include <algorithm>
-#include <new>
 
-#include "sim/error.hh"
 #include "sim/logging.hh"
 
 namespace vip {
@@ -40,31 +38,11 @@ void
 SweepEngine::runJob(const Job &job)
 {
     setLogThreadLabel("job" + std::to_string(job.index));
-    SweepFailure failure;
-    failure.index = job.index;
     try {
         job.fn();
-    } catch (const std::bad_alloc &e) {
-        // The host ran out of memory: a property of the moment, not
-        // of the job, so it is reported apart from simulation errors.
-        failure.error = std::current_exception();
-        failure.kind = "transient";
-        failure.message = e.what();
-    } catch (const SimError &e) {
-        failure.error = std::current_exception();
-        failure.kind = e.kind();
-        failure.message = e.message();
-        failure.detail = e.detail();
-    } catch (const std::exception &e) {
-        failure.error = std::current_exception();
-        failure.kind = "exception";
-        failure.message = e.what();
     } catch (...) {
-        failure.error = std::current_exception();
-        failure.kind = "unknown";
-        failure.message = "non-exception object thrown";
-    }
-    if (failure.error) {
+        SweepFailure failure{job.index, currentError(),
+                             std::current_exception()};
         LockGuard lock(mutex_);
         failures_.push_back(std::move(failure));
     }
@@ -149,7 +127,7 @@ SweepEngine::wait()
 {
     const std::vector<SweepFailure> failures = waitCollect();
     if (!failures.empty())
-        std::rethrow_exception(failures.front().error);
+        std::rethrow_exception(failures.front().thrown);
 }
 
 } // namespace vip

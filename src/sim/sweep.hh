@@ -14,8 +14,8 @@
  *    destroys its own VipSystem; nothing simulated is shared between
  *    jobs. `VipSystem::run()` asserts it is never entered concurrently.
  *  - **Results keyed by submission index**, never by completion order:
- *    `SweepEngine::run()` returns `results[i]` for `jobs[i]` no matter
- *    which worker finished first.
+ *    `SweepEngine::run()` returns `outcomes[i]` for `points[i]` no
+ *    matter which worker finished first.
  *  - **Per-job seeded Rng.** Jobs must not share generators; derive a
  *    seed from the submission index with `jobSeed()` (or seed locally
  *    with a constant, as the bench harness does) so a point's input
@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/error.hh"
 #include "sim/mutex.hh"
 
 namespace vip {
@@ -44,19 +45,13 @@ namespace vip {
 /**
  * What went wrong in one sweep job, captured structurally so a sweep
  * harness can attach the failure to its point instead of losing the
- * whole campaign. `kind` is SimError::kind() for simulator errors
- * ("config", "deadlock", ...), "transient" for std::bad_alloc,
- * "exception" for other std::exceptions, and "unknown" for anything
- * else thrown.
+ * whole campaign.
  */
 struct SweepFailure
 {
     std::size_t index = 0;  ///< submission index of the failed job
-    std::string kind;
-    std::string message;    ///< one-line summary (what()/message())
-    std::string detail;     ///< multi-line report (e.g. deadlock
-                            ///< diagnosis); empty when there is none
-    std::exception_ptr error;  ///< what was thrown, for wait()'s rethrow
+    SimError error{{}, {}}; ///< what was thrown, as currentError() names it
+    std::exception_ptr thrown;  ///< the original, for wait()'s rethrow
 };
 
 /** Deterministic per-job RNG seed (SplitMix64 scramble of the index). */
@@ -112,23 +107,7 @@ class SweepEngine
      */
     std::vector<SweepFailure> waitCollect();
 
-    /**
-     * Run a whole sweep: execute every callable and return its results
-     * keyed by submission index. `R` must be default-constructible.
-     */
-    template <typename R>
-    std::vector<R>
-    run(const std::vector<std::function<R()>> &points)
-    {
-        std::vector<R> results(points.size());
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            submit([&results, &points, i] { results[i] = points[i](); });
-        }
-        wait();
-        return results;
-    }
-
-    /** One point's outcome from runResilient(). */
+    /** One point's outcome from run(). */
     template <typename R>
     struct Outcome
     {
@@ -138,13 +117,14 @@ class SweepEngine
     };
 
     /**
-     * Like run(), but a throwing point marks only its own outcome
-     * failed (carrying the structured failure) and every other point
-     * completes normally.
+     * Run a whole sweep: execute every callable and return its outcome
+     * keyed by submission index. A throwing point marks only its own
+     * outcome failed (carrying the structured failure) and every other
+     * point completes normally. `R` must be default-constructible.
      */
     template <typename R>
     std::vector<Outcome<R>>
-    runResilient(const std::vector<std::function<R()>> &points)
+    run(const std::vector<std::function<R()>> &points)
     {
         std::vector<Outcome<R>> outcomes(points.size());
         std::size_t base = 0;

@@ -13,11 +13,7 @@ namespace vip {
 Simulation &
 Simulation::loadProgram(unsigned pe, const std::string &source)
 {
-    AssemblyError err;
-    auto prog = assemble(source, &err);
-    if (!err.message.empty())
-        throw AssemblyFailure(err.line, err.message);
-    sys_.pe(pe).loadProgram(std::move(prog));
+    sys_.pe(pe).loadProgram(assemble(source));
     return *this;
 }
 

@@ -349,15 +349,6 @@ vgg19Layers()
                       {512, 512, 512, 512}});
 }
 
-std::uint64_t
-totalMacs(const std::vector<LayerDesc> &layers)
-{
-    std::uint64_t total = 0;
-    for (const auto &l : layers)
-        total += l.macs();
-    return total;
-}
-
 std::vector<Fx16>
 randomWeights(std::size_t n, Rng &rng, int magnitude)
 {

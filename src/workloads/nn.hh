@@ -148,9 +148,6 @@ std::vector<Fx16> fcLayerSegmented(const std::vector<Fx16> &in,
 std::vector<LayerDesc> vgg16Layers();
 std::vector<LayerDesc> vgg19Layers();
 
-/** Conv-only / fc-only subsets. */
-std::uint64_t totalMacs(const std::vector<LayerDesc> &layers);
-
 /** Small random tensors for deterministic test fixtures. */
 std::vector<Fx16> randomWeights(std::size_t n, Rng &rng, int magnitude);
 

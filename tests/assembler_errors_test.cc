@@ -1,12 +1,11 @@
 /**
  * @file
  * The assembler's contract. Error paths: every malformed input must
- * come back as an AssemblyError carrying the right 1-based source line
- * and message — never a crash, never a partial program — and the
- * Simulation facade must surface the same failure as a structured
- * AssemblyFailure. Round trips: every kernel generator's program and
- * generated random programs reassemble from their disassembly to the
- * same instructions.
+ * throw an AssemblyFailure carrying the right 1-based source line and
+ * reason — never a crash, never a partial program — and the
+ * Simulation facade must surface the same failure. Round trips: every
+ * kernel generator's program and generated random programs reassemble
+ * from their disassembly to the same instructions.
  */
 
 #include <gtest/gtest.h>
@@ -29,108 +28,109 @@
 namespace vip {
 namespace {
 
-/** Assemble expecting failure; returns the reported error. */
-AssemblyError
+/** Assemble expecting failure; returns the thrown error. */
+AssemblyFailure
 expectError(const std::string &source)
 {
-    AssemblyError err;
-    const auto prog = assemble(source, &err);
-    EXPECT_FALSE(err.message.empty()) << "assembled without error:\n"
-                                      << source;
-    EXPECT_TRUE(prog.empty());
-    return err;
+    try {
+        assemble(source);
+    } catch (const AssemblyFailure &e) {
+        return e;
+    }
+    ADD_FAILURE() << "assembled without error:\n" << source;
+    return AssemblyFailure(0, "");
 }
 
 TEST(AssemblerErrors, UnknownMnemonic)
 {
-    const AssemblyError err = expectError("mov.imm r1, 8\n"
+    const AssemblyFailure err = expectError("mov.imm r1, 8\n"
                                           "frobnicate r1, r2\n"
                                           "halt\n");
-    EXPECT_EQ(err.line, 2u);
-    EXPECT_NE(err.message.find("frobnicate"), std::string::npos)
-        << err.message;
+    EXPECT_EQ(err.line(), 2u);
+    EXPECT_NE(err.reason().find("frobnicate"), std::string::npos)
+        << err.reason();
 }
 
 TEST(AssemblerErrors, OutOfRangeRegister)
 {
     // r64 is one past the 64-entry scalar register file.
-    const AssemblyError err = expectError("mov.imm r64, 1\n");
-    EXPECT_EQ(err.line, 1u);
-    EXPECT_NE(err.message.find("r64"), std::string::npos) << err.message;
+    const AssemblyFailure err = expectError("mov.imm r64, 1\n");
+    EXPECT_EQ(err.line(), 1u);
+    EXPECT_NE(err.reason().find("r64"), std::string::npos) << err.reason();
 }
 
 TEST(AssemblerErrors, MalformedRegisterToken)
 {
-    const AssemblyError err = expectError("mov.imm rx, 1\n");
-    EXPECT_EQ(err.line, 1u);
-    EXPECT_NE(err.message.find("register"), std::string::npos)
-        << err.message;
+    const AssemblyFailure err = expectError("mov.imm rx, 1\n");
+    EXPECT_EQ(err.line(), 1u);
+    EXPECT_NE(err.reason().find("register"), std::string::npos)
+        << err.reason();
 }
 
 TEST(AssemblerErrors, UndefinedLabel)
 {
-    const AssemblyError err = expectError("mov.imm r1, 0\n"
+    const AssemblyFailure err = expectError("mov.imm r1, 0\n"
                                           "mov.imm r2, 4\n"
                                           "blt r1, r2, nowhere\n"
                                           "halt\n");
     // The fixup pass reports the line of the branch that referenced
     // the missing label, not the end of the file.
-    EXPECT_EQ(err.line, 3u);
-    EXPECT_NE(err.message.find("nowhere"), std::string::npos)
-        << err.message;
+    EXPECT_EQ(err.line(), 3u);
+    EXPECT_NE(err.reason().find("nowhere"), std::string::npos)
+        << err.reason();
 }
 
 TEST(AssemblerErrors, DuplicateLabel)
 {
-    const AssemblyError err = expectError("loop:\n"
+    const AssemblyFailure err = expectError("loop:\n"
                                           "  halt\n"
                                           "loop:\n"
                                           "  halt\n");
-    EXPECT_EQ(err.line, 3u);
-    EXPECT_NE(err.message.find("loop"), std::string::npos) << err.message;
+    EXPECT_EQ(err.line(), 3u);
+    EXPECT_NE(err.reason().find("loop"), std::string::npos) << err.reason();
 }
 
 TEST(AssemblerErrors, WrongOperandCount)
 {
-    const AssemblyError err = expectError("mov.imm r1\n");
-    EXPECT_EQ(err.line, 1u);
-    EXPECT_NE(err.message.find("operand"), std::string::npos)
-        << err.message;
+    const AssemblyFailure err = expectError("mov.imm r1\n");
+    EXPECT_EQ(err.line(), 1u);
+    EXPECT_NE(err.reason().find("operand"), std::string::npos)
+        << err.reason();
 }
 
 TEST(AssemblerErrors, BadImmediate)
 {
-    const AssemblyError err = expectError("mov.imm r1, 12abc\n");
-    EXPECT_EQ(err.line, 1u);
-    EXPECT_NE(err.message.find("immediate"), std::string::npos)
-        << err.message;
+    const AssemblyFailure err = expectError("mov.imm r1, 12abc\n");
+    EXPECT_EQ(err.line(), 1u);
+    EXPECT_NE(err.reason().find("immediate"), std::string::npos)
+        << err.reason();
 }
 
 TEST(AssemblerErrors, BadWidthTag)
 {
-    const AssemblyError err = expectError("mov.imm r1, 8\n"
+    const AssemblyFailure err = expectError("mov.imm r1, 8\n"
                                           "v.v.add[24] r2, r3, r4\n");
-    EXPECT_EQ(err.line, 2u);
-    EXPECT_NE(err.message.find("width"), std::string::npos)
-        << err.message;
+    EXPECT_EQ(err.line(), 2u);
+    EXPECT_NE(err.reason().find("width"), std::string::npos)
+        << err.reason();
 }
 
 TEST(AssemblerErrors, MalformedLabel)
 {
     // A label token containing whitespace can never be referenced.
-    const AssemblyError err = expectError("bad label: halt\n");
-    EXPECT_EQ(err.line, 1u);
-    EXPECT_NE(err.message.find("label"), std::string::npos)
-        << err.message;
+    const AssemblyFailure err = expectError("bad label: halt\n");
+    EXPECT_EQ(err.line(), 1u);
+    EXPECT_NE(err.reason().find("label"), std::string::npos)
+        << err.reason();
 }
 
 TEST(AssemblerErrors, OnlyTheFirstErrorIsReported)
 {
-    const AssemblyError err = expectError("bogus1 r1\n"
+    const AssemblyFailure err = expectError("bogus1 r1\n"
                                           "bogus2 r2\n");
-    EXPECT_EQ(err.line, 1u);
-    EXPECT_NE(err.message.find("bogus1"), std::string::npos)
-        << err.message;
+    EXPECT_EQ(err.line(), 1u);
+    EXPECT_NE(err.reason().find("bogus1"), std::string::npos)
+        << err.reason();
 }
 
 TEST(AssemblerErrors, FacadeThrowsStructuredFailure)
@@ -208,9 +208,9 @@ TEST(AssemblerErrors, HostileLinesGiveExactMessagesAndLines)
          std::string("bad immediate '5\0'", 18)},
     };
     for (const HostileLine &h : table) {
-        const AssemblyError err = expectError(h.source);
-        EXPECT_EQ(err.line, h.line) << h.source;
-        EXPECT_EQ(err.message, h.message) << h.source;
+        const AssemblyFailure err = expectError(h.source);
+        EXPECT_EQ(err.line(), h.line) << h.source;
+        EXPECT_EQ(err.reason(), h.message) << h.source;
     }
 }
 
@@ -219,9 +219,9 @@ TEST(AssemblerErrors, OversizedProgramReportsLineZero)
     std::string source;
     for (unsigned i = 0; i <= kInstBufferEntries; ++i)
         source += "nop\n";
-    const AssemblyError err = expectError(source);
-    EXPECT_EQ(err.line, 0u);
-    EXPECT_EQ(err.message,
+    const AssemblyFailure err = expectError(source);
+    EXPECT_EQ(err.line(), 0u);
+    EXPECT_EQ(err.reason(),
               "program has 1025 instructions; the PE instruction buffer "
               "holds 1024");
 }
@@ -258,9 +258,8 @@ TEST(AssemblerAccepts, LenientSpellingsAssembleAsPinned)
         {"halt\n\n\n", "halt\n"},
     };
     for (const auto &[source, want] : table) {
-        AssemblyError err;
-        const auto prog = assemble(source, &err);
-        EXPECT_EQ(err.message, "") << source;
+        std::vector<Instruction> prog;
+        EXPECT_NO_THROW(prog = assemble(source)) << source;
         EXPECT_EQ(listing(prog), want) << source;
     }
 }
@@ -296,9 +295,8 @@ expectRoundTrip(const std::vector<Instruction> &prog,
                 const std::string &what)
 {
     ASSERT_FALSE(prog.empty()) << what;
-    AssemblyError err;
-    const auto back = assemble(programSource(prog), &err);
-    ASSERT_EQ(err.message, "") << what << " at line " << err.line;
+    std::vector<Instruction> back;
+    ASSERT_NO_THROW(back = assemble(programSource(prog))) << what;
     ASSERT_EQ(back.size(), prog.size()) << what;
     for (std::size_t i = 0; i < prog.size(); ++i) {
         EXPECT_TRUE(sameInstruction(back[i], prog[i]))

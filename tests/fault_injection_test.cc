@@ -411,7 +411,7 @@ TEST(FaultInjectionDeadlock, SweepIsolatesTheWedgedPoint)
     };
 
     SweepEngine engine(2);
-    const auto outcomes = engine.runResilient<Cycles>({
+    const auto outcomes = engine.run<Cycles>({
         [&] { return point(false); },
         [&] { return point(true); },
         [&] { return point(false); },
@@ -420,10 +420,10 @@ TEST(FaultInjectionDeadlock, SweepIsolatesTheWedgedPoint)
     EXPECT_TRUE(outcomes[0].ok);
     EXPECT_FALSE(outcomes[1].ok);
     EXPECT_TRUE(outcomes[2].ok);
-    EXPECT_EQ(outcomes[1].failure.kind, "deadlock");
-    EXPECT_NE(outcomes[1].failure.message.find("deadlocked"),
-              std::string::npos);
-    EXPECT_NE(outcomes[1].failure.detail.find("pe0"), std::string::npos);
+    const SimError &error = outcomes[1].failure.error;
+    EXPECT_EQ(error.kind(), "deadlock");
+    EXPECT_NE(error.message().find("deadlocked"), std::string::npos);
+    EXPECT_NE(error.detail().find("pe0"), std::string::npos);
     EXPECT_GT(outcomes[0].result, 0u);
     EXPECT_EQ(outcomes[0].result, outcomes[2].result);
 }

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "isa/assembler.hh"
 #include "isa/builder.hh"
 #include "isa/isa.hh"
+#include "sim/error.hh"
 #include "sim/rng.hh"
 
 namespace vip {
@@ -153,11 +157,13 @@ class AssemblerErrors : public ::testing::TestWithParam<ErrorCase>
 
 TEST_P(AssemblerErrors, Reported)
 {
-    AssemblyError err;
-    const auto prog = assemble(GetParam().source, &err);
-    EXPECT_TRUE(prog.empty());
-    EXPECT_NE(err.message.find(GetParam().fragment), std::string::npos)
-        << "message was: " << err.message;
+    try {
+        assemble(GetParam().source);
+        FAIL() << "assembled without error: " << GetParam().source;
+    } catch (const AssemblyFailure &e) {
+        EXPECT_NE(e.reason().find(GetParam().fragment), std::string::npos)
+            << "message was: " << e.reason();
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -180,9 +186,13 @@ TEST(Assembler, RejectsOversizedPrograms)
     std::string src;
     for (unsigned i = 0; i < kInstBufferEntries + 1; ++i)
         src += "nop\n";
-    AssemblyError err;
-    EXPECT_TRUE(assemble(src, &err).empty());
-    EXPECT_NE(err.message.find("instruction buffer"), std::string::npos);
+    try {
+        assemble(src);
+        FAIL() << "a 1025-instruction program assembled";
+    } catch (const AssemblyFailure &e) {
+        EXPECT_EQ(e.line(), 0u);
+        EXPECT_NE(e.reason().find("instruction buffer"), std::string::npos);
+    }
 }
 
 TEST(Encoding, RoundTripsRandomInstructions)
@@ -209,8 +219,7 @@ TEST(Encoding, RoundTripsRandomInstructions)
         }
         prog.push_back(i);
     }
-    const auto words = encodeProgram(prog);
-    const auto back = decodeProgram(words);
+    const auto back = decodeProgram(encodeProgram(prog));
     ASSERT_EQ(back.size(), prog.size());
     for (std::size_t n = 0; n < prog.size(); ++n) {
         EXPECT_EQ(back[n].op, prog[n].op) << n;
@@ -218,6 +227,62 @@ TEST(Encoding, RoundTripsRandomInstructions)
         EXPECT_EQ(back[n].rd, prog[n].rd) << n;
         EXPECT_EQ(back[n].rs1, prog[n].rs1) << n;
         EXPECT_EQ(back[n].imm, prog[n].imm) << n;
+    }
+}
+
+TEST(Encoding, TooWideImmediateThrows)
+{
+    Instruction i = assembleOne("add.imm r1, r1, 99999999");
+    try {
+        encode(i);
+        FAIL() << "encoded a 27-bit immediate";
+    } catch (const ProgramError &e) {
+        EXPECT_STREQ(e.what(),
+                     "immediate 99999999 does not fit the 26-bit field");
+    }
+    EXPECT_THROW(encodeProgram({i}), ProgramError);
+    i.imm = (1 << 25) - 1;
+    EXPECT_NO_THROW(encode(i));
+}
+
+TEST(Encoding, InvalidOpcodeThrows)
+{
+    // "garbage\n" read as one word: opcode field 'g' = 103.
+    const std::string image = "garbage\n";
+    std::uint64_t word;
+    std::memcpy(&word, image.data(), sizeof(word));
+    try {
+        decode(word);
+        FAIL() << "decoded opcode 103";
+    } catch (const ProgramError &e) {
+        EXPECT_STREQ(e.what(), "invalid opcode field 103 in instruction "
+                               "word");
+    }
+    EXPECT_THROW(decodeProgram(image), ProgramError);
+}
+
+TEST(Encoding, TruncatedImagesThrow)
+{
+    Instruction wide;
+    wide.op = Opcode::MovImm;
+    wide.rd = 1;
+    wide.imm = std::int64_t{1} << 40;
+    const std::string image = encodeProgram({wide});
+    ASSERT_EQ(image.size(), 16u);
+    EXPECT_EQ(decodeProgram(image).at(0).imm, wide.imm);
+    try {
+        decodeProgram(image.substr(0, 8));
+        FAIL() << "decoded a wide mov.imm without its literal";
+    } catch (const ProgramError &e) {
+        EXPECT_STREQ(e.what(),
+                     "word 0: wide mov.imm has no literal word after it");
+    }
+    try {
+        decodeProgram(image.substr(0, 12));
+        FAIL() << "decoded a 12-byte image";
+    } catch (const ProgramError &e) {
+        EXPECT_STREQ(e.what(), "binary of 12 bytes is not a whole number "
+                               "of 8-byte words");
     }
 }
 
@@ -271,6 +336,22 @@ loop:
     ASSERT_EQ(built.size(), assembled.size());
     for (std::size_t i = 0; i < built.size(); ++i)
         EXPECT_EQ(encode(built[i]), encode(assembled[i])) << i;
+}
+
+TEST(Builder, OversizedProgramThrows)
+{
+    AsmBuilder b;
+    for (unsigned i = 0; i < kInstBufferEntries; ++i)
+        b.nop();
+    EXPECT_EQ(b.finish().size(), kInstBufferEntries);
+    b.halt();
+    try {
+        b.finish();
+        FAIL() << "finished a 1025-instruction program";
+    } catch (const ProgramError &e) {
+        EXPECT_STREQ(e.what(), "generated program has 1025 instructions; "
+                               "instruction buffer holds 1024");
+    }
 }
 
 TEST(Builder, ForwardLabels)

@@ -405,7 +405,7 @@ TEST(HostFailure, BadAllocIsReportedOnceAsTransient)
     const auto failures = engine.waitCollect();
     ASSERT_EQ(failures.size(), 1u);
     EXPECT_EQ(failures[0].index, 1u);
-    EXPECT_EQ(failures[0].kind, "transient");
+    EXPECT_EQ(failures[0].error.kind(), "transient");
     EXPECT_EQ(calls.load(), 1u);
     EXPECT_EQ(done, (std::vector<int>{1, 0, 1}));
 }

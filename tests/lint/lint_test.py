@@ -51,6 +51,9 @@ CASES = {
     "stat_name_violate.cc": (1, {"stat-name": 3}),
     "stat_name_clean.cc": (0, {}),
     "stat_name_suppressed.cc": (0, {}),
+    "no_exit_violate.cc": (1, {"no-exit": 4}),
+    "no_exit_clean.cc": (0, {}),
+    "no_exit_suppressed.cc": (0, {}),
     "include_guard_violate.hh": (1, {"include-guard": 1}),
     "include_guard_clean.hh": (0, {}),
     "include_guard_suppressed.hh": (0, {}),

@@ -1,20 +1,22 @@
 /**
  * @file
  * Tests for the simulation substrate: statistics, histograms, the
- * deterministic RNG, logging counters, type conversions, and the
- * JSON writer's exact bytes.
+ * deterministic RNG, the exception classifier, type conversions, and
+ * the JSON writer's exact bytes.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <new>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
+#include "sim/error.hh"
 #include "sim/histogram.hh"
 #include "sim/json.hh"
-#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -121,13 +123,41 @@ TEST(Rng, DeterministicAndUniform)
     }
 }
 
-TEST(Logging, WarnCounterAdvances)
+/// currentError() of whatever @p thrower throws.
+template <typename F>
+SimError
+classify(F thrower)
 {
-    const auto before = warnCount();
-    warn("test warning ", 42);
-    EXPECT_EQ(warnCount(), before + 1);
-    inform("informational message");
-    EXPECT_EQ(warnCount(), before + 1);
+    try {
+        thrower();
+    } catch (...) {
+        return currentError();
+    }
+    ADD_FAILURE() << "nothing was thrown";
+    return SimError("", "");
+}
+
+TEST(CurrentError, NamesEveryFailure)
+{
+    const SimError deadlock =
+        classify([] { throw DeadlockError("wedged", "pe0 stalled"); });
+    EXPECT_EQ(deadlock.kind(), "deadlock");
+    EXPECT_EQ(deadlock.message(), "wedged");
+    EXPECT_EQ(deadlock.detail(), "pe0 stalled");
+
+    const SimError oom = classify([] { throw std::bad_alloc(); });
+    EXPECT_EQ(oom.kind(), "transient");
+    EXPECT_EQ(oom.message(), std::bad_alloc().what());
+
+    const SimError other =
+        classify([] { throw std::out_of_range("index 9"); });
+    EXPECT_EQ(other.kind(), "exception");
+    EXPECT_EQ(other.message(), "index 9");
+    EXPECT_EQ(other.detail(), "");
+
+    const SimError unknown = classify([] { throw 42; });
+    EXPECT_EQ(unknown.kind(), "unknown");
+    EXPECT_EQ(unknown.message(), "non-exception object thrown");
 }
 
 /// One value of every JSON type: the integer extremes, doubles that

@@ -131,6 +131,19 @@ dotPoint(std::size_t index)
     return sim.peekDram(0x2000);
 }
 
+/// The results of a sweep whose points must all succeed.
+template <typename R>
+std::vector<R>
+resultsOf(const std::vector<SweepEngine::Outcome<R>> &outcomes)
+{
+    std::vector<R> results;
+    for (const auto &o : outcomes) {
+        EXPECT_TRUE(o.ok) << o.failure.error.what();
+        results.push_back(o.result);
+    }
+    return results;
+}
+
 TEST(SweepEngine, ParallelMatchesSerial)
 {
     std::vector<std::function<std::int16_t()>> points;
@@ -138,12 +151,12 @@ TEST(SweepEngine, ParallelMatchesSerial)
         points.push_back([i] { return dotPoint(i); });
 
     SweepEngine serial(1);
-    const std::vector<std::int16_t> want = serial.run(points);
+    const std::vector<std::int16_t> want = resultsOf(serial.run(points));
     ASSERT_EQ(want.size(), points.size());
 
     SweepEngine pool(4);
     EXPECT_EQ(pool.jobs(), 4u);
-    EXPECT_EQ(pool.run(points), want);
+    EXPECT_EQ(resultsOf(pool.run(points)), want);
 }
 
 TEST(SweepEngine, ResultsKeyedBySubmissionIndex)
@@ -152,7 +165,7 @@ TEST(SweepEngine, ResultsKeyedBySubmissionIndex)
     for (int i = 0; i < 64; ++i)
         points.push_back([i] { return 1000 + i; });
     SweepEngine engine(3);
-    const std::vector<int> results = engine.run(points);
+    const std::vector<int> results = resultsOf(engine.run(points));
     ASSERT_EQ(results.size(), 64u);
     for (int i = 0; i < 64; ++i)
         EXPECT_EQ(results[i], 1000 + i);
@@ -160,21 +173,42 @@ TEST(SweepEngine, ResultsKeyedBySubmissionIndex)
 
 TEST(SweepEngine, RethrowsLowestIndexError)
 {
+    SweepEngine engine(2);
+    for (int i = 0; i < 8; ++i) {
+        engine.submit([i] {
+            if (i == 2 || i == 5)
+                throw std::runtime_error("point " + std::to_string(i));
+        });
+    }
+    try {
+        engine.wait();
+        FAIL() << "expected wait() to rethrow";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "point 2");
+    }
+}
+
+TEST(SweepEngine, RunMarksOnlyTheFailedPoints)
+{
     std::vector<std::function<int()>> points;
     for (int i = 0; i < 8; ++i) {
         points.push_back([i]() -> int {
             if (i == 2 || i == 5)
                 throw std::runtime_error("point " + std::to_string(i));
-            return i;
+            return 10 * i;
         });
     }
     SweepEngine engine(2);
-    try {
-        engine.run(points);
-        FAIL() << "expected the sweep to rethrow";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "point 2");
+    const auto outcomes = engine.run(points);
+    ASSERT_EQ(outcomes.size(), 8u);
+    for (int i = 0; i < 8; ++i) {
+        const bool failed = i == 2 || i == 5;
+        EXPECT_EQ(outcomes[i].ok, !failed) << i;
+        EXPECT_EQ(outcomes[i].result, failed ? 0 : 10 * i) << i;
     }
+    EXPECT_EQ(outcomes[5].failure.index, 5u);
+    EXPECT_EQ(outcomes[5].failure.error.kind(), "exception");
+    EXPECT_EQ(outcomes[5].failure.error.message(), "point 5");
 }
 
 TEST(SweepEngine, JobSeedIsDeterministicAndDistinct)

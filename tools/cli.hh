@@ -21,18 +21,20 @@
  *       // tool-specific flags...
  *   }
  *
- * A malformed value (non-numeric --jobs, missing argument) prints
- * "<tool>: <problem>" to stderr and exits 2, matching the historical
- * behaviour of every main this replaces.
+ * A malformed value (non-numeric or out-of-range --jobs, missing
+ * argument) prints "<tool>: <problem>" to stderr and exits 2, matching
+ * the historical behaviour of every main this replaces.
  */
 
 #ifndef VIP_TOOLS_CLI_HH
 #define VIP_TOOLS_CLI_HH
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 namespace vip::cli {
@@ -57,18 +59,41 @@ struct CommonOptions
     bool fastPath = true;       ///< false after --no-fast-path
 };
 
-/** Parse "N" or "0xN"; exits 2 with @p tool's name on garbage. */
-inline std::uint64_t
+/**
+ * Parse "N", "0xN" or, for a signed T, "-N" into a T. Exits 2 with
+ * @p tool's name on garbage or on a value T cannot hold.
+ */
+template <typename T = std::uint64_t>
+T
 parseNum(const char *tool, const char *flag, const char *text)
 {
+    using Limits = std::numeric_limits<T>;
+    const bool negative = text[0] == '-';
+    const char *digits = text + negative;
+    // strtoull would skip blanks and take a sign itself: "-1" wraps.
+    const bool digit = *digits >= '0' && *digits <= '9';
     char *end = nullptr;
-    const std::uint64_t v = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr, "%s: %s: '%s' is not a number\n", tool,
-                     flag, text);
+    errno = 0;
+    const std::uint64_t magnitude =
+        digit ? std::strtoull(digits, &end, 0) : 0;
+    if (!digit || *end != '\0') {
+        std::fprintf(stderr, "%s: %s: '%s' is not a number\n", tool, flag,
+                     text);
         std::exit(2);
     }
-    return v;
+    // The most negative T has a magnitude one past the largest.
+    const std::uint64_t limit =
+        !negative ? static_cast<std::uint64_t>(Limits::max())
+        : Limits::is_signed ? static_cast<std::uint64_t>(Limits::max()) + 1
+                            : 0;
+    if (errno == ERANGE || magnitude > limit) {
+        std::fprintf(stderr, "%s: %s: %s is outside [%lld, %llu]\n", tool,
+                     flag, text, static_cast<long long>(Limits::min()),
+                     static_cast<unsigned long long>(Limits::max()));
+        std::exit(2);
+    }
+    return negative ? static_cast<T>(0 - magnitude)
+                    : static_cast<T>(magnitude);
 }
 
 /**
@@ -90,8 +115,7 @@ consumeCommon(int argc, char **argv, int &i, unsigned flags,
         return argv[++i];
     };
     if ((flags & kJobs) && std::strcmp(arg, "--jobs") == 0) {
-        out.jobs = static_cast<unsigned>(
-            parseNum(argv[0], "--jobs", value("--jobs")));
+        out.jobs = parseNum<unsigned>(argv[0], "--jobs", value("--jobs"));
         return true;
     }
     if ((flags & kJsonStats) && std::strcmp(arg, "--json-stats") == 0) {

@@ -6,6 +6,9 @@
  *   vip-asm prog.s -o prog.bin        assemble
  *   vip-asm -d prog.bin               disassemble to stdout
  *   vip-asm -l prog.s                 print a listing (addr, word, asm)
+ *
+ * A malformed source or binary exits 1 with one message naming the
+ * file (and, for source, the line).
  */
 
 #include <cstdio>
@@ -13,10 +16,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "isa/assembler.hh"
 #include "isa/isa.hh"
+#include "sim/error.hh"
 
 using namespace vip;
 
@@ -45,6 +48,45 @@ usage()
     return 2;
 }
 
+int
+disassembleFile(const std::string &input)
+{
+    const auto prog = decodeProgram(readFile(input));
+    for (std::size_t i = 0; i < prog.size(); ++i)
+        std::printf("%4zu: %s\n", i, disassemble(prog[i]).c_str());
+    return 0;
+}
+
+int
+assembleFile(const std::string &input, const std::string &output,
+             bool listing)
+{
+    const auto prog = assemble(readFile(input));
+    std::fprintf(stderr, "%zu instructions (buffer holds %u)\n",
+                 prog.size(), kInstBufferEntries);
+
+    const std::string image = encodeProgram(prog);
+    if (listing) {
+        for (std::size_t i = 0; i < prog.size(); ++i) {
+            std::printf("%4zu: %016llx  %s\n", i,
+                        static_cast<unsigned long long>(encode(prog[i])),
+                        disassemble(prog[i]).c_str());
+            if (prog[i].op == Opcode::MovImm &&
+                !immFitsEncoding(prog[i].imm)) {
+                std::printf("      %016llx  ; literal\n",
+                            static_cast<unsigned long long>(prog[i].imm));
+            }
+        }
+    }
+    if (!output.empty()) {
+        std::ofstream out(output, std::ios::binary);
+        out.write(image.data(), static_cast<std::streamsize>(image.size()));
+        std::fprintf(stderr, "wrote %zu words to %s\n", image.size() / 8,
+                     output.c_str());
+    }
+    return 0;
+}
+
 } // namespace
 
 int
@@ -68,55 +110,15 @@ main(int argc, char **argv)
     if (input.empty())
         return usage();
 
-    if (disasm) {
-        std::ifstream in(input, std::ios::binary);
-        if (!in) {
-            std::fprintf(stderr, "vip-asm: cannot open %s\n",
-                         input.c_str());
-            return 1;
-        }
-        std::vector<std::uint64_t> words;
-        std::uint64_t w;
-        while (in.read(reinterpret_cast<char *>(&w), sizeof(w)))
-            words.push_back(w);
-        const auto prog = decodeProgram(words);
-        for (std::size_t i = 0; i < prog.size(); ++i)
-            std::printf("%4zu: %s\n", i, disassemble(prog[i]).c_str());
-        return 0;
-    }
-
-    AssemblyError err;
-    const auto prog = assemble(readFile(input), &err);
-    if (!err.message.empty()) {
+    try {
+        return disasm ? disassembleFile(input)
+                      : assembleFile(input, output, listing);
+    } catch (const AssemblyFailure &e) {
         std::fprintf(stderr, "%s:%u: error: %s\n", input.c_str(),
-                     err.line, err.message.c_str());
-        return 1;
+                     e.line(), e.reason().c_str());
+    } catch (...) {
+        std::fprintf(stderr, "vip-asm: %s: %s\n", input.c_str(),
+                     currentError().what());
     }
-    std::fprintf(stderr, "%zu instructions (buffer holds %u)\n",
-                 prog.size(), kInstBufferEntries);
-
-    const auto words = encodeProgram(prog);
-    if (listing) {
-        std::size_t wi = 0;
-        for (std::size_t i = 0; i < prog.size(); ++i) {
-            std::printf("%4zu: %016llx  %s\n", i,
-                        static_cast<unsigned long long>(words[wi]),
-                        disassemble(prog[i]).c_str());
-            ++wi;
-            if (prog[i].op == Opcode::MovImm &&
-                !immFitsEncoding(prog[i].imm)) {
-                std::printf("      %016llx  ; literal\n",
-                            static_cast<unsigned long long>(words[wi]));
-                ++wi;
-            }
-        }
-    }
-    if (!output.empty()) {
-        std::ofstream out(output, std::ios::binary);
-        out.write(reinterpret_cast<const char *>(words.data()),
-                  static_cast<std::streamsize>(words.size() * 8));
-        std::fprintf(stderr, "wrote %zu words to %s\n", words.size(),
-                     output.c_str());
-    }
-    return 0;
+    return 1;
 }

@@ -353,24 +353,40 @@ main(int argc, char **argv)
         auto num = [&](const std::string &text) {
             return cli::parseNum(argv[0], arg.c_str(), text.c_str());
         };
+        // "LHS=RHS" or "LHS,RHS", both sides required.
+        auto split = [&](char sep) -> std::pair<std::string, std::string> {
+            const std::string v = next();
+            const auto at = v.find(sep);
+            if (at == std::string::npos) {
+                std::fprintf(stderr, "%s: %s: '%s' has no '%c'\n", argv[0],
+                             arg.c_str(), v.c_str(), sep);
+                std::exit(2);
+            }
+            return {v.substr(0, at), v.substr(at + 1)};
+        };
         if (arg == "--reg") {
-            const std::string v = next();
-            const auto eq = v.find('=');
-            opt.regs.emplace_back(std::stoul(v.substr(0, eq)),
-                                  num(v.substr(eq + 1)));
+            const auto [reg, value] = split('=');
+            opt.regs.emplace_back(
+                cli::parseNum<unsigned>(argv[0], "--reg", reg.c_str()),
+                num(value));
         } else if (arg == "--dram") {
-            const std::string v = next();
-            const auto eq = v.find('=');
-            opt.pokes.emplace_back(num(v.substr(0, eq)),
-                                   static_cast<std::int16_t>(std::stol(
-                                       v.substr(eq + 1), nullptr, 0)));
+            const auto [addr, value] = split('=');
+            const auto v = cli::parseNum<std::int64_t>(argv[0], "--dram",
+                                                       value.c_str());
+            if (v < -32768 || v > 32767) {
+                std::fprintf(stderr,
+                             "%s: --dram: %s does not fit in a 16-bit DRAM "
+                             "word\n",
+                             argv[0], value.c_str());
+                std::exit(2);
+            }
+            opt.pokes.emplace_back(num(addr), static_cast<std::int16_t>(v));
         } else if (arg == "--dump-dram" || arg == "--dump-sp") {
-            const std::string v = next();
-            const auto comma = v.find(',');
+            const auto [addr, count] = split(',');
             auto &list = arg == "--dump-dram" ? opt.dumpDram : opt.dumpSp;
-            list.emplace_back(num(v.substr(0, comma)),
-                              static_cast<unsigned>(
-                                  num(v.substr(comma + 1))));
+            list.emplace_back(num(addr), cli::parseNum<unsigned>(
+                                             argv[0], arg.c_str(),
+                                             count.c_str()));
         } else if (arg == "--dump-regs") {
             opt.dumpRegs = true;
         } else if (arg == "--dump-spec") {
@@ -388,7 +404,8 @@ main(int argc, char **argv)
         } else if (arg == "--resume") {
             opt.resumePath = next();
         } else if (arg == "--vaults") {
-            opt.vaults = static_cast<unsigned>(num(next()));
+            opt.vaults = cli::parseNum<unsigned>(argv[0], "--vaults",
+                                                 next().c_str());
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -403,8 +420,9 @@ main(int argc, char **argv)
     if (!opt.resumePath.empty()) {
         try {
             return resumeCampaign(opt.resumePath);
-        } catch (const SimError &e) {
-            std::fprintf(stderr, "vip-run: error: %s\n", e.what());
+        } catch (...) {
+            std::fprintf(stderr, "vip-run: error: %s\n",
+                         currentError().what());
             return 1;
         }
     }
@@ -426,7 +444,8 @@ main(int argc, char **argv)
             emitJson(opt.common.jsonStatsPath, errorResponse(anchored));
         }
         return 1;
-    } catch (const SimError &e) {
+    } catch (...) {
+        const SimError e = currentError();
         std::fprintf(stderr, "vip-run: error: %s\n", e.what());
         if (e.kind() == "cancelled" || e.kind() == "timeout") {
             // The structured form on stdout: a scripted caller learns
@@ -435,13 +454,6 @@ main(int argc, char **argv)
         }
         if (!opt.common.jsonStatsPath.empty())
             emitJson(opt.common.jsonStatsPath, errorResponse(e));
-        return 1;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "vip-run: error: %s\n", e.what());
-        if (!opt.common.jsonStatsPath.empty()) {
-            emitJson(opt.common.jsonStatsPath,
-                     errorResponse(SimError("exception", e.what())));
-        }
         return 1;
     }
 }

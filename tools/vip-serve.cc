@@ -369,13 +369,13 @@ main(int argc, char **argv)
             socketPath = next();
             useStdin = false;
         } else if (arg == "--cache") {
-            opts.cacheEntries = static_cast<std::size_t>(
-                cli::parseNum(argv[0], "--cache", next()));
+            opts.cacheEntries =
+                cli::parseNum<std::size_t>(argv[0], "--cache", next());
         } else if (arg == "--journal") {
             opts.journalPath = next();
         } else if (arg == "--max-queue") {
-            opts.maxQueuedRuns = static_cast<std::size_t>(
-                cli::parseNum(argv[0], "--max-queue", next()));
+            opts.maxQueuedRuns =
+                cli::parseNum<std::size_t>(argv[0], "--max-queue", next());
         } else if (arg == "--help" || arg == "-h") {
             return usage();
         } else {
