@@ -12,6 +12,7 @@
 #ifndef VIP_BENCH_COMMON_HH
 #define VIP_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -94,17 +95,20 @@ void reportFailures(const std::vector<SweepFailure> &failed,
 
 /**
  * Run every sweep point through a SweepEngine with @p jobs workers
- * (0 = hardware concurrency) and return results keyed by submission
- * index. Each point must build, run, and destroy its own system —
- * which every run* helper below does. A point that throws (bad
- * config, watchdog deadlock) is reported on stderr and its row left
- * default-constructed; the rest of the sweep completes.
+ * (0 = hardware concurrency; never more workers than points) and
+ * return results keyed by submission index. Each point must build,
+ * run, and destroy its own system — which every run* helper below
+ * does. A point that throws (bad config, watchdog deadlock) is
+ * reported on stderr and its row left default-constructed; the rest
+ * of the sweep completes.
  */
 template <typename R>
 std::vector<R>
 runSweep(const std::vector<std::function<R()>> &points, unsigned jobs)
 {
-    SweepEngine engine(jobs);
+    const std::size_t want = jobs ? jobs : SweepEngine::hardwareJobs();
+    SweepEngine engine(static_cast<unsigned>(
+        std::clamp<std::size_t>(points.size(), 1, want)));
     std::vector<R> results;
     std::vector<SweepFailure> failed;
     for (auto &o : engine.run(points)) {

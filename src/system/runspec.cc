@@ -13,24 +13,12 @@ namespace vip {
 
 namespace {
 
-/** Reject keys outside @p allowed, naming the path (the RunSpec
- *  analogue of config_json.cc's StrictObject, for flat objects). */
-void
-rejectUnknown(const Json &j, const std::string &path,
-              std::initializer_list<const char *> allowed)
-{
-    for (const auto &[key, value] : j.asObject()) {
-        bool known = false;
-        for (const char *a : allowed) {
-            if (key == a) {
-                known = true;
-                break;
-            }
-        }
-        if (!known)
-            throw ConfigError("unknown key \"" + path + key + "\"");
-    }
-}
+/** The keys of a RunSpec object and of its array elements. */
+constexpr std::string_view kSpecKeys[] = {"config", "programs", "pokes",
+                                          "regs",   "maxCycles", "budgetMs"};
+constexpr std::string_view kProgramKeys[] = {"pe", "source"};
+constexpr std::string_view kPokeKeys[] = {"addr", "values"};
+constexpr std::string_view kRegKeys[] = {"pe", "reg", "value"};
 
 /** Decode an index field, rejecting values a 32-bit index would
  *  silently truncate. */
@@ -171,14 +159,12 @@ RunSpec
 RunSpec::fromJson(const Json &j)
 {
     RunSpec spec;
-    rejectUnknown(j, "",
-                  {"config", "programs", "pokes", "regs", "maxCycles",
-                   "budgetMs"});
+    requireKnownKeys(j, "key", "", kSpecKeys);
     if (const Json *c = j.find("config"))
         spec.config = SystemConfig::fromJson(*c);
     if (const Json *progs = j.find("programs")) {
         for (const Json &pj : progs->asArray()) {
-            rejectUnknown(pj, "programs[].", {"pe", "source"});
+            requireKnownKeys(pj, "key", "programs[].", kProgramKeys);
             Program p;
             p.pe = indexField(pj, "pe", "programs[].");
             p.source = pj.at("source").asString();
@@ -187,7 +173,7 @@ RunSpec::fromJson(const Json &j)
     }
     if (const Json *pokes = j.find("pokes")) {
         for (const Json &pj : pokes->asArray()) {
-            rejectUnknown(pj, "pokes[].", {"addr", "values"});
+            requireKnownKeys(pj, "key", "pokes[].", kPokeKeys);
             DramPoke p;
             p.addr = static_cast<Addr>(pj.at("addr").asU64());
             const Json::Array &values = pj.at("values").asArray();
@@ -208,7 +194,7 @@ RunSpec::fromJson(const Json &j)
     }
     if (const Json *regs = j.find("regs")) {
         for (const Json &rj : regs->asArray()) {
-            rejectUnknown(rj, "regs[].", {"pe", "reg", "value"});
+            requireKnownKeys(rj, "key", "regs[].", kRegKeys);
             RegSet r;
             r.pe = indexField(rj, "pe", "regs[].");
             r.reg = indexField(rj, "reg", "regs[].");

@@ -97,19 +97,28 @@ RunResult::toJson() const
     return j;
 }
 
+/** Throw ConfigError naming @p what unless @p count words at @p addr
+ *  lie inside the DRAM: the bound Pe::issueDramTransfer applies to a
+ *  program's transfers, arranged so that neither 2 * count nor
+ *  addr + 2 * count can wrap. */
+void
+Simulation::requireInDram(Addr addr, std::size_t count, const char *what,
+                          const char *access) const
+{
+    const std::uint64_t capacity = sys_.config().mem.geom.capacity();
+    if (count > capacity / 2 || addr > capacity - 2 * count) {
+        throw ConfigError(detail::formatArgs(
+            what, " = 0x", std::hex, addr, std::dec, ": a ", access, " of ",
+            count, " words ends past the DRAM capacity (0x", std::hex,
+            capacity, " bytes)"));
+    }
+}
+
 Simulation &
 Simulation::pokeWords(Addr addr, const std::int16_t *values,
                       std::size_t count)
 {
-    // The bound Pe::issueDramTransfer applies to a program's transfers,
-    // arranged so that neither 2 * count nor addr + 2 * count can wrap.
-    const std::uint64_t capacity = sys_.config().mem.geom.capacity();
-    if (count > capacity / 2 || addr > capacity - 2 * count) {
-        throw ConfigError(detail::formatArgs(
-            "pokes[].addr = 0x", std::hex, addr, std::dec,
-            ": a poke of ", count, " words ends past the DRAM capacity (0x",
-            std::hex, capacity, " bytes)"));
-    }
+    requireInDram(addr, count, "pokes[].addr", "poke");
     // One write: store<int16_t> copies native bytes too, so the staged
     // bytes are the same as writing the values one at a time.
     sys_.dram().write(addr, values, 2 * count);
@@ -121,12 +130,9 @@ Simulation::pokeWords(Addr addr, const std::int16_t *values,
 std::vector<std::int16_t>
 Simulation::peekDram(Addr addr, std::size_t count) const
 {
-    std::vector<std::int16_t> values;
-    values.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        values.push_back(sys_.dram().load<std::int16_t>(
-            addr + 2 * static_cast<Addr>(i)));
-    }
+    requireInDram(addr, count, "peekDram addr", "read");
+    std::vector<std::int16_t> values(count);
+    sys_.dram().read(addr, values.data(), 2 * count);
     return values;
 }
 

@@ -219,13 +219,10 @@ class Simulation
                   const CancelToken *cancel = nullptr);
 
     /** Read one 16-bit value back from DRAM. */
-    std::int16_t
-    peekDram(Addr addr) const
-    {
-        return sys_.dram().load<std::int16_t>(addr);
-    }
+    std::int16_t peekDram(Addr addr) const { return peekDram(addr, 1)[0]; }
 
-    /** Read @p count consecutive 16-bit values starting at @p addr. */
+    /** Read @p count consecutive 16-bit values starting at @p addr;
+     *  throws ConfigError when they do not lie inside the DRAM. */
     std::vector<std::int16_t> peekDram(Addr addr, std::size_t count) const;
 
     /** Start address of vault @p v's local DRAM region. */
@@ -236,6 +233,8 @@ class Simulation
     const VipSystem &system() const { return sys_; }
 
   private:
+    void requireInDram(Addr addr, std::size_t count, const char *what,
+                       const char *access) const;
     Simulation &pokeWords(Addr addr, const std::int16_t *values,
                           std::size_t count);
 

@@ -1,7 +1,6 @@
 #include "system/system.hh"
 
 #include <algorithm>
-#include <initializer_list>
 #include <sstream>
 
 #include "sim/cancel.hh"
@@ -11,41 +10,6 @@
 namespace vip {
 
 namespace {
-
-void
-require(bool ok, const std::string &message)
-{
-    if (!ok)
-        throw ConfigError(message);
-}
-
-void
-requireNonzero(std::uint64_t value, const char *key)
-{
-    require(value != 0, std::string(key) + " must be nonzero");
-}
-
-/** Caps on the keys that size host allocations. Each sits far above
- *  any modelled machine (the benches use at most 40 ARC entries, a
- *  32-deep transaction queue and 32 vaults) and far below a request
- *  that would exhaust the host. */
-constexpr unsigned kMaxArcEntries = 1024;
-constexpr unsigned kMaxTransQueueDepth = 4096;
-constexpr unsigned kMaxVaults = 1024;
-
-void
-requireAtMost(std::uint64_t value, std::uint64_t cap, const char *key)
-{
-    require(value <= cap, std::string(key) + " = " +
-                              std::to_string(value) + " exceeds its cap of " +
-                              std::to_string(cap));
-}
-
-bool
-isPowerOfTwo(std::uint64_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
 
 /** Validation gate for the constructor's init list: members (the NoC,
  *  the vaults) must never see a bad config, even transiently. */
@@ -71,109 +35,6 @@ class ScopeExit
 };
 
 } // namespace
-
-void
-validateSystemConfig(const SystemConfig &cfg)
-{
-    const DramGeometry &g = cfg.mem.geom;
-    require(isPowerOfTwo(g.vaults),
-            "mem.geom.vaults = " + std::to_string(g.vaults) +
-                "; must be a nonzero power of two so vault index bits "
-                "split cleanly out of the address");
-    requireAtMost(g.vaults, kMaxVaults, "mem.geom.vaults");
-    requireNonzero(g.banksPerVault, "mem.geom.banksPerVault");
-    require(g.banksPerVault <= VaultController::kMaxBanks,
-            "mem.geom.banksPerVault = " + std::to_string(g.banksPerVault) +
-                "; the vault scheduler addresses at most " +
-                std::to_string(VaultController::kMaxBanks) + " banks");
-    requireNonzero(g.rowsPerBank, "mem.geom.rowsPerBank");
-    requireNonzero(g.rowBytes, "mem.geom.rowBytes");
-    requireNonzero(g.colBytes, "mem.geom.colBytes");
-    require(g.rowBytes % g.colBytes == 0,
-            "mem.geom.colBytes = " + std::to_string(g.colBytes) +
-                " must divide mem.geom.rowBytes = " +
-                std::to_string(g.rowBytes));
-    // The backing store's page table spans kSpanBytes: an address past
-    // it would index outside the table. Every factor is nonzero, so
-    // the partial products only grow, and bounding each one by the
-    // span also keeps the product from wrapping 64 bits.
-    std::uint64_t capacity = 1;
-    bool fits = true;
-    for (std::uint64_t factor : {std::uint64_t{g.vaults},
-                                 std::uint64_t{g.banksPerVault},
-                                 g.rowsPerBank, std::uint64_t{g.rowBytes}}) {
-        if (factor > DramStorage::kSpanBytes / capacity) {
-            fits = false;
-            break;
-        }
-        capacity *= factor;
-    }
-    require(fits,
-            "mem.geom.vaults * mem.geom.banksPerVault * "
-            "mem.geom.rowsPerBank * mem.geom.rowBytes = " +
-                std::to_string(g.vaults) + " * " +
-                std::to_string(g.banksPerVault) + " * " +
-                std::to_string(g.rowsPerBank) + " * " +
-                std::to_string(g.rowBytes) + " bytes exceeds the " +
-                std::to_string(DramStorage::kSpanBytes) +
-                "-byte span of the DRAM backing store");
-
-    const DramTiming &t = cfg.mem.timing;
-    requireNonzero(t.tCL, "mem.timing.tCL");
-    requireNonzero(t.tRCD, "mem.timing.tRCD");
-    requireNonzero(t.tRP, "mem.timing.tRP");
-    requireNonzero(t.tRAS, "mem.timing.tRAS");
-    requireNonzero(t.tWR, "mem.timing.tWR");
-    requireNonzero(t.tCCD, "mem.timing.tCCD");
-    requireNonzero(t.tRFC, "mem.timing.tRFC");
-    requireNonzero(t.tREFI, "mem.timing.tREFI");
-    requireNonzero(t.tBurst, "mem.timing.tBurst");
-    require(t.tREFI > t.tRFC,
-            "mem.timing.tREFI = " + std::to_string(t.tREFI) +
-                " must exceed mem.timing.tRFC = " +
-                std::to_string(t.tRFC) +
-                " or the vault never leaves refresh");
-
-    requireNonzero(cfg.mem.cmdQueueDepth, "mem.cmdQueueDepth");
-    requireNonzero(cfg.mem.transQueueDepth, "mem.transQueueDepth");
-    requireAtMost(cfg.mem.transQueueDepth, kMaxTransQueueDepth,
-                  "mem.transQueueDepth");
-
-    // 64-bit product: two 32-bit dimensions must not wrap onto the
-    // vault count.
-    require(std::uint64_t{cfg.nocX} * cfg.nocY == g.vaults,
-            "nocX * nocY = " + std::to_string(cfg.nocX) + " * " +
-                std::to_string(cfg.nocY) + " does not match "
-                "mem.geom.vaults = " + std::to_string(g.vaults) +
-                " (use makeSystemConfig() or set nocX*nocY to the "
-                "vault count)");
-
-    require(cfg.pesPerVault >= 1 &&
-                cfg.pesPerVault <= TorusNoc::kLanes - 1,
-            "pesPerVault = " + std::to_string(cfg.pesPerVault) +
-                "; each vault router has " +
-                std::to_string(TorusNoc::kLanes - 1) +
-                " PE star lanes");
-
-    requireNonzero(cfg.pe.lsqEntries, "pe.lsqEntries");
-    requireNonzero(cfg.pe.arcEntries, "pe.arcEntries");
-    requireAtMost(cfg.pe.arcEntries, kMaxArcEntries, "pe.arcEntries");
-    requireNonzero(cfg.pe.mulStages, "pe.mulStages");
-    requireNonzero(cfg.pe.aluStages, "pe.aluStages");
-    requireNonzero(cfg.pe.reduceStages, "pe.reduceStages");
-    // The stage caps bound how far a vector result's ready time leads
-    // its issue, which the scratchpad's 16-bit ready clock relies on.
-    requireAtMost(cfg.pe.mulStages, PeConfig::kMaxStages, "pe.mulStages");
-    requireAtMost(cfg.pe.aluStages, PeConfig::kMaxStages, "pe.aluStages");
-    requireAtMost(cfg.pe.reduceStages, PeConfig::kMaxStages,
-                  "pe.reduceStages");
-
-    require(cfg.watchdogCycles > 0,
-            "watchdogCycles must be nonzero (it bounds deadlock "
-            "detection latency)");
-
-    cfg.faults.validate();
-}
 
 VipSystem::VipSystem(const SystemConfig &cfg)
     : cfg_(validated(cfg)), statGroup_("system"),

@@ -16,6 +16,8 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "mem/hmc.hh"
@@ -74,22 +76,17 @@ struct SystemConfig
     FaultPlan faults;
 
     /**
-     * The wire form: every knob above as a JSON object (nested
-     * "mem"/"pe" sections mirroring the struct layout; the fault
-     * plan as its canonical spec string under "faults", omitted when
-     * injection is disabled; "islands" is never emitted).
-     * fromJson(toJson(cfg)) reproduces every field but islands.
+     * The wire form: every knob above but islands as a JSON object,
+     * written from the field table in config_json.cc, the schema's one
+     * listing. fromJson(toJson(cfg)) reproduces every field but islands.
      */
     Json toJson() const;
 
     /**
      * Decode a config, starting from defaults: absent keys keep their
-     * default, so a request only has to name what it changes. When
-     * "mem.geom.vaults" is given without "nocX"/"nocY" the NoC grid
-     * is derived with nocDimsFor(). Unknown keys anywhere in the
-     * object throw ConfigError naming the offending key — a typo'd
-     * knob must not silently fall back to the default. Does not
-     * validate the result; VipSystem's constructor does.
+     * default; an unknown key throws ConfigError naming it. When
+     * "mem.geom.vaults" is given without "nocX"/"nocY" the NoC grid is
+     * derived with nocDimsFor(). Does not validate the result.
      */
     static SystemConfig fromJson(const Json &j);
 };
@@ -100,6 +97,12 @@ struct SystemConfig
  * VipSystem's constructor calls this before building anything.
  */
 void validateSystemConfig(const SystemConfig &cfg);
+
+/** Every wire decoder's strict-name check: ConfigError `unknown <noun>
+ *  "<path><key>"` for the first key of object @p j not in @p known. */
+void requireKnownKeys(const Json &j, std::string_view noun,
+                      std::string_view path,
+                      std::span<const std::string_view> known);
 
 class VipSystem
 {

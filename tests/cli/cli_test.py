@@ -45,6 +45,7 @@ def main():
         twelve = write("twelve.bin", b"\0" * 12)
         wide = write("wide.s", b"add.imm r1, r1, 99999999\nhalt\n")
         wide_bin = os.path.join(tmp, "wide.bin")
+        unwritable = os.path.join(tmp, "no-such-dir", "halt.bin")
 
         # (name, argv, exit code, text stderr must contain)
         cases = [
@@ -57,7 +58,18 @@ def main():
             ("dram-too-wide", [vip_run, halt, "--dram", "0x1000=70000"], 2,
              "70000 does not fit in a 16-bit DRAM word"),
             ("jobs-negative", [vip_serve, "--stdin", "--jobs", "-1"], 2,
-             "--jobs: -1 is outside [0, 4294967295]"),
+             "--jobs: -1 is outside [0, 256]"),
+            # Rejected while parsing, before any worker starts.
+            ("jobs-over-bound", [vip_serve, "--stdin", "--jobs", "257"], 2,
+             "--jobs: 257 is outside [0, 256]"),
+            ("dump-sp-past-scratchpad",
+             [vip_run, halt, "--dump-sp", "0xffff0,4"], 2,
+             "--dump-sp: 4 words at 0xffff0 end past the 4096-byte "
+             "scratchpad"),
+            ("dump-dram-past-capacity",
+             [vip_run, halt, "--dump-dram", "0xffffffffffff0,4"], 1,
+             "0xffffffffffff0: a read of 4 words ends past the DRAM "
+             "capacity"),
             ("disasm-invalid-opcode", [vip_asm, "-d", garbage], 1,
              garbage + ": invalid opcode field 103"),
             ("disasm-truncated-literal", [vip_asm, "-d", no_literal], 1,
@@ -67,6 +79,8 @@ def main():
              "8-byte words"),
             ("asm-too-wide-immediate", [vip_asm, wide, "-o", wide_bin], 1,
              wide + ": immediate 99999999 does not fit the 26-bit field"),
+            ("asm-unwritable-output", [vip_asm, halt, "-o", unwritable], 1,
+             "cannot write " + unwritable),
         ]
         for name, argv, want_exit, want_text in cases:
             proc = run(argv)

@@ -226,20 +226,82 @@ TEST(RunSpec, FromJsonRejectsUnknownAndMalformedFields)
 
 TEST(SystemConfig, JsonRoundTripIsLossless)
 {
+    // Every wire field away from its default, listed here by hand so
+    // that a field the schema forgets to encode or decode comes back
+    // as its default and fails its check below.
     SystemConfig cfg = makeSystemConfig(8, 4);
     cfg.mem.timing.tCL = 13;
+    cfg.mem.timing.tRCD = 14;
+    cfg.mem.timing.tRP = 15;
+    cfg.mem.timing.tRAS = 36;
+    cfg.mem.timing.tWR = 17;
+    cfg.mem.timing.tCCD = 6;
+    cfg.mem.timing.tRFC = 110;
+    cfg.mem.timing.tREFI = 3000;
+    cfg.mem.timing.tBurst = 8;
+    cfg.mem.geom.banksPerVault = 8;
+    cfg.mem.geom.rowsPerBank = 1024;
+    cfg.mem.geom.rowBytes = 512;
+    cfg.mem.geom.colBytes = 64;
     cfg.mem.pagePolicy = PagePolicy::Closed;
+    cfg.mem.addrMap = AddrMap::RowBankColVault;
+    cfg.mem.cmdQueueDepth = 16;
+    cfg.mem.transQueueDepth = 24;
     cfg.pe.lsqEntries = 12;
+    cfg.pe.arcEntries = 40;
+    cfg.pe.mulStages = 5;
+    cfg.pe.aluStages = 2;
+    cfg.pe.reduceStages = 3;
+    cfg.pe.strictHazards = true;
+    cfg.pe.enableReduction = false;
+    cfg.pe.arcCoversVector = true;
+    cfg.pesPerVault = 2;
+    // Neither dimension is the default (8x4) or derived (4x2) one.
+    cfg.nocX = 1;
+    cfg.nocY = 8;
     cfg.watchdogCycles = 123456;
     cfg.fastForward = false;
+    cfg.fastPath = false;
+    cfg.faults = FaultPlan::parse("seed=7,dram-read=1e-6");
+    ASSERT_NO_THROW(validateSystemConfig(cfg));
 
     const SystemConfig back =
         SystemConfig::fromJson(Json::parse(cfg.toJson().str()));
     EXPECT_EQ(back.toJson().str(), cfg.toJson().str());
     EXPECT_EQ(back.mem.timing.tCL, 13u);
+    EXPECT_EQ(back.mem.timing.tRCD, 14u);
+    EXPECT_EQ(back.mem.timing.tRP, 15u);
+    EXPECT_EQ(back.mem.timing.tRAS, 36u);
+    EXPECT_EQ(back.mem.timing.tWR, 17u);
+    EXPECT_EQ(back.mem.timing.tCCD, 6u);
+    EXPECT_EQ(back.mem.timing.tRFC, 110u);
+    EXPECT_EQ(back.mem.timing.tREFI, 3000u);
+    EXPECT_EQ(back.mem.timing.tBurst, 8u);
+    EXPECT_EQ(back.mem.geom.vaults, 8u);
+    EXPECT_EQ(back.mem.geom.banksPerVault, 8u);
+    EXPECT_EQ(back.mem.geom.rowsPerBank, 1024u);
+    EXPECT_EQ(back.mem.geom.rowBytes, 512u);
+    EXPECT_EQ(back.mem.geom.colBytes, 64u);
     EXPECT_EQ(back.mem.pagePolicy, PagePolicy::Closed);
+    EXPECT_EQ(back.mem.addrMap, AddrMap::RowBankColVault);
+    EXPECT_EQ(back.mem.cmdQueueDepth, 16u);
+    EXPECT_EQ(back.mem.transQueueDepth, 24u);
     EXPECT_EQ(back.pe.lsqEntries, 12u);
+    EXPECT_EQ(back.pe.arcEntries, 40u);
+    EXPECT_EQ(back.pe.mulStages, 5u);
+    EXPECT_EQ(back.pe.aluStages, 2u);
+    EXPECT_EQ(back.pe.reduceStages, 3u);
+    EXPECT_TRUE(back.pe.strictHazards);
+    EXPECT_FALSE(back.pe.enableReduction);
+    EXPECT_TRUE(back.pe.arcCoversVector);
+    EXPECT_EQ(back.pesPerVault, 2u);
+    EXPECT_EQ(back.nocX, 1u);
+    EXPECT_EQ(back.nocY, 8u);
+    EXPECT_EQ(back.watchdogCycles, 123456u);
     EXPECT_FALSE(back.fastForward);
+    EXPECT_FALSE(back.fastPath);
+    EXPECT_TRUE(back.faults.enabled);
+    EXPECT_EQ(back.faults.toString(), cfg.faults.toString());
 }
 
 TEST(SystemConfig, FromJsonRejectsUnknownKeysWithPath)

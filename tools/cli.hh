@@ -49,6 +49,10 @@ enum Flag : unsigned
     kFastPath = 1u << 4,     ///< --no-fast-path
 };
 
+/** Most worker threads --jobs accepts: far above the cores of any host
+ *  the simulator runs on, far below a process's thread limit. */
+constexpr unsigned kMaxJobs = 256;
+
 /** Values of the shared flags, pre-set to their defaults. */
 struct CommonOptions
 {
@@ -61,11 +65,13 @@ struct CommonOptions
 
 /**
  * Parse "N", "0xN" or, for a signed T, "-N" into a T. Exits 2 with
- * @p tool's name on garbage or on a value T cannot hold.
+ * @p tool's name on garbage or on a value above @p max or below T's
+ * minimum.
  */
 template <typename T = std::uint64_t>
 T
-parseNum(const char *tool, const char *flag, const char *text)
+parseNum(const char *tool, const char *flag, const char *text,
+         T max = std::numeric_limits<T>::max())
 {
     using Limits = std::numeric_limits<T>;
     const bool negative = text[0] == '-';
@@ -83,13 +89,13 @@ parseNum(const char *tool, const char *flag, const char *text)
     }
     // The most negative T has a magnitude one past the largest.
     const std::uint64_t limit =
-        !negative ? static_cast<std::uint64_t>(Limits::max())
+        !negative ? static_cast<std::uint64_t>(max)
         : Limits::is_signed ? static_cast<std::uint64_t>(Limits::max()) + 1
                             : 0;
     if (errno == ERANGE || magnitude > limit) {
         std::fprintf(stderr, "%s: %s: %s is outside [%lld, %llu]\n", tool,
                      flag, text, static_cast<long long>(Limits::min()),
-                     static_cast<unsigned long long>(Limits::max()));
+                     static_cast<unsigned long long>(max));
         std::exit(2);
     }
     return negative ? static_cast<T>(0 - magnitude)
@@ -115,7 +121,8 @@ consumeCommon(int argc, char **argv, int &i, unsigned flags,
         return argv[++i];
     };
     if ((flags & kJobs) && std::strcmp(arg, "--jobs") == 0) {
-        out.jobs = parseNum<unsigned>(argv[0], "--jobs", value("--jobs"));
+        out.jobs = parseNum<unsigned>(argv[0], "--jobs", value("--jobs"),
+                                      kMaxJobs);
         return true;
     }
     if ((flags & kJsonStats) && std::strcmp(arg, "--json-stats") == 0) {
@@ -167,8 +174,8 @@ commonHelp(unsigned flags)
 {
     std::string out;
     if (flags & kJobs) {
-        out += "  --jobs N            worker threads "
-               "(0 = hardware concurrency)\n";
+        out += "  --jobs N            worker threads, at most " +
+               std::to_string(kMaxJobs) + " (0 = hardware concurrency)\n";
     }
     if (flags & kJsonStats) {
         out += "  --json-stats FILE   write statistics as JSON "

@@ -81,6 +81,12 @@ assembleFile(const std::string &input, const std::string &output,
     if (!output.empty()) {
         std::ofstream out(output, std::ios::binary);
         out.write(image.data(), static_cast<std::streamsize>(image.size()));
+        out.close();
+        if (!out) {
+            std::fprintf(stderr, "vip-asm: cannot write %s\n",
+                         output.c_str());
+            return 1;
+        }
         std::fprintf(stderr, "wrote %zu words to %s\n", image.size() / 8,
                      output.c_str());
     }

@@ -292,8 +292,9 @@ run(const Options &opt)
         std::printf("\n");
     }
     for (const auto &[addr, count] : opt.dumpDram) {
+        const std::vector<std::int16_t> values = sim->peekDram(addr, count);
         std::printf("dram[0x%llx]:", (unsigned long long)addr);
-        for (const std::int16_t v : sim->peekDram(addr, count))
+        for (const std::int16_t v : values)
             std::printf(" %d", v);
         std::printf("\n");
     }
@@ -382,11 +383,23 @@ main(int argc, char **argv)
             }
             opt.pokes.emplace_back(num(addr), static_cast<std::int16_t>(v));
         } else if (arg == "--dump-dram" || arg == "--dump-sp") {
-            const auto [addr, count] = split(',');
+            const auto [addr_text, count_text] = split(',');
+            const Addr addr = num(addr_text);
+            const auto count = cli::parseNum<unsigned>(argv[0], arg.c_str(),
+                                                       count_text.c_str());
+            // The DRAM range is checked against the machine after the
+            // run; the scratchpad's size is fixed, so check it here.
+            constexpr unsigned kSpBytes = Scratchpad::kBytes;
+            if (arg == "--dump-sp" &&
+                (count > kSpBytes / 2 || addr > kSpBytes - 2 * count)) {
+                std::fprintf(stderr,
+                             "%s: --dump-sp: %u words at %s end past the "
+                             "%u-byte scratchpad\n",
+                             argv[0], count, addr_text.c_str(), kSpBytes);
+                std::exit(2);
+            }
             auto &list = arg == "--dump-dram" ? opt.dumpDram : opt.dumpSp;
-            list.emplace_back(num(addr), cli::parseNum<unsigned>(
-                                             argv[0], arg.c_str(),
-                                             count.c_str()));
+            list.emplace_back(addr, count);
         } else if (arg == "--dump-regs") {
             opt.dumpRegs = true;
         } else if (arg == "--dump-spec") {
