@@ -40,17 +40,7 @@ bpPhase(const std::function<void(SystemConfig &)> &tweak,
     BpVariant variant;
     variant.prefetchDepth = prefetch_depth;
     for (unsigned pe = 0; pe < 4; ++pe) {
-        auto slice = [&](unsigned lanes) {
-            const unsigned per = (lanes + 3) / 4;
-            const unsigned b = std::min(lanes, pe * per);
-            return std::make_pair(b, std::min(lanes, b + per));
-        };
-        const auto [hb, he] = slice(34);
-        const auto [vb, ve] = slice(60);
-        BpSweepJob jobs[4] = {{SweepDir::Right, hb, he},
-                              {SweepDir::Left, hb, he},
-                              {SweepDir::Down, vb, ve},
-                              {SweepDir::Up, vb, ve}};
+        const auto jobs = bpTileJobs(60, 34, pe, 4);
         sys.pe(pe).loadProgram(genBpIterations(layout, variant, jobs, 1,
                                                flags, pe, 4));
     }

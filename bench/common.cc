@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "isa/builder.hh"
 #include "kernels/bp_kernel.hh"
@@ -41,28 +40,25 @@ benchConfig(unsigned vaults, unsigned pes_per_vault)
 BenchOptions
 parseBenchOptions(int argc, char **argv, double default_frac)
 {
-    constexpr unsigned kFlags =
-        cli::kJobs | cli::kFastForward | cli::kFastPath;
     BenchOptions opts;
     opts.frac = default_frac;
-    cli::CommonOptions common;
-    for (int i = 1; i < argc; ++i) {
-        if (cli::consumeCommon(argc, argv, i, kFlags, common))
-            continue;
-        const char *arg = argv[i];
-        if (arg[0] != '-' && default_frac > 0) {
-            opts.frac = std::atof(arg);
-        } else {
-            std::fprintf(stderr, "usage: %s %s%s\n%s", argv[0],
-                         default_frac > 0 ? "[FRAC] " : "",
-                         cli::commonUsage(kFlags).c_str(),
-                         cli::commonHelp(kFlags).c_str());
-            std::exit(2);
-        }
-    }
-    opts.jobs = common.jobs;
-    g_fast_forward = common.fastForward;
-    g_fast_path = common.fastPath;
+    char help[64];
+    std::snprintf(help, sizeof help,
+                  "simulated share of each tile, in (0, 1] (default %g)",
+                  default_frac);
+    const auto setFrac = [&opts](const char *v) {
+        char *end = nullptr;
+        opts.frac = std::strtod(v, &end);
+        // !(frac > 0) also rejects NaN.
+        if (end == v || *end != '\0' || !(opts.frac > 0) || opts.frac > 1)
+            throw ConfigError(std::string("'") + v +
+                              "' is not a number in (0, 1]");
+    };
+    const cli::Row frac{"FRAC", nullptr, help, setFrac};
+    cli::parse(argc, argv, default_frac > 0 ? "[FRAC] [options]" : "[options]",
+               {cli::jobs(opts.jobs), cli::noFastForward(g_fast_forward),
+                cli::noFastPath(g_fast_path)},
+               default_frac > 0 ? &frac : nullptr);
     return opts;
 }
 
@@ -141,17 +137,7 @@ runBpTilePhase(unsigned tile_w, unsigned tile_h, unsigned labels,
     const Addr flag_base = layout.end() + 64;
     const unsigned num_pes = 4;
     for (unsigned pe = 0; pe < num_pes; ++pe) {
-        auto slice = [&](unsigned lanes) {
-            const unsigned per = (lanes + num_pes - 1) / num_pes;
-            const unsigned begin = std::min(lanes, pe * per);
-            return std::make_pair(begin, std::min(lanes, begin + per));
-        };
-        const auto [hb, he] = slice(tile_h);
-        const auto [vb, ve] = slice(tile_w);
-        BpSweepJob jobs[4] = {{SweepDir::Right, hb, he},
-                              {SweepDir::Left, hb, he},
-                              {SweepDir::Down, vb, ve},
-                              {SweepDir::Up, vb, ve}};
+        const auto jobs = bpTileJobs(tile_w, tile_h, pe, num_pes);
         sim.loadProgram(pe, genBpIterations(layout, BpVariant{}, jobs,
                                             iterations, flag_base, pe,
                                             num_pes));

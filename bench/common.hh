@@ -60,13 +60,13 @@ struct SliceResult
 /**
  * Command-line options shared by every sweep bench.
  *
- * Each bench accepts an optional positional fidelity fraction (where
- * meaningful) plus `--jobs N`: the number of host threads the sweep
- * engine may use. The default (0) is the host's hardware concurrency;
- * `--jobs 1` runs the sweep inline, byte-identically reproducing the
- * old serial behaviour. Output is deterministic for any jobs value:
- * every sweep point simulates its own private VipSystem and results
- * are collected by submission index before anything is printed.
+ * Each bench accepts an optional positional fidelity fraction FRAC in
+ * (0, 1] (where meaningful) plus `--jobs N`: the number of host
+ * threads the sweep engine may use. The default (0) is the host's
+ * hardware concurrency; `--jobs 1` runs the sweep inline, with no
+ * threads. Output is deterministic for any jobs value: every sweep
+ * point simulates its own private VipSystem and results are collected
+ * by submission index before anything is printed.
  */
 struct BenchOptions
 {
@@ -75,12 +75,13 @@ struct BenchOptions
 };
 
 /**
- * Parse `[FRAC] [--jobs N] [--no-fast-forward] [--no-fast-path]`;
- * exits with usage on bad arguments. `--no-fast-forward` and
- * `--no-fast-path` also apply globally: every system built from
- * benchConfig() afterwards, and so every run* helper below, uses those
- * execution-strategy settings. Results are identical either way; the
- * flags exist to measure and regression-test exactly that.
+ * Parse `[FRAC] [--jobs N] [--no-fast-forward] [--no-fast-path]`
+ * (FRAC only when @p default_frac > 0); exits 2 with a message on a
+ * bad argument. `--no-fast-forward` and `--no-fast-path` also apply
+ * globally: every system built from benchConfig() afterwards, and so
+ * every run* helper below, uses those execution-strategy settings.
+ * Results are identical either way; the flags exist to measure and
+ * regression-test exactly that.
  */
 BenchOptions parseBenchOptions(int argc, char **argv,
                                double default_frac = 0);

@@ -9,7 +9,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string_view>
 
 #include "isa/assembler.hh"
 #include "isa/builder.hh"
@@ -271,19 +273,16 @@ BENCHMARK(BM_ReferenceConvLayer);
 int
 main(int argc, char **argv)
 {
-    // Peel off the shared simulator flags before google-benchmark
-    // parses argv (it rejects flags it doesn't know).
-    vip::cli::CommonOptions common;
-    int kept = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (vip::cli::consumeCommon(argc, argv, i, vip::cli::kFastPath,
-                                    common))
-            continue;
-        argv[kept++] = argv[i];
-    }
-    argc = kept;
+    // Peel off --no-fast-path before google-benchmark parses argv (it
+    // rejects flags it doesn't know).
+    const vip::cli::Row noFastPath = vip::cli::noFastPath(vip::g_fast_path);
+    char **const end = std::remove_if(argv + 1, argv + argc, [&](char *arg) {
+        return std::string_view(arg) == noFastPath.name;
+    });
+    if (end != argv + argc)
+        noFastPath.store(nullptr);
+    argc = static_cast<int>(end - argv);
     argv[argc] = nullptr;
-    vip::g_fast_path = common.fastPath;
 
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))

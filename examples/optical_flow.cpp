@@ -68,17 +68,7 @@ main(int argc, char **argv)
     layout.upload(mrf, sys.dram());
     const Addr flags = layout.end() + 64;
     for (unsigned pe = 0; pe < 4; ++pe) {
-        auto slice = [&](unsigned lanes) {
-            const unsigned per = (lanes + 3) / 4;
-            const unsigned b = std::min(lanes, pe * per);
-            return std::make_pair(b, std::min(lanes, b + per));
-        };
-        const auto [hb, he] = slice(H);
-        const auto [vb, ve] = slice(W);
-        BpSweepJob jobs[4] = {{SweepDir::Right, hb, he},
-                              {SweepDir::Left, hb, he},
-                              {SweepDir::Down, vb, ve},
-                              {SweepDir::Up, vb, ve}};
+        const auto jobs = bpTileJobs(W, H, pe, 4);
         sys.pe(pe).loadProgram(genBpIterations(layout, BpVariant{}, jobs,
                                                iters, flags, pe, 4));
     }

@@ -63,17 +63,7 @@ main(int argc, char **argv)
 
     const unsigned num_pes = 4;
     for (unsigned pe = 0; pe < num_pes; ++pe) {
-        auto slice = [&](unsigned lanes) {
-            const unsigned per = (lanes + num_pes - 1) / num_pes;
-            const unsigned b = std::min(lanes, pe * per);
-            return std::make_pair(b, std::min(lanes, b + per));
-        };
-        const auto [hb, he] = slice(H);
-        const auto [vb, ve] = slice(W);
-        BpSweepJob jobs[4] = {{SweepDir::Right, hb, he},
-                              {SweepDir::Left, hb, he},
-                              {SweepDir::Down, vb, ve},
-                              {SweepDir::Up, vb, ve}};
+        const auto jobs = bpTileJobs(W, H, pe, num_pes);
         sys.pe(pe).loadProgram(genBpIterations(layout, BpVariant{}, jobs,
                                                iters, flags, pe,
                                                num_pes));

@@ -1,5 +1,7 @@
 #include "kernels/bp_kernel.hh"
 
+#include <algorithm>
+
 #include "isa/builder.hh"
 #include "kernels/sync.hh"
 #include "sim/logging.hh"
@@ -498,7 +500,7 @@ genBpSweep(const MrfDramLayout &layout, const BpVariant &variant,
 
 std::vector<Instruction>
 genBpIterations(const MrfDramLayout &layout, const BpVariant &variant,
-                const BpSweepJob (&jobs)[4], unsigned iterations,
+                std::span<const BpSweepJob, 4> jobs, unsigned iterations,
                 Addr flag_base, unsigned pe_index, unsigned num_pes)
 {
     vip_assert(variant.reduction && !variant.registerFile,
@@ -533,6 +535,18 @@ genBpIterations(const MrfDramLayout &layout, const BpVariant &variant,
     b.memfence();
     b.halt();
     return b.finish();
+}
+
+std::array<BpSweepJob, 4>
+bpTileJobs(unsigned width, unsigned height, unsigned pe, unsigned num_pes)
+{
+    const auto slice = [&](SweepDir dir, unsigned lanes) {
+        const unsigned per = (lanes + num_pes - 1) / num_pes;
+        const unsigned begin = std::min(lanes, pe * per);
+        return BpSweepJob{dir, begin, std::min(lanes, begin + per)};
+    };
+    return {slice(SweepDir::Right, height), slice(SweepDir::Left, height),
+            slice(SweepDir::Down, width), slice(SweepDir::Up, width)};
 }
 
 } // namespace vip

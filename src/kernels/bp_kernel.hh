@@ -31,6 +31,8 @@
 #ifndef VIP_KERNELS_BP_KERNEL_HH
 #define VIP_KERNELS_BP_KERNEL_HH
 
+#include <array>
+#include <span>
 #include <vector>
 
 #include "isa/isa.hh"
@@ -87,8 +89,17 @@ std::vector<Instruction> genBpSweep(const MrfDramLayout &layout,
  */
 std::vector<Instruction> genBpIterations(
     const MrfDramLayout &layout, const BpVariant &variant,
-    const BpSweepJob (&jobs)[4], unsigned iterations, Addr flag_base,
-    unsigned pe_index, unsigned num_pes);
+    std::span<const BpSweepJob, 4> jobs, unsigned iterations,
+    Addr flag_base, unsigned pe_index, unsigned num_pes);
+
+/**
+ * PE @p pe's share of a width x height tile, as genBpIterations' jobs:
+ * ceil(height / num_pes) rows of each horizontal sweep and
+ * ceil(width / num_pes) columns of each vertical one, cut at the
+ * tile's edge (so a PE past it gets empty slices).
+ */
+std::array<BpSweepJob, 4> bpTileJobs(unsigned width, unsigned height,
+                                     unsigned pe, unsigned num_pes);
 
 } // namespace vip
 

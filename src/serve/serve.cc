@@ -421,6 +421,12 @@ VipServer::serve(std::istream &in, std::ostream &out)
     if (engine_.jobs() == 1) {
         // Inline engine: every run completes inside dispatch(), so this
         // thread emits each response before it reads the next line.
+        // This path is kept beside the writer-thread one because it is
+        // faster: a prototype that sent jobs == 1 through the writer
+        // thread (every check kept) lost on perfbench serve_mix in 6 of
+        // 6 alternating 35-s pairs (req_per_s 5-11% lower, median of 5
+        // pairs 2119 -> 1954; wall_s 0.189 -> 0.205 s; latency_p50_ms
+        // 0.568 -> 0.590). CI's serve smoke cmps both paths' bytes.
         readRequests(in, out, window);
         drain(window, out);
         return;

@@ -10,12 +10,17 @@ unsigned
 SweepEngine::hardwareJobs()
 {
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
+    return std::clamp(hw, 1u, kMaxJobs);
 }
 
 SweepEngine::SweepEngine(unsigned jobs)
     : jobs_(jobs ? jobs : hardwareJobs())
 {
+    if (jobs_ > kMaxJobs) {
+        throw ConfigError("a sweep engine takes at most " +
+                          std::to_string(kMaxJobs) + " workers, not " +
+                          std::to_string(jobs_));
+    }
     if (jobs_ == 1)
         return;  // inline mode: no threads at all
     workers_.reserve(jobs_);

@@ -67,9 +67,14 @@ jobSeed(std::size_t index, std::uint64_t base = 0x9e3779b97f4a7c15ull)
 class SweepEngine
 {
   public:
+    /** Most workers an engine starts: far above the cores of any host
+     *  the simulator runs on, far below a process's thread limit. */
+    static constexpr unsigned kMaxJobs = 256;
+
     /**
      * @param jobs  worker count; 0 picks the host's hardware
      *              concurrency, 1 runs inline with no threads.
+     * @throws ConfigError above kMaxJobs, before any thread starts.
      */
     explicit SweepEngine(unsigned jobs = 0);
 
@@ -82,7 +87,8 @@ class SweepEngine
     /** Number of jobs that can make progress at once (>= 1). */
     unsigned jobs() const { return jobs_; }
 
-    /** The default worker count for `jobs == 0` (>= 1). */
+    /** The default worker count for `jobs == 0`: the host's
+     *  concurrency, in [1, kMaxJobs]. */
     static unsigned hardwareJobs();
 
     /**

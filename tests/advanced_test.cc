@@ -131,17 +131,7 @@ TEST(MultiVault, BpIterationAcrossTwoVaults)
 
     const unsigned num_pes = 8;
     for (unsigned pe = 0; pe < num_pes; ++pe) {
-        auto slice = [&](unsigned lanes) {
-            const unsigned per = (lanes + num_pes - 1) / num_pes;
-            const unsigned b = std::min(lanes, pe * per);
-            return std::make_pair(b, std::min(lanes, b + per));
-        };
-        const auto [hb, he] = slice(H);
-        const auto [vb, ve] = slice(W);
-        BpSweepJob jobs[4] = {{SweepDir::Right, hb, he},
-                              {SweepDir::Left, hb, he},
-                              {SweepDir::Down, vb, ve},
-                              {SweepDir::Up, vb, ve}};
+        const auto jobs = bpTileJobs(W, H, pe, num_pes);
         sys.pe(pe).loadProgram(genBpIterations(layout, BpVariant{}, jobs,
                                                iterations, flags, pe,
                                                num_pes));
@@ -197,17 +187,7 @@ TEST(HierarchicalBp, SimulatedCoarseToFineMatchesReference)
     auto run_phase = [&](const MrfDramLayout &layout, unsigned width,
                          unsigned height, Addr flag_base) {
         for (unsigned pe = 0; pe < 4; ++pe) {
-            auto slice = [&](unsigned lanes) {
-                const unsigned per = (lanes + 3) / 4;
-                const unsigned b = std::min(lanes, pe * per);
-                return std::make_pair(b, std::min(lanes, b + per));
-            };
-            const auto [hb, he] = slice(height);
-            const auto [vb, ve] = slice(width);
-            BpSweepJob jobs[4] = {{SweepDir::Right, hb, he},
-                                  {SweepDir::Left, hb, he},
-                                  {SweepDir::Down, vb, ve},
-                                  {SweepDir::Up, vb, ve}};
+            const auto jobs = bpTileJobs(width, height, pe, 4);
             sys.pe(pe).loadProgram(genBpIterations(
                 layout, BpVariant{}, jobs, 1, flag_base, pe, 4));
         }

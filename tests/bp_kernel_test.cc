@@ -142,21 +142,7 @@ TEST(BpKernel, MultiPeIterationsMatchReference)
 
     const unsigned num_pes = 4;
     for (unsigned pe = 0; pe < num_pes; ++pe) {
-        // Split lanes evenly; horizontal sweeps have H lanes, vertical W.
-        auto slice = [&](unsigned lanes) {
-            const unsigned per = (lanes + num_pes - 1) / num_pes;
-            const unsigned begin = std::min(lanes, pe * per);
-            const unsigned end = std::min(lanes, begin + per);
-            return std::make_pair(begin, end);
-        };
-        const auto [hb, he] = slice(H);
-        const auto [vb, ve] = slice(W);
-        BpSweepJob jobs[4] = {
-            {SweepDir::Right, hb, he},
-            {SweepDir::Left, hb, he},
-            {SweepDir::Down, vb, ve},
-            {SweepDir::Up, vb, ve},
-        };
+        const auto jobs = bpTileJobs(W, H, pe, num_pes);
         sys.pe(pe).loadProgram(genBpIterations(
             layout, BpVariant{}, jobs, iterations, flag_base, pe,
             num_pes));

@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Hostile command lines and binaries for vip-run, vip-asm and vip-serve.
+"""Hostile command lines and binaries for vip-run, vip-asm, vip-serve
+and a sweep bench.
 
 Each case runs one binary on input it must reject and asserts the exit
 code (2 for a bad flag, 1 for a bad file) and that stderr names the
 offending input. A process killed by a signal (SIGABRT from a panic or
 an uncaught exception) fails its case, whatever it printed. Two
-control cases check that well-formed flags still run.
+control cases check that well-formed flags still run, and each tool's
+--help must exit 0 and list every flag the tool accepts.
 
-Usage: cli_test.py VIP_RUN VIP_ASM VIP_SERVE
+Usage: cli_test.py VIP_RUN VIP_ASM VIP_SERVE BENCH
+(BENCH is a sweep bench that takes a FRAC argument, e.g. fig3_roofline.)
 """
 
 import os
@@ -24,11 +27,25 @@ def run(argv):
 
 
 def main():
-    if len(sys.argv) != 4:
-        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+    if len(sys.argv) != 5:
+        print(__doc__.strip().splitlines()[-2], file=sys.stderr)
         return 2
-    vip_run, vip_asm, vip_serve = sys.argv[1:]
+    vip_run, vip_asm, vip_serve, bench = sys.argv[1:]
     failures = []
+    # Every flag each tool accepts, and so every row its --help lists.
+    shared = ["--jobs", "--no-fast-forward", "--no-fast-path"]
+    help_rows = [
+        (vip_run, ["<prog.s>", "--reg", "--dram", "--dump-dram",
+                   "--dump-sp", "--dump-regs", "--dump-spec", "--stats",
+                   "--json-stats", "--inject", "--max-cycles",
+                   "--timeout-ms", "--vaults", "--no-fast-forward",
+                   "--no-fast-path", "--strict", "--trace", "--resume",
+                   "--help"]),
+        (vip_serve, ["--stdin", "--socket", "--jobs", "--cache",
+                     "--journal", "--max-queue", "--help"]),
+        (vip_asm, ["-o", "-l", "-d", "--help"]),
+        (bench, ["FRAC"] + shared + ["--help"]),
+    ]
 
     with tempfile.TemporaryDirectory() as tmp:
         def write(name, data):
@@ -81,6 +98,19 @@ def main():
              wide + ": immediate 99999999 does not fit the 26-bit field"),
             ("asm-unwritable-output", [vip_asm, halt, "-o", unwritable], 1,
              "cannot write " + unwritable),
+            ("reg-missing-value", [vip_run, halt, "--reg"], 2,
+             "--reg needs a value"),
+            ("bench-frac-not-a-number", [bench, "abc"], 2,
+             "FRAC: 'abc' is not a number in (0, 1]"),
+            ("bench-frac-zero", [bench, "0"], 2,
+             "FRAC: '0' is not a number in (0, 1]"),
+            ("bench-frac-negative", [bench, "-1"], 2, "-1"),
+            ("bench-frac-above-one", [bench, "5"], 2,
+             "FRAC: '5' is not a number in (0, 1]"),
+        ] + [
+            (f"unknown-flag-{os.path.basename(tool)}",
+             [tool, "--no-such-flag"], 2, "unknown flag --no-such-flag")
+            for tool, _ in help_rows
         ]
         for name, argv, want_exit, want_text in cases:
             proc = run(argv)
@@ -93,6 +123,20 @@ def main():
             if problems:
                 failures.append(f"{name}: " + "; ".join(problems) +
                                 f"\n  stderr: {proc.stderr.strip()}")
+            else:
+                print(f"ok {name}")
+
+        # --help exits 0 and lists every row of the tool's table, each
+        # at the start of its own line.
+        for tool, rows in help_rows:
+            name = f"help-{os.path.basename(tool)}"
+            proc = run([tool, "--help"])
+            missing = [r for r in rows if not re.search(
+                r"^  " + re.escape(r) + r"( |$)", proc.stdout, re.M)]
+            if proc.returncode != 0 or missing:
+                failures.append(f"{name}: exit {proc.returncode}, "
+                                f"missing rows {missing}"
+                                f"\n  stdout: {proc.stdout.strip()}")
             else:
                 print(f"ok {name}")
 
@@ -122,7 +166,7 @@ def main():
         for f in failures:
             print(f"FAIL {f}", file=sys.stderr)
         return 1
-    print(f"\nall {len(cases) + 2} cli checks passed")
+    print(f"\nall {len(cases) + len(help_rows) + 2} cli checks passed")
     return 0
 
 

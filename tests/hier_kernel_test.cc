@@ -156,17 +156,7 @@ TEST(HierKernel, FullPipelineOnSimulator)
     auto run_bp = [&](const MrfDramLayout &lay, unsigned w, unsigned h,
                       Addr flag_base) {
         for (unsigned pe = 0; pe < 4; ++pe) {
-            auto slice = [&](unsigned lanes) {
-                const unsigned per = (lanes + 3) / 4;
-                const unsigned b = std::min(lanes, pe * per);
-                return std::make_pair(b, std::min(lanes, b + per));
-            };
-            const auto [hb, he] = slice(h);
-            const auto [vb, ve] = slice(w);
-            BpSweepJob jobs[4] = {{SweepDir::Right, hb, he},
-                                  {SweepDir::Left, hb, he},
-                                  {SweepDir::Down, vb, ve},
-                                  {SweepDir::Up, vb, ve}};
+            const auto jobs = bpTileJobs(w, h, pe, 4);
             sys.pe(pe).loadProgram(genBpIterations(
                 lay, BpVariant{}, jobs, 1, flag_base, pe, 4));
         }

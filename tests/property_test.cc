@@ -387,17 +387,7 @@ TEST(OpticalFlow, KernelRecoversMotionBitExact)
     layout.upload(mrf, sys.dram());
     const Addr flags = layout.end() + 64;
     for (unsigned pe = 0; pe < 4; ++pe) {
-        auto slice = [&](unsigned lanes) {
-            const unsigned per = (lanes + 3) / 4;
-            const unsigned b2 = std::min(lanes, pe * per);
-            return std::make_pair(b2, std::min(lanes, b2 + per));
-        };
-        const auto [hb, he] = slice(16u);
-        const auto [vb, ve] = slice(24u);
-        BpSweepJob jobs[4] = {{SweepDir::Right, hb, he},
-                              {SweepDir::Left, hb, he},
-                              {SweepDir::Down, vb, ve},
-                              {SweepDir::Up, vb, ve}};
+        const auto jobs = bpTileJobs(24, 16, pe, 4);
         sys.pe(pe).loadProgram(
             genBpIterations(layout, BpVariant{}, jobs, 2, flags, pe, 4));
     }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the simulation substrate: statistics, histograms, the
- * deterministic RNG, the exception classifier, type conversions, and
- * the JSON writer's exact bytes.
+ * deterministic RNG, the exception classifier, type conversions, the
+ * JSON writer's exact bytes, and the sweep engine's worker bound.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "sim/json.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
+#include "sim/sweep.hh"
 #include "sim/types.hh"
 
 namespace vip {
@@ -283,6 +284,21 @@ TEST(JsonWire, TopLevelScalarsAndEmptyContainersArePinned)
     EXPECT_EQ(Json::object().str(0), "{}");
     EXPECT_EQ(Json::object().str(2), "{}");
     EXPECT_EQ(Json::array().push(Json::object()).str(0), "[\n  {}\n]");
+}
+
+TEST(SweepEngine, RefusesMoreWorkersThanTheBound)
+{
+    // One past the bound only: an engine with a large count would start
+    // that many threads wherever the bound fails to hold.
+    try {
+        SweepEngine engine(SweepEngine::kMaxJobs + 1);
+        FAIL() << "an engine of " << engine.jobs() << " workers started";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.message(),
+                  "a sweep engine takes at most 256 workers, not 257");
+    }
+    EXPECT_GE(SweepEngine::hardwareJobs(), 1u);
+    EXPECT_LE(SweepEngine::hardwareJobs(), SweepEngine::kMaxJobs);
 }
 
 } // namespace

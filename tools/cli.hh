@@ -1,29 +1,28 @@
 /**
  * @file
- * Shared command-line parsing for the VIP executables.
+ * Command-line parsing for the VIP executables.
  *
- * Every front end (vip-run, vip-serve, the table/figure bench mains)
- * grew its own copy of the same flag handling: `--jobs N`,
- * `--json-stats FILE`, `--no-fast-forward`, `--inject SPEC`. This
- * header is the single home for those flags — one parser, one piece
- * of --help text per flag, one error style — so a flag behaves
- * identically everywhere it is accepted.
+ * Each tool describes its flags once, as a table of rows: a flag's
+ * name, its value's name (none for a switch), its help line, and what
+ * it stores. cli::parse() matches argv against the table and prints
+ * the usage it generates from the same rows, so a flag cannot be
+ * parsed but undocumented, or documented but unparsed:
  *
- * Usage: pick the flags a tool accepts with a `Flag` mask, call
- * consumeCommon() once per unrecognized argv element before the
- * tool's own flags, and splice commonHelp() into the usage message:
+ *   unsigned jobs = 0;
+ *   bool verbose = false;
+ *   cli::parse(argc, argv, "[options]",
+ *              {cli::jobs(jobs),
+ *               cli::toggle("--verbose", "say more", verbose)});
  *
- *   cli::CommonOptions common;
- *   for (int i = 1; i < argc; ++i) {
- *       if (cli::consumeCommon(argc, argv, i,
- *                              cli::kJobs | cli::kFastForward, common))
- *           continue;
- *       // tool-specific flags...
- *   }
+ * The flags several tools share (--jobs, --json-stats, --inject,
+ * --no-fast-forward, --no-fast-path) are row helpers bound to the
+ * caller's own variables, so a flag reads and behaves the same
+ * everywhere it is accepted.
  *
- * A malformed value (non-numeric or out-of-range --jobs, missing
- * argument) prints "<tool>: <problem>" to stderr and exits 2, matching
- * the historical behaviour of every main this replaces.
+ * Every tool accepts --help: it prints the usage on stdout and exits
+ * 0. An unknown flag prints the usage on stderr and exits 2. A
+ * missing value, or one a row's store() rejects by throwing a
+ * ConfigError, prints one "<tool>: <flag> ..." line and exits 2.
  */
 
 #ifndef VIP_TOOLS_CLI_HH
@@ -33,169 +32,201 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <functional>
+#include <initializer_list>
 #include <limits>
 #include <string>
+#include <string_view>
+
+#include "sim/error.hh"
+#include "sim/sweep.hh"
 
 namespace vip::cli {
 
-/** Which shared flags a tool accepts (or-able mask). */
-enum Flag : unsigned
-{
-    kJobs = 1u << 0,         ///< --jobs N
-    kJsonStats = 1u << 1,    ///< --json-stats FILE
-    kFastForward = 1u << 2,  ///< --no-fast-forward
-    kInject = 1u << 3,       ///< --inject SPEC
-    kFastPath = 1u << 4,     ///< --no-fast-path
-};
-
-/** Most worker threads --jobs accepts: far above the cores of any host
- *  the simulator runs on, far below a process's thread limit. */
-constexpr unsigned kMaxJobs = 256;
-
-/** Values of the shared flags, pre-set to their defaults. */
-struct CommonOptions
-{
-    unsigned jobs = 0;          ///< 0 = hardware concurrency
-    std::string jsonStatsPath;  ///< empty = no JSON dump; "-" = stdout
-    bool fastForward = true;    ///< false after --no-fast-forward
-    std::string injectSpec;     ///< empty = no fault campaign
-    bool fastPath = true;       ///< false after --no-fast-path
-};
-
 /**
- * Parse "N", "0xN" or, for a signed T, "-N" into a T. Exits 2 with
- * @p tool's name on garbage or on a value above @p max or below T's
- * minimum.
+ * Parse "N", "0xN" or, for a signed T, "-N" into a T: the one number
+ * rule of every flag. Throws ConfigError on garbage or on a value
+ * above @p max or below T's minimum.
  */
 template <typename T = std::uint64_t>
 T
-parseNum(const char *tool, const char *flag, const char *text,
-         T max = std::numeric_limits<T>::max())
+parseNum(const std::string &text, T max = std::numeric_limits<T>::max())
 {
     using Limits = std::numeric_limits<T>;
     const bool negative = text[0] == '-';
-    const char *digits = text + negative;
+    const char *digits = text.c_str() + negative;
     // strtoull would skip blanks and take a sign itself: "-1" wraps.
     const bool digit = *digits >= '0' && *digits <= '9';
     char *end = nullptr;
     errno = 0;
     const std::uint64_t magnitude =
         digit ? std::strtoull(digits, &end, 0) : 0;
-    if (!digit || *end != '\0') {
-        std::fprintf(stderr, "%s: %s: '%s' is not a number\n", tool, flag,
-                     text);
-        std::exit(2);
-    }
+    if (!digit || *end != '\0')
+        throw ConfigError("'" + text + "' is not a number");
     // The most negative T has a magnitude one past the largest.
     const std::uint64_t limit =
         !negative ? static_cast<std::uint64_t>(max)
         : Limits::is_signed ? static_cast<std::uint64_t>(Limits::max()) + 1
                             : 0;
     if (errno == ERANGE || magnitude > limit) {
-        std::fprintf(stderr, "%s: %s: %s is outside [%lld, %llu]\n", tool,
-                     flag, text, static_cast<long long>(Limits::min()),
-                     static_cast<unsigned long long>(max));
-        std::exit(2);
+        throw ConfigError(text + " is outside [" +
+                          std::to_string(Limits::min()) + ", " +
+                          std::to_string(max) + "]");
     }
     return negative ? static_cast<T>(0 - magnitude)
                     : static_cast<T>(magnitude);
 }
 
-/**
- * If argv[i] is one of the shared flags enabled in @p flags, consume
- * it (advancing @p i past its value where it takes one), record it in
- * @p out, and return true. Exits 2 on a missing or malformed value.
- */
-inline bool
-consumeCommon(int argc, char **argv, int &i, unsigned flags,
-              CommonOptions &out)
+/** One flag (or a tool's positional argument) in a tool's table. */
+struct Row
 {
-    const char *arg = argv[i];
-    const auto value = [&](const char *flag) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "%s: %s needs a value\n", argv[0],
-                         flag);
+    const char *name;   ///< "--jobs"; for a positional, its usage name
+    const char *value;  ///< the value's usage name; nullptr for a switch
+    std::string help;   ///< one line of --help
+    /** Records the flag, given its value (nullptr for a switch);
+     *  throws ConfigError to reject the value. */
+    std::function<void(const char *)> store;
+};
+
+/** A switch that sets @p target to @p to. */
+inline Row
+toggle(const char *name, std::string help, bool &target, bool to = true)
+{
+    return {name, nullptr, std::move(help),
+            [&target, to](const char *) { target = to; }};
+}
+
+/** A flag (or, with @p value nullptr, a positional) kept as typed. */
+inline Row
+text(const char *name, const char *value, std::string help,
+     std::string &target)
+{
+    return {name, value, std::move(help),
+            [&target](const char *v) { target = v; }};
+}
+
+/** A flag whose value N is a number (parseNum()) no larger than @p max. */
+template <typename T>
+Row
+number(const char *name, std::string help, T &target,
+       T max = std::numeric_limits<T>::max())
+{
+    return {name, "N", std::move(help), [&target, max](const char *v) {
+                target = parseNum<T>(v, max);
+            }};
+}
+
+/** --jobs N, bounded by SweepEngine::kMaxJobs. */
+inline Row
+jobs(unsigned &target)
+{
+    return number("--jobs",
+                  "worker threads, at most " +
+                      std::to_string(SweepEngine::kMaxJobs) +
+                      " (0 = hardware concurrency)",
+                  target, SweepEngine::kMaxJobs);
+}
+
+/** --json-stats FILE. */
+inline Row
+jsonStats(std::string &path)
+{
+    return text("--json-stats", "FILE",
+                "write statistics as JSON (\"-\" = stdout)", path);
+}
+
+/** --inject SPEC. */
+inline Row
+inject(std::string &spec)
+{
+    return text("--inject", "SPEC",
+                "fault campaign, e.g. seed=7,dram-read=1e-7,ecc=on", spec);
+}
+
+/** --no-fast-forward: clears @p fastForward. */
+inline Row
+noFastForward(bool &fastForward)
+{
+    return toggle("--no-fast-forward",
+                  "tick every cycle instead of warping dead ones",
+                  fastForward, false);
+}
+
+/** --no-fast-path: clears @p fastPath. */
+inline Row
+noFastPath(bool &fastPath)
+{
+    return toggle("--no-fast-path",
+                  "issue one instruction per tick instead of running "
+                  "ahead",
+                  fastPath, false);
+}
+
+/** Print "<tool>: <message>" on stderr and exit 2. */
+[[noreturn]] inline void
+fail(const char *tool, const std::string &message)
+{
+    std::fprintf(stderr, "%s: %s\n", tool, message.c_str());
+    std::exit(2);
+}
+
+/**
+ * Match argv[1..] against @p rows, storing each flag in turn; an
+ * argument not starting with '-' goes to @p positional. Prints the
+ * usage ("usage: <tool> @p synopsis" and one line per row) and exits
+ * 0 on --help; prints it and exits 2 on an unknown flag, or on an
+ * argument when there is no @p positional. A missing value, or one
+ * the row rejects, exits 2 naming the flag.
+ */
+inline void
+parse(int argc, char **argv, const char *synopsis,
+      std::initializer_list<Row> rows, const Row *positional = nullptr)
+{
+    const char *tool = argv[0];
+    const auto usage = [&](std::FILE *to) {
+        std::fprintf(to, "usage: %s %s\n", tool, synopsis);
+        const auto line = [to](const Row &r) {
+            std::string left = r.name;
+            if (r.value)
+                (left += ' ') += r.value;
+            std::fprintf(to, "  %-20s%s\n", left.c_str(), r.help.c_str());
+        };
+        if (positional)
+            line(*positional);
+        for (const Row &r : rows)
+            line(r);
+        line({"--help", nullptr, "print this help and exit", {}});
+    };
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (arg == "--help" || arg == "-h") {
+            usage(stdout);
+            std::exit(0);
+        }
+        const bool flag = arg.starts_with('-');
+        const Row *row = flag ? nullptr : positional;
+        for (const Row &r : rows) {
+            if (flag && arg == r.name)
+                row = &r;
+        }
+        if (!row) {
+            std::fprintf(stderr, "%s: unknown %s %s\n", tool,
+                         flag ? "flag" : "argument", argv[i]);
+            usage(stderr);
             std::exit(2);
         }
-        return argv[++i];
-    };
-    if ((flags & kJobs) && std::strcmp(arg, "--jobs") == 0) {
-        out.jobs = parseNum<unsigned>(argv[0], "--jobs", value("--jobs"),
-                                      kMaxJobs);
-        return true;
+        const char *value = flag ? nullptr : argv[i];
+        if (row->value) {
+            if (i + 1 >= argc)
+                fail(tool, std::string(row->name) + " needs a value");
+            value = argv[++i];
+        }
+        try {
+            row->store(value);
+        } catch (const ConfigError &e) {
+            fail(tool, std::string(row->name) + ": " + e.message());
+        }
     }
-    if ((flags & kJsonStats) && std::strcmp(arg, "--json-stats") == 0) {
-        out.jsonStatsPath = value("--json-stats");
-        return true;
-    }
-    if ((flags & kFastForward) &&
-        std::strcmp(arg, "--no-fast-forward") == 0) {
-        out.fastForward = false;
-        return true;
-    }
-    if ((flags & kInject) && std::strcmp(arg, "--inject") == 0) {
-        out.injectSpec = value("--inject");
-        return true;
-    }
-    if ((flags & kFastPath) && std::strcmp(arg, "--no-fast-path") == 0) {
-        out.fastPath = false;
-        return true;
-    }
-    return false;
-}
-
-/** One usage line ("[--jobs N] [--no-fast-forward]") for the mask. */
-inline std::string
-commonUsage(unsigned flags)
-{
-    std::string out;
-    const auto add = [&out](const char *piece) {
-        if (!out.empty())
-            out += ' ';
-        out += piece;
-    };
-    if (flags & kJobs)
-        add("[--jobs N]");
-    if (flags & kJsonStats)
-        add("[--json-stats FILE]");
-    if (flags & kInject)
-        add("[--inject SPEC]");
-    if (flags & kFastForward)
-        add("[--no-fast-forward]");
-    if (flags & kFastPath)
-        add("[--no-fast-path]");
-    return out;
-}
-
-/** Aligned per-flag help lines for the mask, for --help output. */
-inline std::string
-commonHelp(unsigned flags)
-{
-    std::string out;
-    if (flags & kJobs) {
-        out += "  --jobs N            worker threads, at most " +
-               std::to_string(kMaxJobs) + " (0 = hardware concurrency)\n";
-    }
-    if (flags & kJsonStats) {
-        out += "  --json-stats FILE   write statistics as JSON "
-               "(\"-\" = stdout)\n";
-    }
-    if (flags & kInject) {
-        out += "  --inject SPEC       fault campaign, e.g. "
-               "seed=7,dram-read=1e-7,ecc=on\n";
-    }
-    if (flags & kFastForward) {
-        out += "  --no-fast-forward   tick every cycle instead of "
-               "warping dead ones\n";
-    }
-    if (flags & kFastPath) {
-        out += "  --no-fast-path      issue one instruction per tick "
-               "instead of running\n"
-               "                      ahead (output is "
-               "bit-identical)\n";
-    }
-    return out;
 }
 
 } // namespace vip::cli

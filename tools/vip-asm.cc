@@ -12,11 +12,11 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "cli.hh"
 #include "isa/assembler.hh"
 #include "isa/isa.hh"
 #include "sim/error.hh"
@@ -36,16 +36,6 @@ readFile(const std::string &path)
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
-}
-
-int
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: vip-asm <prog.s> [-o prog.bin]   assemble\n"
-                 "       vip-asm -l <prog.s>              listing\n"
-                 "       vip-asm -d <prog.bin>            disassemble\n");
-    return 2;
 }
 
 int
@@ -100,21 +90,19 @@ main(int argc, char **argv)
 {
     bool disasm = false, listing = false;
     std::string input, output;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "-d") == 0) {
-            disasm = true;
-        } else if (std::strcmp(argv[i], "-l") == 0) {
-            listing = true;
-        } else if (std::strcmp(argv[i], "-o") == 0 && i + 1 < argc) {
-            output = argv[++i];
-        } else if (argv[i][0] == '-') {
-            return usage();
-        } else {
-            input = argv[i];
-        }
-    }
+    const cli::Row file = cli::text(
+        "<file>", nullptr, "assembly source, or a binary with -d", input);
+    cli::parse(argc, argv, "<prog.s> [-o prog.bin] | -l <prog.s> | "
+                           "-d <prog.bin>",
+               {cli::text("-o", "FILE", "write the binary image to FILE",
+                          output),
+                cli::toggle("-l", "print a listing (addr, word, asm)",
+                            listing),
+                cli::toggle("-d", "disassemble a binary to stdout",
+                            disasm)},
+               &file);
     if (input.empty())
-        return usage();
+        cli::fail(argv[0], "no input file (see --help)");
 
     try {
         return disasm ? disassembleFile(input)

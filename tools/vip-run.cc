@@ -9,45 +9,12 @@
  * and --json-stats wraps the structured result in a document with a
  * host-timing section.
  *
- *   vip-run prog.s [options]
- *     --reg N=V            seed scalar register N (repeatable)
- *     --dram ADDR=V16      store a 16-bit value before running
- *                          (repeatable; ADDR/V accept 0x hex)
- *     --dump-dram A,N      print N int16 values at DRAM address A
- *     --dump-sp A,N        print N int16 scratchpad values
- *     --dump-regs          print the scalar register file
- *     --dump-spec          print the run as RunSpec JSON (a valid
- *                          vip-serve request body) and exit
- *     --stats              dump the statistics tree
- *     --json-stats FILE    write statistics as JSON ("-" = stdout):
- *                          a "host" section with wall-clock timing
- *                          plus the deterministic RunResult document
- *     --inject SPEC        run a fault-injection campaign (see
- *                          sim/fault.hh); adds a "faults" section
- *     --max-cycles N       simulation budget (default 100M)
- *     --timeout-ms N       wall-clock budget: a run still going after
- *                          N host milliseconds stops with a
- *                          structured "timeout" error (exit 1)
- *     --vaults N           machine size (default 1 vault; the torus
- *                          shape is derived with nocDimsFor)
- *     --no-fast-forward    tick every cycle instead of warping over
- *                          provably dead ones (same results, slower)
- *     --no-fast-path       issue one instruction per tick instead
- *                          of running ahead over register-only µops
- *                          (same results, slower)
- *     --strict             fail with a "program" error on vector
- *                          timing hazards
+ *   vip-run prog.s [options]     run one program on PE 0
+ *   vip-run --resume JOURNAL     finish an interrupted vip-serve
+ *                                --journal campaign (resumeCampaign)
  *
- * Campaign recovery (no source file; pairs with vip-serve --journal):
- *
- *   vip-run --resume PATH    finish an interrupted campaign journal:
- *                            completed entries print their recorded
- *                            response verbatim, the unanswered tail
- *                            is executed (and journaled under its
- *                            original sequence numbers, so repeated
- *                            resumes are idempotent), and stdout is
- *                            the full in-order response stream —
- *                            byte-identical to an uninterrupted run
+ * `vip-run --help` lists every flag; the table in main() is their one
+ * description.
  *
  * On a recoverable failure (bad config, assembly error, deadlock) the
  * runner prints the error to stderr, writes {"error": {...}} to the
@@ -104,27 +71,6 @@ installSignalHandlers()
     std::signal(SIGTERM, onStopSignal);
 }
 
-int
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: vip-run <prog.s> [--reg N=V] [--dram A=V] "
-        "[--dump-dram A,N]\n"
-        "       [--dump-sp A,N] [--dump-regs] [--dump-spec] [--stats]\n"
-        "       [--max-cycles N] [--timeout-ms N] [--vaults N] "
-        "[--strict] [--trace]\n"
-        "       | vip-run --resume JOURNAL "
-        "%s\n%s",
-        cli::commonUsage(cli::kJsonStats | cli::kInject |
-                         cli::kFastForward | cli::kFastPath)
-            .c_str(),
-        cli::commonHelp(cli::kJsonStats | cli::kInject |
-                        cli::kFastForward | cli::kFastPath)
-            .c_str());
-    return 2;
-}
-
 /** Write @p doc, indented, to the --json-stats target ("-" = stdout). */
 bool
 emitJson(const std::string &path, const Json &doc)
@@ -145,39 +91,15 @@ emitJson(const std::string &path, const Json &doc)
 
 struct Options
 {
-    std::string sourcePath;
-    cli::CommonOptions common;
-    std::vector<std::pair<unsigned, std::uint64_t>> regs;
-    std::vector<std::pair<Addr, std::int16_t>> pokes;
+    RunSpec spec;  ///< the flags' pokes, regs and budgets; run() adds the rest
+    std::string sourcePath, resumePath;
+    std::string jsonStatsPath;  ///< empty = no JSON dump; "-" = stdout
+    std::string injectSpec;     ///< empty = no fault campaign
     std::vector<std::pair<Addr, unsigned>> dumpDram, dumpSp;
-    bool dumpRegs = false, dumpSpec = false;
-    bool wantStats = false, strict = false, trace = false;
-    Cycles maxCycles = 100'000'000;
-    std::uint64_t timeoutMs = 0;
+    bool dumpRegs = false, dumpSpec = false, wantStats = false;
+    bool strict = false, trace = false, fastForward = true, fastPath = true;
     unsigned vaults = 1;
-    std::string resumePath;
 };
-
-/** The flags as a RunSpec — the serializable half of the run. */
-RunSpec
-specFromOptions(const Options &opt, const std::string &source)
-{
-    RunSpec spec;
-    spec.config = makeSystemConfig(opt.vaults, 1);
-    spec.config.pe.strictHazards = opt.strict;
-    spec.config.fastForward = opt.common.fastForward;
-    spec.config.fastPath = opt.common.fastPath;
-    if (!opt.common.injectSpec.empty())
-        spec.config.faults = FaultPlan::parse(opt.common.injectSpec);
-    spec.programs.push_back({0, source});
-    for (const auto &[addr, val] : opt.pokes)
-        spec.pokes.push_back({addr, {val}});
-    for (const auto &[r, v] : opt.regs)
-        spec.regs.push_back({0, r, v});
-    spec.maxCycles = opt.maxCycles;
-    spec.budgetMs = opt.timeoutMs;
-    return spec;
-}
 
 /**
  * Finish an interrupted campaign journal (vip-serve --journal): emit
@@ -234,7 +156,15 @@ run(const Options &opt)
     std::ostringstream ss;
     ss << in.rdbuf();
 
-    const RunSpec spec = specFromOptions(opt, ss.str());
+    // The flags as a RunSpec: the serializable half of the run.
+    RunSpec spec = opt.spec;
+    spec.config = makeSystemConfig(opt.vaults, 1);
+    spec.config.pe.strictHazards = opt.strict;
+    spec.config.fastForward = opt.fastForward;
+    spec.config.fastPath = opt.fastPath;
+    if (!opt.injectSpec.empty())
+        spec.config.faults = FaultPlan::parse(opt.injectSpec);
+    spec.programs.push_back({0, ss.str()});
     if (opt.dumpSpec) {
         std::cout << spec.toJson().str(0) << "\n";
         return 0;
@@ -303,7 +233,7 @@ run(const Options &opt)
         sys.stats().dump(os);
         std::fputs(os.str().c_str(), stdout);
     }
-    if (!opt.common.jsonStatsPath.empty()) {
+    if (!opt.jsonStatsPath.empty()) {
         // The deterministic RunResult document (counters and faults,
         // byte-identical run to run) plus a "host" section
         // carrying the wall-clock figures, which are not.
@@ -327,7 +257,7 @@ run(const Options &opt)
             f.set("plan", spec.config.faults.toString());
             doc.set("faults", std::move(f));
         }
-        if (!emitJson(opt.common.jsonStatsPath, doc))
+        if (!emitJson(opt.jsonStatsPath, doc))
             return 1;
     }
     return 0;
@@ -338,96 +268,83 @@ run(const Options &opt)
 int
 main(int argc, char **argv)
 {
-    constexpr unsigned kFlags = cli::kJsonStats | cli::kInject |
-                                cli::kFastForward | cli::kFastPath;
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        if (cli::consumeCommon(argc, argv, i, kFlags, opt.common))
-            continue;
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::exit(usage());
-            }
-            return argv[++i];
-        };
-        auto num = [&](const std::string &text) {
-            return cli::parseNum(argv[0], arg.c_str(), text.c_str());
-        };
-        // "LHS=RHS" or "LHS,RHS", both sides required.
-        auto split = [&](char sep) -> std::pair<std::string, std::string> {
-            const std::string v = next();
-            const auto at = v.find(sep);
-            if (at == std::string::npos) {
-                std::fprintf(stderr, "%s: %s: '%s' has no '%c'\n", argv[0],
-                             arg.c_str(), v.c_str(), sep);
-                std::exit(2);
-            }
-            return {v.substr(0, at), v.substr(at + 1)};
-        };
-        if (arg == "--reg") {
-            const auto [reg, value] = split('=');
-            opt.regs.emplace_back(
-                cli::parseNum<unsigned>(argv[0], "--reg", reg.c_str()),
-                num(value));
-        } else if (arg == "--dram") {
-            const auto [addr, value] = split('=');
-            const auto v = cli::parseNum<std::int64_t>(argv[0], "--dram",
-                                                       value.c_str());
-            if (v < -32768 || v > 32767) {
-                std::fprintf(stderr,
-                             "%s: --dram: %s does not fit in a 16-bit DRAM "
-                             "word\n",
-                             argv[0], value.c_str());
-                std::exit(2);
-            }
-            opt.pokes.emplace_back(num(addr), static_cast<std::int16_t>(v));
-        } else if (arg == "--dump-dram" || arg == "--dump-sp") {
-            const auto [addr_text, count_text] = split(',');
-            const Addr addr = num(addr_text);
-            const auto count = cli::parseNum<unsigned>(argv[0], arg.c_str(),
-                                                       count_text.c_str());
-            // The DRAM range is checked against the machine after the
-            // run; the scratchpad's size is fixed, so check it here.
-            constexpr unsigned kSpBytes = Scratchpad::kBytes;
-            if (arg == "--dump-sp" &&
-                (count > kSpBytes / 2 || addr > kSpBytes - 2 * count)) {
-                std::fprintf(stderr,
-                             "%s: --dump-sp: %u words at %s end past the "
-                             "%u-byte scratchpad\n",
-                             argv[0], count, addr_text.c_str(), kSpBytes);
-                std::exit(2);
-            }
-            auto &list = arg == "--dump-dram" ? opt.dumpDram : opt.dumpSp;
-            list.emplace_back(addr, count);
-        } else if (arg == "--dump-regs") {
-            opt.dumpRegs = true;
-        } else if (arg == "--dump-spec") {
-            opt.dumpSpec = true;
-        } else if (arg == "--stats") {
-            opt.wantStats = true;
-        } else if (arg == "--strict") {
-            opt.strict = true;
-        } else if (arg == "--trace") {
-            opt.trace = true;
-        } else if (arg == "--max-cycles") {
-            opt.maxCycles = num(next());
-        } else if (arg == "--timeout-ms") {
-            opt.timeoutMs = num(next());
-        } else if (arg == "--resume") {
-            opt.resumePath = next();
-        } else if (arg == "--vaults") {
-            opt.vaults = cli::parseNum<unsigned>(argv[0], "--vaults",
-                                                 next().c_str());
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg[0] == '-') {
-            return usage();
-        } else {
-            opt.sourcePath = arg;
-        }
-    }
+    // "LHS=RHS" or "LHS,RHS", both sides required.
+    const auto split = [](const std::string &v, char sep) {
+        const auto at = v.find(sep);
+        if (at == std::string::npos)
+            throw ConfigError("'" + v + "' has no '" + sep + "'");
+        return std::make_pair(v.substr(0, at), v.substr(at + 1));
+    };
+    // "A,N": a start address and a count of 16-bit words.
+    const auto range = [&](const char *v) {
+        const auto [addr, count] = split(v, ',');
+        const Addr at = cli::parseNum(addr);
+        return std::make_pair(at, cli::parseNum<unsigned>(count));
+    };
+    const cli::Row source = cli::text("<prog.s>", nullptr,
+                                      "assembly source to run",
+                                      opt.sourcePath);
+    cli::parse(
+        argc, argv, "<prog.s> [options] | --resume JOURNAL",
+        {{"--reg", "N=V", "seed scalar register N with V (repeatable)",
+          [&](const char *v) {
+              const auto [reg, value] = split(v, '=');
+              const auto r = cli::parseNum<unsigned>(reg);
+              opt.spec.regs.push_back({0, r, cli::parseNum(value)});
+          }},
+         {"--dram", "A=V", "store the 16-bit word V at DRAM address A "
+                           "(repeatable)",
+          [&](const char *v) {
+              const auto [addr, value] = split(v, '=');
+              const auto word = cli::parseNum<std::int64_t>(value);
+              if (word < -32768 || word > 32767)
+                  throw ConfigError(value +
+                                    " does not fit in a 16-bit DRAM word");
+              opt.spec.pokes.push_back(
+                  {cli::parseNum(addr), {static_cast<std::int16_t>(word)}});
+          }},
+         {"--dump-dram", "A,N", "print N int16 values at DRAM address A",
+          [&](const char *v) { opt.dumpDram.push_back(range(v)); }},
+         {"--dump-sp", "A,N", "print N int16 scratchpad values at A",
+          [&](const char *v) {
+              // The DRAM range is checked against the machine after the
+              // run; the scratchpad's size is fixed, so check it here.
+              const auto [addr, count] = range(v);
+              constexpr unsigned kSpBytes = Scratchpad::kBytes;
+              if (count > kSpBytes / 2 || addr > kSpBytes - 2 * count) {
+                  throw ConfigError(
+                      std::to_string(count) + " words at " +
+                      split(v, ',').first + " end past the " +
+                      std::to_string(kSpBytes) + "-byte scratchpad");
+              }
+              opt.dumpSp.emplace_back(addr, count);
+          }},
+         cli::toggle("--dump-regs", "print the scalar register file",
+                     opt.dumpRegs),
+         cli::toggle("--dump-spec", "print the run as a vip-serve "
+                                    "request (RunSpec JSON) and exit",
+                     opt.dumpSpec),
+         cli::toggle("--stats", "dump the statistics tree", opt.wantStats),
+         cli::jsonStats(opt.jsonStatsPath),
+         cli::inject(opt.injectSpec),
+         cli::number("--max-cycles", "simulation budget (default 100M)",
+                     opt.spec.maxCycles),
+         cli::number("--timeout-ms", "stop with a \"timeout\" error after "
+                                     "N host milliseconds",
+                     opt.spec.budgetMs),
+         cli::number("--vaults", "machine size (default 1 vault)",
+                     opt.vaults),
+         cli::noFastForward(opt.fastForward),
+         cli::noFastPath(opt.fastPath),
+         cli::toggle("--strict", "fail on vector timing hazards",
+                     opt.strict),
+         cli::toggle("--trace", "print each instruction as it issues",
+                     opt.trace),
+         cli::text("--resume", "JOURNAL",
+                   "finish an interrupted vip-serve --journal campaign",
+                   opt.resumePath)},
+        &source);
     installSignalHandlers();
 
     if (!opt.resumePath.empty()) {
@@ -440,7 +357,7 @@ main(int argc, char **argv)
         }
     }
     if (opt.sourcePath.empty())
-        return usage();
+        cli::fail(argv[0], "no program to run (see --help)");
 
     try {
         return run(opt);
@@ -448,13 +365,13 @@ main(int argc, char **argv)
         // Re-anchor the assembler's line number on the source path.
         std::fprintf(stderr, "%s:%u: error: %s\n",
                      opt.sourcePath.c_str(), e.line(), e.what());
-        if (!opt.common.jsonStatsPath.empty()) {
+        if (!opt.jsonStatsPath.empty()) {
             const SimError anchored(e.kind(),
                                     opt.sourcePath + ":" +
                                         std::to_string(e.line()) + ": " +
                                         e.message(),
                                     e.detail());
-            emitJson(opt.common.jsonStatsPath, errorResponse(anchored));
+            emitJson(opt.jsonStatsPath, errorResponse(anchored));
         }
         return 1;
     } catch (...) {
@@ -465,8 +382,8 @@ main(int argc, char **argv)
             // *why* the run stopped without scraping stderr.
             std::cout << errorResponse(e).str() << "\n" << std::flush;
         }
-        if (!opt.common.jsonStatsPath.empty())
-            emitJson(opt.common.jsonStatsPath, errorResponse(e));
+        if (!opt.jsonStatsPath.empty())
+            emitJson(opt.jsonStatsPath, errorResponse(e));
         return 1;
     }
 }

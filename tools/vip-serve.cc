@@ -19,20 +19,9 @@
  *                                  daemon, a disconnect just ends
  *                                  that connection
  *
- * Options:
- *   --jobs N     worker pool size (default 1: inline, deterministic
- *                response order timing; 0 = hardware concurrency)
- *   --cache N    result-cache capacity in entries (default 256;
- *                0 disables caching)
- *   --journal PATH
- *                write-ahead campaign journal: requests are logged
- *                before dispatch, responses after emission, and a
- *                restarted daemon re-answers completed points from
- *                the journal (see serve/journal.hh)
- *   --max-queue N
- *                admission bound: shed run requests with
- *                {"error":{"kind":"overloaded"}} when this many runs
- *                are already in flight (default 4 * jobs + 4)
+ * `vip-serve --help` lists every flag (worker pool, result cache,
+ * campaign journal, admission bound); the table in main() is their
+ * one description.
  *
  * Lifecycle: SIGINT/SIGTERM drain — in-flight runs complete, their
  * responses are written (and journaled), then the process exits. A
@@ -108,26 +97,6 @@ installSignalHandlers()
     std::signal(SIGINT, onStopSignal);
     std::signal(SIGTERM, onStopSignal);
 #endif
-}
-
-int
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: vip-serve [--stdin | --socket PATH] "
-                 "[--cache N] [--journal PATH] [--max-queue N] "
-                 "%s\n%s"
-                 "  --stdin             serve stdin/stdout (default)\n"
-                 "  --socket PATH       listen on a unix socket\n"
-                 "  --cache N           result-cache entries "
-                 "(default 256, 0 = off)\n"
-                 "  --journal PATH      write-ahead campaign journal "
-                 "(crash recovery)\n"
-                 "  --max-queue N       shed run requests beyond N in "
-                 "flight (default 4*jobs+4)\n",
-                 cli::commonUsage(cli::kJobs).c_str(),
-                 cli::commonHelp(cli::kJobs).c_str());
-    return 2;
 }
 
 #ifdef __unix__
@@ -347,45 +316,29 @@ serveSocket(VipServer &server, const std::string &path)
 int
 main(int argc, char **argv)
 {
-    cli::CommonOptions common;
-    common.jobs = 1;  // deterministic by default; opt into parallelism
-    std::string socketPath;
     ServeOptions opts;
+    std::string socketPath;
     bool useStdin = true;
-
-    for (int i = 1; i < argc; ++i) {
-        if (cli::consumeCommon(argc, argv, i, cli::kJobs, common))
-            continue;
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::exit(usage());
-            }
-            return argv[++i];
-        };
-        if (arg == "--stdin") {
-            useStdin = true;
-        } else if (arg == "--socket") {
-            socketPath = next();
-            useStdin = false;
-        } else if (arg == "--cache") {
-            opts.cacheEntries =
-                cli::parseNum<std::size_t>(argv[0], "--cache", next());
-        } else if (arg == "--journal") {
-            opts.journalPath = next();
-        } else if (arg == "--max-queue") {
-            opts.maxQueuedRuns =
-                cli::parseNum<std::size_t>(argv[0], "--max-queue", next());
-        } else if (arg == "--help" || arg == "-h") {
-            return usage();
-        } else {
-            return usage();
-        }
-    }
-
+    cli::parse(
+        argc, argv, "[--stdin | --socket PATH] [options]",
+        {cli::toggle("--stdin", "serve stdin/stdout (default)", useStdin),
+         {"--socket", "PATH", "listen on a unix socket",
+          [&](const char *v) {
+              socketPath = v;
+              useStdin = false;
+          }},
+         cli::jobs(opts.jobs),
+         cli::number("--cache", "result-cache entries (default 256, "
+                                "0 = off)",
+                     opts.cacheEntries),
+         cli::text("--journal", "PATH",
+                   "write-ahead campaign journal (crash recovery)",
+                   opts.journalPath),
+         cli::number("--max-queue", "shed run requests beyond N in "
+                                    "flight (default 4*jobs+4)",
+                     opts.maxQueuedRuns)});
     installSignalHandlers();
 
-    opts.jobs = common.jobs;
     // Drain-then-exit on SIGINT/SIGTERM: serve() polls this between
     // request lines and returns after finishing in-flight work.
     opts.stopRequested = [] { return g_signal != 0; };
